@@ -4,12 +4,15 @@ Every randomized command derives its whole corpus from --seed, and report
 files are byte-identical across runs with the same configuration. Exit
 codes: 0 when every contract assertion passed, 1 on a contract failure
 (the first failing instance is dumped as JSON for `replay`), 2 on
-configuration errors.
+configuration errors and on arithmetic that cannot finish (a vanishing
+partition value, an undefined series division, a root iteration that does
+not converge).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -19,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import corpus
-from .errors import ZeroPartitionError
+from .errors import RootConvergenceError, ZeroPartitionError
 from .graphs import (Graph, MINUS, PLUS, Pinning, build_saw_tree,
                      is_proper, parse_graph, parse_pinning)
 from .identities import cd_equivalent_forms, cd_sides, gutman_sides, qspin_det_sides
@@ -599,6 +602,9 @@ def run(cfg: RunConfig) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, RootConvergenceError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 def replay(dump_path: str) -> int:
@@ -622,6 +628,7 @@ def replay(dump_path: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinmix",

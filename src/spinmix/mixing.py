@@ -19,8 +19,6 @@ from .numerics import (ONE, ZERO, ExactComplex, Polynomial, PowerSeries,
                        series_div)
 from .partition import Params, z_auto, z_poly_lambda, z_tree
 
-_BINOM_CACHE: dict[tuple[ExactComplex, int], tuple[ExactComplex, ...]] = {}
-
 
 @dataclass(frozen=True)
 class MarginalSeries:
@@ -152,22 +150,15 @@ def ldc_report(g: Graph, s: Pinning, t: Pinning, v: int, beta, gamma,
 # ---------------------------------------------------------------------------
 
 
-def _shifted_power(center: ExactComplex, m: int) -> tuple[ExactComplex, ...]:
-    """Coefficients of (center + t)^m as a polynomial in t."""
-    key = (center, m)
-    cached = _BINOM_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if m == 0:
-        out: tuple[ExactComplex, ...] = (ONE,)
-    else:
-        prev = _shifted_power(center, m - 1)
-        coeffs = [ZERO] * (m + 1)
-        for i, c in enumerate(prev):
+def _shifted_powers(center: ExactComplex, m: int) -> list[tuple[ExactComplex, ...]]:
+    """Coefficients of (center + t)^k as polynomials in t, for k = 0..m."""
+    out: list[tuple[ExactComplex, ...]] = [(ONE,)]
+    for k in range(1, m + 1):
+        coeffs = [ZERO] * (k + 1)
+        for i, c in enumerate(out[-1]):
             coeffs[i] = coeffs[i] + c * center
             coeffs[i + 1] = coeffs[i + 1] + c
-        out = tuple(coeffs)
-    _BINOM_CACHE[key] = out
+        out.append(tuple(coeffs))
     return out
 
 
@@ -187,8 +178,8 @@ def _edge_activity_poly(g: Graph, p: Pinning, gamma: ExactComplex | None,
     m = len(g.edges)
     pow_g = _powers(gamma, m) if gamma is not None else None
     pow_l = _powers(lam, g.n)
-    degree = m
-    coeffs = [ZERO] * (degree + 1)
+    expansions = _shifted_powers(center, m)
+    coeffs = [ZERO] * (m + 1)
     edges = g.edges
     for mask in range(1 << len(free)):
         for i, v in enumerate(free):
@@ -203,10 +194,10 @@ def _edge_activity_poly(g: Graph, p: Pinning, gamma: ExactComplex | None,
         np_ = sum(spin)
         if gamma is None:
             base = pow_l[np_]
-            expansion = _shifted_power(center, mp + mm)
+            expansion = expansions[mp + mm]
         else:
             base = pow_g[mm] * pow_l[np_]
-            expansion = _shifted_power(center, mp)
+            expansion = expansions[mp]
         for i, c in enumerate(expansion):
             coeffs[i] = coeffs[i] + c * base
     return Polynomial(coeffs)

@@ -1,7 +1,8 @@
 """Exact Gaussian-rational scalars, truncated power series, polynomials, roots.
 
-All identity verification in this package runs on :class:`ExactComplex`
-(pairs of arbitrary-precision rationals), so equalities are bit-exact.
+All identity verification in this package runs on :class:`ExactComplex`,
+a Gaussian rational (a + b*i)/d held as three arbitrary-precision integers
+in lowest terms, so equalities are bit-exact.
 Floating point appears only in root finding and decay fitting.
 """
 
@@ -10,42 +11,60 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import RootConvergenceError, SeriesDivisionError
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _rational_parts(x) -> tuple[int, int]:
+    """Numerator and denominator of an exact rational (int, Fraction or str)."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x), 1
     if isinstance(x, str):
-        return Fraction(x)
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
 
 
 class ExactComplex:
-    """A complex number with exact rational real and imaginary parts.
+    """A complex number (a + b*i)/d with integers a, b and d.
 
-    Field operations are exact; floats are rejected by the constructor so
-    inexactness cannot sneak into an identity check.
+    The triple is kept canonical, d > 0 and gcd(a, b, d) == 1, so equal
+    values have equal triples. Each field operation ends in one gcd
+    normalisation. Floats are rejected by the constructor so inexactness
+    cannot sneak into an identity check.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_abd",)
 
     def __init__(self, re=0, im=0):
         if isinstance(re, ExactComplex):
             if im != 0:
                 raise TypeError("cannot combine an ExactComplex with an imaginary part")
-            object.__setattr__(self, "re", re.re)
-            object.__setattr__(self, "im", re.im)
+            _set(self, "_abd", re._abd)
             return
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        a, d = _rational_parts(re)
+        b, e = _rational_parts(im)
+        # both parts are in lowest terms, so over lcm(d, e) the triple is canonical
+        if d != e:
+            g = gcd(d, e)
+            a, b, d = a * (e // g), b * (d // g), d // g * e
+        _set(self, "_abd", (a, b, d))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactComplex is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        a, _, d = self._abd
+        return Fraction(a, d)
+
+    @property
+    def im(self) -> Fraction:
+        _, b, d = self._abd
+        return Fraction(b, d)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -56,38 +75,60 @@ class ExactComplex:
         return ExactComplex(x)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return ExactComplex(self.re + o.re, self.im + o.im)
+        if not isinstance(other, ExactComplex):
+            other = ExactComplex(other)
+        a, b, d = self._abd
+        c, e, f = other._abd
+        if d == f:
+            return _reduced(a + c, b + e, d)
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return ExactComplex(self.re - o.re, self.im - o.im)
+        if not isinstance(other, ExactComplex):
+            other = ExactComplex(other)
+        a, b, d = self._abd
+        c, e, f = other._abd
+        if d == f:
+            return _reduced(a - c, b - e, d)
+        return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        return ExactComplex(self.re * o.re - self.im * o.im,
-                            self.re * o.im + self.im * o.re)
+        if not isinstance(other, ExactComplex):
+            other = ExactComplex(other)
+        a, b, d = self._abd
+        c, e, f = other._abd
+        if not b and not e:
+            n, m = a * c, d * f
+            g = gcd(n, m)
+            return _exact(n // g, 0, m // g)
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("division by exact zero")
-        return ExactComplex((self.re * o.re + self.im * o.im) / d,
-                            (o.re * self.im - o.im * self.re) / d)
+        if not isinstance(other, ExactComplex):
+            other = ExactComplex(other)
+        a, b, d = self._abd
+        c, e, f = other._abd
+        if not e:
+            if not c:
+                raise ZeroDivisionError("division by exact zero")
+            if c < 0:
+                c, f = -c, -f
+            return _reduced(a * f, b * f, d * c)
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
     def __neg__(self):
-        return ExactComplex(-self.re, -self.im)
+        a, b, d = self._abd
+        return _exact(-a, -b, d)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -106,46 +147,53 @@ class ExactComplex:
     # -- predicates and conversions -----------------------------------------
 
     def __eq__(self, other):
-        try:
-            o = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if not isinstance(other, ExactComplex):
+            try:
+                other = ExactComplex(other)
+            except TypeError:
+                return NotImplemented
+        return self._abd == other._abd
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash(self._abd)
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        a, b, _ = self._abd
+        return bool(a or b)
 
     def is_zero(self) -> bool:
         return not self
 
     def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im)
+        a, b, d = self._abd
+        return _exact(a, -b, d)
 
     def abs2(self) -> Fraction:
         """Exact squared modulus."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._abd
+        return Fraction(a * a + b * b, d * d)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._abd[1]
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int rounds correctly, so this equals float(self.re)
+        a, b, d = self._abd
+        return complex(a / d, b / d)
 
     def __complex__(self):
         return self.to_complex()
 
     def __repr__(self):
-        if self.im == 0:
+        if self.is_real():
             return f"ExactComplex({str(self.re)!r})"
         return f"ExactComplex({str(self.re)!r}, {str(self.im)!r})"
 
     def __str__(self):
-        if self.im == 0:
+        if self.is_real():
             return str(self.re)
-        return f"{self.re}{'+' if self.im >= 0 else ''}{self.im}i"
+        im = self.im
+        return f"{self.re}{'+' if im > 0 else ''}{im}i"
 
     # -- serialization -------------------------------------------------------
 
@@ -160,6 +208,25 @@ class ExactComplex:
         if isinstance(doc, (int, str, Fraction)):
             return cls(doc)
         raise TypeError(f"cannot parse complex rational from {doc!r}")
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _exact(a: int, b: int, d: int) -> ExactComplex:
+    """The ExactComplex (a + b*i)/d of a triple already in canonical form."""
+    x = _new(ExactComplex)
+    _set(x, "_abd", (a, b, d))
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> ExactComplex:
+    """The ExactComplex (a + b*i)/d for any d > 0."""
+    g = gcd(a, b, d)
+    if g != 1:
+        return _exact(a // g, b // g, d // g)
+    return _exact(a, b, d)
 
 
 ZERO = ExactComplex(0)

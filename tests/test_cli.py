@@ -59,6 +59,19 @@ class TestExitCodes:
         code, _, err = run_cli(["replay", str(bad)], capsys)
         assert code == 2 and "malformed dump" in err
 
+    def test_vanishing_partition_value_exits_2(self, tmp_path, capsys, monkeypatch):
+        # hard-core on one edge: Z = 1 + 2*lambda vanishes at lambda = -1/2
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(["decay", "--beta=0/1", "--gamma=1/1", "--lambda=-1/2",
+                                "--mode=msm", "--kmax=3"], capsys)
+        assert code == 2
+        assert err.startswith("error: ZeroPartitionError: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -50,6 +51,128 @@ class TestExactComplex:
 
     def test_abs2(self):
         assert ExactComplex(3, 4).abs2() == 25
+
+
+# Independent reference for ExactComplex: a complex rational as a
+# (re, im) pair of Fractions, with the textbook field operations.
+
+def ref_mul(x, y):
+    (a, b), (c, e) = x, y
+    return a * c - b * e, a * e + b * c
+
+
+def ref_div(x, y):
+    (a, b), (c, e) = x, y
+    n = c * c + e * e
+    return (a * c + b * e) / n, (b * c - a * e) / n
+
+
+def ref_pow(x, k):
+    if k < 0:
+        x, k = ref_div((Fraction(1), Fraction(0)), x), -k
+    out = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        out = ref_mul(out, x)
+    return out
+
+
+def ref_str(x):
+    re, im = x
+    if im == 0:
+        return str(re)
+    return f"{re}{'+' if im >= 0 else ''}{im}i"
+
+
+def pair(x: ExactComplex):
+    return x.re, x.im
+
+
+# small denominators share values and denominators often (the equal-
+# denominator and real paths); wide ones force gcd reductions
+ref_rationals = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6))
+ref_pairs = st.tuples(ref_rationals, ref_rationals | st.just(Fraction(0)))
+ref_operands = st.one_of(ref_pairs, st.integers(-50, 50), ref_rationals)
+
+
+def as_pair(x):
+    return x if isinstance(x, tuple) else (Fraction(x), Fraction(0))
+
+
+def as_exact(x):
+    return ExactComplex(*x) if isinstance(x, tuple) else x
+
+
+class TestExactComplexAgainstFractionPairs:
+    @given(ref_pairs, ref_operands)
+    @settings(max_examples=150)
+    def test_ring_operations(self, x, y):
+        ex, ey, py = ExactComplex(*x), as_exact(y), as_pair(y)
+        assert pair(ex + ey) == pair(ey + ex) == (x[0] + py[0], x[1] + py[1])
+        assert pair(ex - ey) == (x[0] - py[0], x[1] - py[1])
+        assert pair(ey - ex) == (py[0] - x[0], py[1] - x[1])
+        assert pair(ex * ey) == pair(ey * ex) == ref_mul(x, py)
+
+    @given(ref_pairs, ref_operands)
+    @settings(max_examples=150)
+    def test_division(self, x, y):
+        ex, ey, py = ExactComplex(*x), as_exact(y), as_pair(y)
+        if py == (0, 0):
+            with pytest.raises(ZeroDivisionError, match="division by exact zero"):
+                ex / ey
+        else:
+            assert pair(ex / ey) == ref_div(x, py)
+        if x == (0, 0):
+            with pytest.raises(ZeroDivisionError, match="division by exact zero"):
+                ey / ex
+        else:
+            assert pair(ey / ex) == ref_div(py, x)
+
+    @given(ref_pairs, st.integers(-4, 6))
+    @settings(max_examples=100)
+    def test_unary_and_powers(self, x, k):
+        ex = ExactComplex(*x)
+        assert pair(-ex) == (-x[0], -x[1])
+        assert pair(ex.conjugate()) == (x[0], -x[1])
+        assert ex.abs2() == x[0] * x[0] + x[1] * x[1]
+        assert isinstance(ex.abs2(), Fraction)
+        assert ex.is_real() == (x[1] == 0)
+        assert ex.to_complex() == complex(float(x[0]), float(x[1]))
+        if k >= 0 or x != (0, 0):
+            assert pair(ex ** k) == ref_pow(x, k)
+
+    @given(ref_pairs, ref_pairs)
+    @settings(max_examples=150)
+    def test_equality_hash_and_text(self, x, y):
+        ex, ey = ExactComplex(*x), ExactComplex(*y)
+        assert (ex == ey) == (x == y)
+        if x == y:
+            assert hash(ex) == hash(ey)
+        if x[1] == 0:
+            assert ex == x[0]
+        assert str(ex) == ref_str(x)
+        assert ex.to_json() == {"re": str(x[0]), "im": str(x[1])}
+        assert ExactComplex.from_json(ex.to_json()) == ex
+
+    @given(ref_pairs, ref_operands, st.sampled_from(["+", "-", "*", "/", "neg"]))
+    @settings(max_examples=150)
+    def test_results_are_canonical(self, x, y, op):
+        ex, ey = ExactComplex(*x), as_exact(y)
+        if op == "/" and as_pair(y) == (0, 0):
+            return
+        result = {"+": lambda: ex + ey, "-": lambda: ex - ey, "*": lambda: ex * ey,
+                  "/": lambda: ex / ey, "neg": lambda: -ex}[op]()
+        for value in (ex, result):
+            a, b, d = value._abd
+            assert d > 0 and math.gcd(a, b, d) == 1
+
+    def test_immutable(self):
+        x = ExactComplex(1, 2)
+        with pytest.raises(AttributeError):
+            x.re = Fraction(3)
+        with pytest.raises(AttributeError):
+            x._abd = (3, 0, 1)
 
 
 class TestPowerSeries:
