@@ -6,7 +6,8 @@ codes: 0 when every contract assertion passed, 1 on a contract failure
 (the first failing instance is dumped as JSON for `replay`), 2 on
 configuration errors and on arithmetic that cannot finish (a vanishing
 partition value, an undefined series division, a root iteration that does
-not converge).
+not converge). The saw-check, weitz and ldc-beta corpora leave out instances
+whose partition value vanishes: the driver draws such a candidate again.
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ class RunConfig:
     kmax: int = 10
     kmin: int = 1
     mode: str = "ssm"
-    center: ExactComplex | None = None
-    ising: bool = False
     out: str | None = None
     fmt: str = "csv"
     extra: dict = field(default_factory=dict)
@@ -65,27 +64,11 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _pins_to_json(p: Pinning) -> dict:
-    return {"pins": {str(v): s for v, s in p.items()}}
-
-
 def _pins_from_json(doc: dict) -> Pinning:
     pins = {}
     for k, s in doc.get("pins", {}).items():
         pins[int(k)] = s if isinstance(s, str) else int(s)
     return Pinning.of(pins)
-
-
-def _graph_from_json(doc: dict) -> Graph:
-    return parse_graph(doc)
-
-
-def _scalar_json(x: ExactComplex) -> dict:
-    return x.to_json()
-
-
-def _fmt_exact(x: ExactComplex) -> str:
-    return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +77,7 @@ def _fmt_exact(x: ExactComplex) -> str:
 
 
 def eval_cd(inst: dict) -> tuple[bool, dict]:
-    g = _graph_from_json(inst["graph"])
+    g = parse_graph(inst["graph"])
     p = _pins_from_json(inst["pins"])
     params = Params.from_json(inst["params"])
     rep = cd_sides(g, p, inst["u"], inst["v"], params)
@@ -102,35 +85,35 @@ def eval_cd(inst: dict) -> tuple[bool, dict]:
     ok = rep.equal and forms_ok
     row = {"n": g.n, "u": inst["u"], "v": inst["v"], "distance": rep.distance,
            "path_hits_pinning": rep.path_hits_pinning,
-           "lhs": _fmt_exact(rep.lhs), "rhs": _fmt_exact(rep.rhs),
+           "lhs": str(rep.lhs), "rhs": str(rep.rhs),
            "equal": rep.equal, "equivalent_forms": forms_ok, "pass": ok}
     return ok, row
 
 
 def eval_gutman(inst: dict) -> tuple[bool, dict]:
-    g = _graph_from_json(inst["graph"])
+    g = parse_graph(inst["graph"])
     lam = ExactComplex.from_json(inst["lambda"])
     rep = gutman_sides(g, inst["u"], inst["v"], lam)
     row = {"n": g.n, "u": inst["u"], "v": inst["v"], "distance": rep.distance,
-           "lhs": _fmt_exact(rep.lhs), "rhs": _fmt_exact(rep.rhs),
+           "lhs": str(rep.lhs), "rhs": str(rep.rhs),
            "equal": rep.equal, "pass": rep.equal}
     return rep.equal, row
 
 
 def eval_qspin(inst: dict) -> tuple[bool, dict]:
-    g = _graph_from_json(inst["graph"])
+    g = parse_graph(inst["graph"])
     p = _pins_from_json(inst["pins"])
     qp = QSpinParams.from_json(inst["qparams"])
     rep = qspin_det_sides(g, p, inst["u"], inst["v"], qp)
     row = {"n": g.n, "q": qp.q, "u": inst["u"], "v": inst["v"],
            "distance": rep.distance, "path_hits_pinning": rep.path_hits_pinning,
-           "lhs": _fmt_exact(rep.lhs), "rhs": _fmt_exact(rep.rhs),
+           "lhs": str(rep.lhs), "rhs": str(rep.rhs),
            "equal": rep.equal, "pass": rep.equal}
     return rep.equal, row
 
 
 def eval_saw(inst: dict) -> tuple[bool, dict]:
-    g = _graph_from_json(inst["graph"])
+    g = parse_graph(inst["graph"])
     p = _pins_from_json(inst["pins"])
     params = Params.from_json(inst["params"])
     v = inst["v"]
@@ -153,7 +136,7 @@ def eval_saw(inst: dict) -> tuple[bool, dict]:
 
 
 def eval_ldc(inst: dict) -> tuple[bool, dict]:
-    g = _graph_from_json(inst["graph"])
+    g = parse_graph(inst["graph"])
     a = _pins_from_json(inst["pins_a"])
     b = _pins_from_json(inst["pins_b"])
     beta = ExactComplex.from_json(inst["beta"])
@@ -167,7 +150,7 @@ def eval_ldc(inst: dict) -> tuple[bool, dict]:
 
 
 def eval_ldc_beta(inst: dict) -> tuple[bool, dict]:
-    g = _graph_from_json(inst["graph"])
+    g = parse_graph(inst["graph"])
     a = _pins_from_json(inst["pins_a"])
     b = _pins_from_json(inst["pins_b"])
     gamma = None if inst["gamma"] is None else ExactComplex.from_json(inst["gamma"])
@@ -182,7 +165,7 @@ def eval_ldc_beta(inst: dict) -> tuple[bool, dict]:
 
 
 def eval_weitz(inst: dict) -> tuple[bool, dict]:
-    g = _graph_from_json(inst["graph"])
+    g = parse_graph(inst["graph"])
     p = _pins_from_json(inst["pins"])
     params = Params.from_json(inst["params"])
     v, depth = inst["v"], inst["depth"]
@@ -193,13 +176,13 @@ def eval_weitz(inst: dict) -> tuple[bool, dict]:
         truth = marginal(g, p, v, params)
         matches = value == truth
         ok = exact and matches
-    row = {"n": g.n, "v": v, "depth": depth, "value": _fmt_exact(value),
+    row = {"n": g.n, "v": v, "depth": depth, "value": str(value),
            "exact": exact, "matches_marginal": matches, "pass": ok}
     return ok, row
 
 
 def eval_annulus(inst: dict) -> tuple[bool, dict]:
-    g = _graph_from_json(inst["graph"])
+    g = parse_graph(inst["graph"])
     p = _pins_from_json(inst["pins"])
     beta = ExactComplex.from_json(inst["beta"])
     rep = pinned_annulus_check(g, p, beta, inst.get("degree_bound"))
@@ -237,7 +220,7 @@ def _gen_cd(cfg: RunConfig, rng: random.Random, trial: int) -> dict:
     u, v = corpus.rand_unpinned_pair(rng, t, Pinning())
     pins = corpus.rand_feasible_pinning(rng, t, params.beta_is_zero,
                                         params.gamma_is_zero, exclude=(u, v))
-    return {"graph": t.to_json(), "pins": _pins_to_json(pins),
+    return {"graph": t.to_json(), "pins": pins.to_json(),
             "params": params.to_json(), "u": u, "v": v, "mode": mode}
 
 
@@ -256,34 +239,31 @@ def _gen_qspin(cfg: RunConfig, rng: random.Random, trial: int) -> dict:
     qp = corpus.rand_qspin_params(rng, q)
     u, v = rng.sample(range(n), 2)
     pins = corpus.rand_qspin_pinning(rng, t, q, exclude=(u, v))
-    return {"graph": t.to_json(), "pins": _pins_to_json(pins),
+    return {"graph": t.to_json(), "pins": pins.to_json(),
             "qparams": qp.to_json(), "u": u, "v": v}
 
 
-def _gen_saw(cfg: RunConfig, rng: random.Random, trial: int) -> dict:
+def _draw_proper(cfg: RunConfig, rng: random.Random, mode: str) -> tuple[int, dict]:
+    """A connected graph with drawn parameters and pins, and a vertex proper
+    to the pinning; the whole draw is repeated until such a vertex exists.
+    Returns the vertex count and the instance."""
     while True:
         n = rng.randint(2, cfg.max_vertices or 9)
         g = corpus.rand_connected_graph(rng, n)
-        mode = ("generic", "beta0", "gamma0", "complex", "fields")[trial % 5]
         params = corpus.rand_params(rng, mode, n)
         pins = corpus.rand_feasible_pinning(rng, g, params.beta_is_zero,
                                             params.gamma_is_zero)
         proper = [v for v in range(n)
                   if is_proper(g, pins, v, params.beta_is_zero, params.gamma_is_zero)]
-        if not proper:
-            continue
-        v = rng.choice(proper)
-        try:
-            marginal(g, pins, v, params)
-        except ZeroPartitionError:
-            continue
-        try:
-            from .mixing import saw_tree_marginal
-            saw_tree_marginal(g, pins, v, params)
-        except ZeroPartitionError:
-            continue
-        return {"graph": g.to_json(), "pins": _pins_to_json(pins),
-                "params": params.to_json(), "v": v, "mode": mode}
+        if proper:
+            return n, {"graph": g.to_json(), "pins": pins.to_json(),
+                       "params": params.to_json(), "v": rng.choice(proper)}
+
+
+def _gen_saw(cfg: RunConfig, rng: random.Random, trial: int) -> dict:
+    mode = ("generic", "beta0", "gamma0", "complex", "fields")[trial % 5]
+    _, inst = _draw_proper(cfg, rng, mode)
+    return {**inst, "mode": mode}
 
 
 def _gen_ldc(cfg: RunConfig, rng: random.Random, trial: int) -> dict:
@@ -296,51 +276,27 @@ def _gen_ldc(cfg: RunConfig, rng: random.Random, trial: int) -> dict:
     bz = beta.is_zero()
     v = rng.randrange(n)
     a, b = corpus.rand_pinning_pair(rng, g, bz, False, exclude=(v,))
-    return {"graph": g.to_json(), "pins_a": _pins_to_json(a),
-            "pins_b": _pins_to_json(b), "beta": beta.to_json(),
+    return {"graph": g.to_json(), "pins_a": a.to_json(),
+            "pins_b": b.to_json(), "beta": beta.to_json(),
             "gamma": gamma.to_json(), "v": v}
 
 
 def _gen_ldc_beta(cfg: RunConfig, rng: random.Random, trial: int) -> dict:
-    while True:
-        n = rng.randint(2, cfg.max_vertices or 7)
-        g = corpus.rand_connected_graph(rng, n)
-        gamma = corpus.rand_scalar(rng, nonzero=True, complex_prob=0.2)
-        lam = corpus.rand_scalar(rng, nonzero=True, complex_prob=0.2)
-        center = ONE / gamma
-        v = rng.randrange(n)
-        a, b = corpus.rand_pinning_pair(rng, g, False, False, exclude=(v,))
-        inst = {"graph": g.to_json(), "pins_a": _pins_to_json(a),
-                "pins_b": _pins_to_json(b), "gamma": gamma.to_json(),
-                "lambda": lam.to_json(), "center": center.to_json(), "v": v}
-        try:
-            eval_ldc_beta(inst)
-        except ZeroPartitionError:
-            continue
-        return inst
+    n = rng.randint(2, cfg.max_vertices or 7)
+    g = corpus.rand_connected_graph(rng, n)
+    gamma = corpus.rand_scalar(rng, nonzero=True, complex_prob=0.2)
+    lam = corpus.rand_scalar(rng, nonzero=True, complex_prob=0.2)
+    center = ONE / gamma
+    v = rng.randrange(n)
+    a, b = corpus.rand_pinning_pair(rng, g, False, False, exclude=(v,))
+    return {"graph": g.to_json(), "pins_a": a.to_json(),
+            "pins_b": b.to_json(), "gamma": gamma.to_json(),
+            "lambda": lam.to_json(), "center": center.to_json(), "v": v}
 
 
 def _gen_weitz(cfg: RunConfig, rng: random.Random, trial: int) -> dict:
-    while True:
-        n = rng.randint(2, cfg.max_vertices or 9)
-        g = corpus.rand_connected_graph(rng, n)
-        mode = ("generic", "beta0", "complex")[trial % 3]
-        params = corpus.rand_params(rng, mode, n)
-        pins = corpus.rand_feasible_pinning(rng, g, params.beta_is_zero,
-                                            params.gamma_is_zero)
-        proper = [v for v in range(n)
-                  if is_proper(g, pins, v, params.beta_is_zero, params.gamma_is_zero)]
-        if not proper:
-            continue
-        v = rng.choice(proper)
-        depth = cfg.depth if cfg.depth is not None else n
-        inst = {"graph": g.to_json(), "pins": _pins_to_json(pins),
-                "params": params.to_json(), "v": v, "depth": depth}
-        try:
-            eval_weitz(inst)
-        except ZeroPartitionError:
-            continue
-        return inst
+    n, inst = _draw_proper(cfg, rng, ("generic", "beta0", "complex")[trial % 3])
+    return {**inst, "depth": cfg.depth if cfg.depth is not None else n}
 
 
 def _gen_annulus(cfg: RunConfig, rng: random.Random, trial: int) -> dict:
@@ -351,7 +307,7 @@ def _gen_annulus(cfg: RunConfig, rng: random.Random, trial: int) -> dict:
     # keep one vertex unpinned so the field polynomial has degree >= 1
     free = rng.randrange(n)
     pins = corpus.rand_feasible_pinning(rng, g, False, False, exclude=(free,))
-    return {"graph": g.to_json(), "pins": _pins_to_json(pins),
+    return {"graph": g.to_json(), "pins": pins.to_json(),
             "beta": beta.to_json(), "degree_bound": dmax}
 
 
@@ -365,6 +321,12 @@ GENERATORS = {
     "weitz": _gen_weitz,
     "annulus": _gen_annulus,
 }
+
+# Corpora that leave out instances whose partition value vanishes: the driver
+# draws such a candidate again. Evaluation consumes no randomness, so each
+# corpus is the one its generator would draw if it filtered candidates itself,
+# and each instance is evaluated once.
+REDRAW_ON_ZERO = frozenset({"saw-check", "weitz", "ldc-beta"})
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +381,16 @@ def _run_corpus_command(cfg: RunConfig) -> int:
     rows = []
     passes = fails = 0
     first_failure = None
+    redraw = cfg.command in REDRAW_ON_ZERO
     for trial in range(cfg.trials):
-        inst = gen(cfg, rng, trial)
-        ok, row = evaluate(inst)
+        while True:
+            inst = gen(cfg, rng, trial)
+            try:
+                ok, row = evaluate(inst)
+                break
+            except ZeroPartitionError:
+                if not redraw:
+                    raise
         row = {"trial": trial, **row}
         rows.append(row)
         if ok:
@@ -461,7 +430,7 @@ def _run_single_file_command(cfg: RunConfig) -> int:
         return 0
 
     if cfg.command == "annulus":
-        inst = {"graph": g.to_json(), "pins": _pins_to_json(pins),
+        inst = {"graph": g.to_json(), "pins": pins.to_json(),
                 "beta": ExactComplex._coerce(cfg.beta).to_json(),
                 "degree_bound": cfg.extra.get("degree_bound")}
         ok, row = eval_annulus(inst)
@@ -483,8 +452,8 @@ def _run_single_file_command(cfg: RunConfig) -> int:
                 if u == v or u in pins or v in pins:
                     continue
                 for spin in (PLUS, MINUS):
-                    inst = {"graph": g.to_json(), "pins_a": _pins_to_json(pins),
-                            "pins_b": _pins_to_json(pins.with_pin(u, spin)),
+                    inst = {"graph": g.to_json(), "pins_a": pins.to_json(),
+                            "pins_b": pins.with_pin(u, spin).to_json(),
                             "beta": ExactComplex._coerce(beta).to_json(),
                             "gamma": ExactComplex._coerce(gamma).to_json(), "v": v}
                     ok, row = eval_ldc(inst)
@@ -507,7 +476,7 @@ def _run_single_file_command(cfg: RunConfig) -> int:
     if cfg.command == "weitz":
         depth = cfg.depth if cfg.depth is not None else g.n
         params = _params_from_cfg(cfg, g)
-        inst = {"graph": g.to_json(), "pins": _pins_to_json(pins),
+        inst = {"graph": g.to_json(), "pins": pins.to_json(),
                 "params": params.to_json(), "v": cfg.extra.get("vertex", 0),
                 "depth": depth}
         ok, row = eval_weitz(inst)
@@ -608,7 +577,9 @@ def run(cfg: RunConfig) -> int:
 
 
 def replay(dump_path: str) -> int:
-    """Re-execute exactly one dumped instance; deterministic."""
+    """Re-execute exactly one dumped instance; deterministic. Exit codes as
+    for run(): 0 pass, 1 contract failure, 2 on a malformed dump, a value
+    error or arithmetic that cannot finish."""
     try:
         doc = json.loads(Path(dump_path).read_text())
         command = doc["command"]
@@ -617,7 +588,14 @@ def replay(dump_path: str) -> int:
     except (OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"malformed dump: {exc}", file=sys.stderr)
         return 2
-    ok, row = evaluate(inst)
+    try:
+        ok, row = evaluate(inst)
+    except KeyError as exc:
+        print(f"malformed dump: instance lacks {exc}", file=sys.stderr)
+        return 2
+    except (ArithmeticError, RootConvergenceError, ValueError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps({"command": command, "row": row}, sort_keys=True))
     print(f"replay {command} pass={int(ok)} fail={int(not ok)}")
     return 0 if ok else 1
@@ -697,7 +675,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_params(sp)
     sp.add_argument("--graph", type=str, default=None)
     sp.add_argument("--pins", type=str, default=None)
-    sp.add_argument("--depth", type=int, default=None)
+    sp.add_argument("--depth", type=int, default=None,
+                    help="SAW truncation depth, at least 1 (default: vertex count)")
     sp.add_argument("--vertex", type=int, default=0)
     sp = sub.add_parser("replay", help="re-execute a dumped failing instance")
     sp.add_argument("dump", type=str)

@@ -257,10 +257,6 @@ class Pinning:
             raise PinningError(f"vertex {v} is already pinned")
         return Pinning(self.pins + ((v, spin),))
 
-    def without(self, vs: Iterable[int]) -> "Pinning":
-        drop = set(vs)
-        return Pinning(tuple((v, s) for v, s in self.pins if v not in drop))
-
     def restricted(self, keep: Iterable[int]) -> "Pinning":
         keep = set(keep)
         return Pinning(tuple((v, s) for v, s in self.pins if v in keep))

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 from .errors import PinningError, ZeroPartitionError
 from .graphs import (Graph, MINUS, PLUS, Pinning, build_saw_tree,
                      build_saw_tree_truncated, disagreement_distance, is_proper)
-from .numerics import (ONE, ZERO, ExactComplex, Polynomial, PowerSeries,
+from .numerics import (ONE, ZERO, ExactComplex, PowerSeries,
                        series_div)
 from .partition import Params, z_auto, z_poly_lambda, z_tree
 
@@ -150,24 +150,16 @@ def ldc_report(g: Graph, s: Pinning, t: Pinning, v: int, beta, gamma,
 # ---------------------------------------------------------------------------
 
 
-def _shifted_powers(center: ExactComplex, m: int) -> list[tuple[ExactComplex, ...]]:
-    """Coefficients of (center + t)^k as polynomials in t, for k = 0..m."""
-    out: list[tuple[ExactComplex, ...]] = [(ONE,)]
-    for k in range(1, m + 1):
-        coeffs = [ZERO] * (k + 1)
-        for i, c in enumerate(out[-1]):
-            coeffs[i] = coeffs[i] + c * center
-            coeffs[i + 1] = coeffs[i + 1] + c
-        out.append(tuple(coeffs))
-    return out
-
-
-def _edge_activity_poly(g: Graph, p: Pinning, gamma: ExactComplex | None,
-                        lam: ExactComplex, center: ExactComplex) -> Polynomial:
-    """Z as an exact polynomial in t where the edge activity is center + t.
+def _edge_activity_series(g: Graph, p: Pinning, gamma: ExactComplex | None,
+                          lam: ExactComplex, center: ExactComplex,
+                          order: int) -> list[ExactComplex]:
+    """First ``order`` (>= 1) coefficients of Z in t, where the edge activity
+    is center + t.
 
     With ``gamma`` given, only the (+,+) activity varies; with gamma None
     the instance is Ising and both activities are tied to center + t.
+    Configurations are counted per (activity exponent, #(-,-) edges, #+
+    vertices); Horner's rule in (center + t) then keeps ``order`` terms.
     """
     from .partition import _powers  # shared helper
 
@@ -175,12 +167,8 @@ def _edge_activity_poly(g: Graph, p: Pinning, gamma: ExactComplex | None,
     spin = [0] * g.n
     for v, s in p.items():
         spin[v] = 1 if s == PLUS else 0
-    m = len(g.edges)
-    pow_g = _powers(gamma, m) if gamma is not None else None
-    pow_l = _powers(lam, g.n)
-    expansions = _shifted_powers(center, m)
-    coeffs = [ZERO] * (m + 1)
     edges = g.edges
+    counts: dict[tuple[int, int, int], int] = {}
     for mask in range(1 << len(free)):
         for i, v in enumerate(free):
             spin[v] = (mask >> i) & 1
@@ -191,16 +179,23 @@ def _edge_activity_poly(g: Graph, p: Pinning, gamma: ExactComplex | None,
                 mp += 1
             elif not sa and not sb:
                 mm += 1
-        np_ = sum(spin)
-        if gamma is None:
-            base = pow_l[np_]
-            expansion = expansions[mp + mm]
-        else:
-            base = pow_g[mm] * pow_l[np_]
-            expansion = expansions[mp]
-        for i, c in enumerate(expansion):
-            coeffs[i] = coeffs[i] + c * base
-    return Polynomial(coeffs)
+        key = (mp + mm, 0, sum(spin)) if gamma is None else (mp, mm, sum(spin))
+        counts[key] = counts.get(key, 0) + 1
+    m = len(edges)
+    pow_g = _powers(gamma, m) if gamma is not None else None
+    pow_l = _powers(lam, g.n)
+    weights = [ZERO] * (m + 1)
+    for (k, mm, np_), c in counts.items():
+        base = pow_l[np_] if gamma is None else pow_g[mm] * pow_l[np_]
+        weights[k] = weights[k] + c * base
+    # Z = sum_k weights[k] (center + t)^k, by Horner from the top exponent;
+    # after j steps only the first j coefficients can be nonzero
+    coeffs = [ZERO] * order
+    for j, w in enumerate(reversed(weights)):
+        for i in range(min(j, order - 1), 0, -1):
+            coeffs[i] = coeffs[i] * center + coeffs[i - 1]
+        coeffs[0] = coeffs[0] * center + w
+    return coeffs
 
 
 def marginal_series_beta(g: Graph, p: Pinning, v: int, gamma, lam,
@@ -228,11 +223,13 @@ def marginal_series_beta(g: Graph, p: Pinning, v: int, gamma, lam,
         raise ValueError("tied (Ising) activities need center 1 or -1")
     if order is None:
         order = _default_order(g)
-    num = _edge_activity_poly(g, p.with_pin(v, PLUS), gamma, lam, center)
-    den = _edge_activity_poly(g, p, gamma, lam, center)
-    if not den.coefficients or den.coefficients[0].is_zero():
+    # at least the constant term, so that Z at the center is always checked
+    kept = max(order, 1)
+    num = _edge_activity_series(g, p.with_pin(v, PLUS), gamma, lam, center, kept)
+    den = _edge_activity_series(g, p, gamma, lam, center, kept)
+    if den[0].is_zero():
         raise ZeroPartitionError("partition value is zero at the expansion center")
-    series = series_div(num.to_series(order), den.to_series(order))
+    series = series_div(PowerSeries(num[:order]), PowerSeries(den[:order]))
     return MarginalSeries(series=series, variable="beta", center=center, vertex=v)
 
 
@@ -380,8 +377,11 @@ def weitz_approx_marginal(g: Graph, v: int, p: Pinning, params: Params,
     Walk vertices cut at the depth bound are pinned to "-" (always feasible
     for hard-core instances, and irrelevant once nothing is truncated).
     Returns (value, exact); exact is True when no truncation occurred, and
-    the value then equals the true marginal.
+    the value then equals the true marginal. Raises ValueError for depth < 1:
+    at depth 0 the root itself would be cut and pinned.
     """
+    if depth < 1:
+        raise ValueError(f"weitz depth must be at least 1, got {depth}")
     bz, gz = params.beta_is_zero, params.gamma_is_zero
     if not is_proper(g, p, v, bz, gz):
         raise PinningError(f"vertex {v} is not proper to the pinning")

@@ -1,9 +1,11 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from spinmix import cli
+from spinmix import cli, mixing
+from spinmix.errors import ZeroPartitionError
 
 
 @pytest.fixture
@@ -174,3 +176,147 @@ def test_replay_with_edited_params_recomputes(tmp_path, capsys):
     edited = json.loads(out.splitlines()[0])["row"]
     assert edited["pass"] and edited["lhs"] != first
     assert edited["lhs"] == "1/8"
+
+
+# Reports recorded when the generators still ran the evaluator as a rejection
+# filter; each corpus draws at least one candidate whose partition value
+# vanishes, so the redraw path is exercised. (argv, seed, redrawn candidates,
+# SHA-256 of the report for 40 trials)
+REDRAW_CORPORA = [
+    (["saw-check", "--max-vertices", "7"], 6, 1,
+     "ccacbae81d9319c05a6287432ed2be89fe1751f911c31a71940b4d4ab546afea"),
+    (["weitz", "--max-vertices", "7"], 1, 2,
+     "11e77ef2f5837205370df4a43549d4a1e20988b3d2ec09ad9cff5456aae976a1"),
+    (["weitz", "--depth", "4"], 11, 2,
+     "6e8d2b5d43e7135ff211a7ae17a368107af62bd7be7d5e74595cab9d101f2f07"),
+    (["ldc-beta"], 10, 2,
+     "6b24012bcc477b7862d31ee2d860678b7c4cb68515bc996a8288f55196a11576"),
+]
+REDRAW_IDS = ["saw-check-7", "weitz-7", "weitz-depth-4", "ldc-beta"]
+
+
+class TestRedrawCorpora:
+    @pytest.mark.parametrize("argv,seed,redraws,digest", REDRAW_CORPORA, ids=REDRAW_IDS)
+    def test_report_digest(self, argv, seed, redraws, digest, tmp_path, capsys):
+        report = tmp_path / "report.csv"
+        code, out, _ = run_cli([*argv, "--trials", "40", "--seed", str(seed),
+                                "--out", str(report)], capsys)
+        assert code == 0
+        assert out.strip().endswith(f"{argv[0]} pass=40 fail=0 seed={seed}")
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv,seed,redraws,digest", REDRAW_CORPORA, ids=REDRAW_IDS)
+    def test_each_candidate_evaluated_once(self, argv, seed, redraws, digest,
+                                           capsys, monkeypatch):
+        command = argv[0]
+        drawn, evaluated = [], []
+        in_generator = [False]
+        evals_in_generator = []
+
+        def counted_gen(gen):
+            def wrapped(cfg, rng, trial):
+                in_generator[0] = True
+                try:
+                    inst = gen(cfg, rng, trial)
+                finally:
+                    in_generator[0] = False
+                drawn.append(inst)
+                return inst
+            return wrapped
+
+        def counted_eval(evaluate):
+            def wrapped(inst):
+                evaluated.append(inst)
+                return evaluate(inst)
+            return wrapped
+
+        def watched(name, fn):
+            def wrapped(*args, **kwargs):
+                if in_generator[0]:
+                    evals_in_generator.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("marginal", "saw_tree_marginal", "weitz_approx_marginal",
+                     "marginal_series_beta"):
+            monkeypatch.setattr(mixing, name, watched(name, getattr(mixing, name)))
+        for name in ("marginal", "verify_saw_marginal", "weitz_approx_marginal",
+                     "ldc_report_beta", "eval_saw", "eval_weitz", "eval_ldc_beta"):
+            monkeypatch.setattr(cli, name, watched(name, getattr(cli, name)))
+        monkeypatch.setitem(cli.GENERATORS, command, counted_gen(cli.GENERATORS[command]))
+        monkeypatch.setitem(cli.EVALUATORS, command, counted_eval(cli.EVALUATORS[command]))
+        code, _, _ = run_cli([*argv, "--trials", "40", "--seed", str(seed)], capsys)
+        assert code == 0
+        assert evals_in_generator == []
+        assert len(drawn) == 40 + redraws
+        assert len(evaluated) == len(drawn)
+        assert all(a is b for a, b in zip(drawn, evaluated))
+
+
+class TestExitTwo:
+    def test_weitz_depth_zero_corpus(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(["weitz", "--depth", "0", "--trials", "3"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("config error: ") and "depth" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_weitz_depth_zero_graph_file(self, k2, capsys):
+        code, out, err = run_cli(["weitz", "--graph", str(k2), "--depth", "0"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("config error: ")
+
+    def test_replay_vanishing_partition_value(self, tmp_path, capsys):
+        # hard-core on one edge: Z = 1 + 2*lambda vanishes at lambda = -1/2
+        dump = tmp_path / "weitz.json"
+        dump.write_text(json.dumps({
+            "command": "weitz",
+            "instance": {"graph": {"n": 2, "edges": [[0, 1]]}, "pins": {"pins": {}},
+                         "params": {"beta": "0", "gamma": "1", "field": "-1/2"},
+                         "v": 0, "depth": 2}}))
+        code, out, err = run_cli(["replay", str(dump)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ZeroPartitionError: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_replay_depth_zero(self, tmp_path, capsys):
+        dump = tmp_path / "weitz.json"
+        dump.write_text(json.dumps({
+            "command": "weitz",
+            "instance": {"graph": {"n": 2, "edges": [[0, 1]]}, "pins": {"pins": {}},
+                         "params": {"beta": "0", "gamma": "1", "field": "1"},
+                         "v": 0, "depth": 0}}))
+        code, _, err = run_cli(["replay", str(dump)], capsys)
+        assert code == 2 and err.startswith("error: ValueError: ")
+
+    def test_replay_instance_missing_a_key(self, tmp_path, capsys):
+        dump = tmp_path / "weitz.json"
+        dump.write_text(json.dumps({"command": "weitz",
+                                    "instance": {"graph": {"n": 2, "edges": [[0, 1]]}}}))
+        code, out, err = run_cli(["replay", str(dump)], capsys)
+        assert code == 2 and out == ""
+        assert err == "malformed dump: instance lacks 'pins'\n"
+
+    @pytest.mark.parametrize("command", ["cd-check", "ldc"])
+    def test_vanishing_value_without_redraw(self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        # only the first candidate vanishes, so a redraw would go on and pass
+        draws = []
+        gen, evaluate = cli.GENERATORS[command], cli.EVALUATORS[command]
+
+        def counted(cfg, rng, trial):
+            draws.append(trial)
+            return gen(cfg, rng, trial)
+
+        def vanishing(inst):
+            if len(draws) == 1:
+                raise ZeroPartitionError("partition value is zero")
+            return evaluate(inst)
+
+        monkeypatch.setitem(cli.GENERATORS, command, counted)
+        monkeypatch.setitem(cli.EVALUATORS, command, vanishing)
+        code, out, err = run_cli([command, "--trials", "5"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: ZeroPartitionError: partition value is zero\n"
+        assert draws == [0]
+        assert list(tmp_path.iterdir()) == []

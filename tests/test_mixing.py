@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,14 +7,14 @@ import pytest
 
 from conftest import random_graph, scalar
 from spinmix.corpus import rand_feasible_pinning, rand_params, rand_pinning_pair
-from spinmix.errors import PinningError, ZeroPartitionError
+from spinmix.errors import PinningError, SeriesDivisionError, ZeroPartitionError
 from spinmix.graphs import Graph, MINUS, PLUS, Pinning, is_proper
 from spinmix.mixing import (DecayInstance, DecayRow, decay_profile, fit_decay,
                             ldc_report, ldc_report_beta, marginal,
                             marginal_series_beta, marginal_series_lambda,
                             path_decay_instances, saw_tree_marginal,
                             verify_saw_marginal, weitz_approx_marginal)
-from spinmix.numerics import ExactComplex, PowerSeries
+from spinmix.numerics import ExactComplex, Polynomial, PowerSeries, series_div
 from spinmix.partition import Params, hardcore_params
 
 EDGE = Graph(2, ((0, 1),))
@@ -285,6 +286,99 @@ class TestMarginalSeriesBeta:
             done += 1
 
 
+def _poly_mul(a, b):
+    out = [ExactComplex(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def full_edge_activity_poly(g, p, gamma, lam, center):
+    """Z in t at edge activity center + t, expanded to full degree |E|: every
+    configuration contributes its own product of (center + t) factors."""
+    shift = [center, ExactComplex(1)]
+    total = [ExactComplex(0)]
+    for combo in itertools.product((PLUS, MINUS), repeat=g.n):
+        if any(combo[v] != s for v, s in p.items()):
+            continue
+        w = [ExactComplex(1)]
+        for u, v in g.edges:
+            if combo[u] == PLUS and combo[v] == PLUS:
+                w = _poly_mul(w, shift)
+            elif combo[u] == MINUS and combo[v] == MINUS:
+                w = _poly_mul(w, shift) if gamma is None else _poly_mul(w, [gamma])
+        for v in range(g.n):
+            if combo[v] == PLUS:
+                w = _poly_mul(w, [lam])
+        total = [a + b for a, b in itertools.zip_longest(total, w, fillvalue=ExactComplex(0))]
+    return Polynomial(total)
+
+
+def full_series_beta(g, p, v, gamma, lam, center, order):
+    num = full_edge_activity_poly(g, p.with_pin(v, PLUS), gamma, lam, center)
+    den = full_edge_activity_poly(g, p, gamma, lam, center)
+    return series_div(num.to_series(order), den.to_series(order))
+
+
+class TestTruncatedEdgeActivitySeries:
+    CASES = [
+        (EDGE, Pinning(), 0, ExactComplex(2), ExactComplex(Fraction(1, 3))),
+        (K3, Pinning(), 0, ExactComplex(Fraction(-3, 2), 1), ExactComplex(2)),
+        (K3, Pinning.of({2: MINUS}), 1, None, ExactComplex(Fraction(1, 2), Fraction(-1, 3))),
+        (Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2))), Pinning.of({3: PLUS}), 1,
+         ExactComplex(Fraction(2, 7)), ExactComplex(Fraction(-5, 4))),
+        (Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4))), Pinning(), 2, None, ExactComplex(3)),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_matches_full_expansion(self, case):
+        g, p, v, gamma, lam = self.CASES[case]
+        centers = ([ExactComplex(1), ExactComplex(-1)] if gamma is None
+                   else [ExactComplex(1) / gamma])
+        for center in centers:
+            for order in (1, 2, 3, len(g.edges), len(g.edges) + 1, len(g.edges) + 4):
+                try:
+                    ref = full_series_beta(g, p, v, gamma, lam, center, order)
+                except ArithmeticError:
+                    with pytest.raises(ArithmeticError):
+                        marginal_series_beta(g, p, v, gamma, lam, center, order)
+                    continue
+                assert marginal_series_beta(g, p, v, gamma, lam, center, order).series == ref
+
+    def test_random_graphs_match_full_expansion(self):
+        rng = random.Random(737)
+        done = 0
+        while done < 12:
+            n = rng.randint(2, 5)
+            g = random_graph(rng, n)
+            gamma = None if done % 3 == 0 else scalar(rng, nonzero=True, complex_prob=0.3)
+            lam = scalar(rng, nonzero=True, complex_prob=0.3)
+            center = (ExactComplex(1) / gamma if gamma is not None
+                      else ExactComplex(rng.choice((1, -1))))
+            v = rng.randrange(n)
+            pins, _ = rand_pinning_pair(rng, g, False, False, exclude=(v,))
+            order = rng.randint(1, len(g.edges) + 3)
+            try:
+                ref = full_series_beta(g, pins, v, gamma, lam, center, order)
+            except ArithmeticError:
+                continue
+            assert marginal_series_beta(g, pins, v, gamma, lam, center, order).series == ref
+            done += 1
+
+    def test_order_zero_is_a_series_division_error(self):
+        with pytest.raises(SeriesDivisionError):
+            full_series_beta(EDGE, Pinning(), 0, ExactComplex(1), ExactComplex(1),
+                             ExactComplex(1), 0)
+        with pytest.raises(SeriesDivisionError):
+            marginal_series_beta(EDGE, Pinning(), 0, 1, 1, 1, order=0)
+
+    def test_order_zero_still_checks_the_center(self):
+        # tied Ising activities at center -1 with unit field: Z(-1) = 0
+        with pytest.raises(ZeroPartitionError):
+            marginal_series_beta(EDGE, Pinning(), 0, None, 1, -1, order=0)
+
+
 class TestDecay:
     def test_fit_recovers_planted_exponential(self):
         rows = [DecayRow(k, 3.0 * 2.5 ** -k, math.log(3.0 * 2.5 ** -k))
@@ -359,6 +453,11 @@ class TestWeitz:
         value, exact = weitz_approx_marginal(p5, 0, Pinning(), hardcore_params(1), 4)
         assert exact
         assert value == marginal(p5, Pinning(), 0, hardcore_params(1))
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_rejected(self, depth):
+        with pytest.raises(ValueError):
+            weitz_approx_marginal(K3, 0, Pinning(), hardcore_params(1), depth)
 
     def test_convergence_logged(self, capsys):
         # informational: hard-core approximations should creep toward the
