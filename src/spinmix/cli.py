@@ -369,6 +369,24 @@ def _dump_failure(cfg: RunConfig, trial: int, inst: dict, row: dict) -> str:
     return str(path)
 
 
+def _finish(cfg: RunConfig, rows: list[dict], failures: list[tuple[int, dict, dict]],
+            echo: bool = False) -> int:
+    """The tail of corpus and --graph runs: write the report (or, with ``echo``
+    and no --out, print each row), dump the first failing (trial, instance,
+    row), print the summary line and return the exit code."""
+    if cfg.out:
+        _write_rows(cfg.out, rows, cfg.fmt)
+    elif echo:
+        for row in rows:
+            print(json.dumps(row, sort_keys=True))
+    if failures:
+        where = _dump_failure(cfg, *failures[0])
+        print(f"first failing instance dumped to {where}", file=sys.stderr)
+    fails = len(failures)
+    print(f"{cfg.command} pass={len(rows) - fails} fail={fails} seed={cfg.seed}")
+    return 0 if fails == 0 else 1
+
+
 # ---------------------------------------------------------------------------
 # Command drivers
 # ---------------------------------------------------------------------------
@@ -379,8 +397,7 @@ def _run_corpus_command(cfg: RunConfig) -> int:
     gen = GENERATORS[cfg.command]
     evaluate = EVALUATORS[cfg.command]
     rows = []
-    passes = fails = 0
-    first_failure = None
+    failures = []
     redraw = cfg.command in REDRAW_ON_ZERO
     for trial in range(cfg.trials):
         while True:
@@ -393,19 +410,9 @@ def _run_corpus_command(cfg: RunConfig) -> int:
                     raise
         row = {"trial": trial, **row}
         rows.append(row)
-        if ok:
-            passes += 1
-        else:
-            fails += 1
-            if first_failure is None:
-                first_failure = (trial, inst, row)
-    if cfg.out:
-        _write_rows(cfg.out, rows, cfg.fmt)
-    if first_failure is not None:
-        where = _dump_failure(cfg, *first_failure)
-        print(f"first failing instance dumped to {where}", file=sys.stderr)
-    print(f"{cfg.command} pass={passes} fail={fails} seed={cfg.seed}")
-    return 0 if fails == 0 else 1
+        if not ok:
+            failures.append((trial, inst, row))
+    return _finish(cfg, rows, failures)
 
 
 def _run_single_file_command(cfg: RunConfig) -> int:
@@ -434,19 +441,13 @@ def _run_single_file_command(cfg: RunConfig) -> int:
                 "beta": ExactComplex._coerce(cfg.beta).to_json(),
                 "degree_bound": cfg.extra.get("degree_bound")}
         ok, row = eval_annulus(inst)
-        if cfg.out:
-            _write_rows(cfg.out, [row], cfg.fmt)
-        if not ok:
-            _dump_failure(cfg, 0, inst, row)
-        print(f"{cfg.command} pass={int(ok)} fail={int(not ok)} seed={cfg.seed}")
-        return 0 if ok else 1
+        return _finish(cfg, [row], [] if ok else [(0, inst, row)])
 
     if cfg.command == "ldc":
         beta = cfg.beta if cfg.beta is not None else ExactComplex(0)
         gamma = cfg.gamma if cfg.gamma is not None else ExactComplex(1)
         rows = []
-        fails = 0
-        first_failure = None
+        failures = []
         for v in range(g.n):
             for u in range(g.n):
                 if u == v or u in pins or v in pins:
@@ -460,18 +461,8 @@ def _run_single_file_command(cfg: RunConfig) -> int:
                     row = {"v": v, "u": u, "pin": spin, **row}
                     rows.append(row)
                     if not ok:
-                        fails += 1
-                        if first_failure is None:
-                            first_failure = (0, inst, row)
-        if cfg.out:
-            _write_rows(cfg.out, rows, cfg.fmt)
-        else:
-            for row in rows:
-                print(json.dumps(row, sort_keys=True))
-        if first_failure is not None:
-            _dump_failure(cfg, *first_failure)
-        print(f"{cfg.command} pass={len(rows) - fails} fail={fails} seed={cfg.seed}")
-        return 0 if fails == 0 else 1
+                        failures.append((0, inst, row))
+        return _finish(cfg, rows, failures, echo=True)
 
     if cfg.command == "weitz":
         depth = cfg.depth if cfg.depth is not None else g.n
@@ -480,12 +471,7 @@ def _run_single_file_command(cfg: RunConfig) -> int:
                 "params": params.to_json(), "v": cfg.extra.get("vertex", 0),
                 "depth": depth}
         ok, row = eval_weitz(inst)
-        if cfg.out:
-            _write_rows(cfg.out, [row], cfg.fmt)
-        else:
-            print(json.dumps(row, sort_keys=True))
-        print(f"{cfg.command} pass={int(ok)} fail={int(not ok)} seed={cfg.seed}")
-        return 0 if ok else 1
+        return _finish(cfg, [row], [] if ok else [(0, inst, row)], echo=True)
 
     raise ValueError(f"command {cfg.command} needs a seeded corpus")
 
@@ -628,9 +614,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_params(sp):
         sp.add_argument("--beta", type=str, default=None,
-                        help="rational p/q, optionally p/q,p/q for a complex value")
-        sp.add_argument("--gamma", type=str, default=None)
-        sp.add_argument("--lambda", dest="lam", type=str, default=None)
+                        help=("rational p/q, optionally p/q,p/q for a complex value; "
+                              "give a negative value as --beta=-p/q"))
+        sp.add_argument("--gamma", type=str, default=None,
+                        help="as --beta; a negative value as --gamma=-p/q")
+        sp.add_argument("--lambda", dest="lam", type=str, default=None,
+                        help="as --beta; a negative value as --lambda=-p/q")
 
     sp = sub.add_parser("cd-check", help="pair-difference identity corpus on trees")
     add_common(sp, 200)
@@ -661,7 +650,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pins", type=str, default=None)
     sp = sub.add_parser("annulus", help="pinned root-modulus band checks")
     add_common(sp, 50)
-    sp.add_argument("--beta", type=str, default="3/2")
+    sp.add_argument("--beta", type=str, default="3/2",
+                    help="rational p/q; give a negative value as --beta=-p/q")
     sp.add_argument("--graph", type=str, default=None)
     sp.add_argument("--pins", type=str, default=None)
     sp.add_argument("--degree-bound", type=int, default=3)

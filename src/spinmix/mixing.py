@@ -17,7 +17,7 @@ from .graphs import (Graph, MINUS, PLUS, Pinning, build_saw_tree,
                      build_saw_tree_truncated, disagreement_distance, is_proper)
 from .numerics import (ONE, ZERO, ExactComplex, PowerSeries,
                        series_div)
-from .partition import Params, z_auto, z_poly_lambda, z_tree
+from .partition import Params, _edge_activity_series, z_auto, z_poly_lambda, z_tree
 
 
 @dataclass(frozen=True)
@@ -148,54 +148,6 @@ def ldc_report(g: Graph, s: Pinning, t: Pinning, v: int, beta, gamma,
 # ---------------------------------------------------------------------------
 # Series in the edge activity around a center
 # ---------------------------------------------------------------------------
-
-
-def _edge_activity_series(g: Graph, p: Pinning, gamma: ExactComplex | None,
-                          lam: ExactComplex, center: ExactComplex,
-                          order: int) -> list[ExactComplex]:
-    """First ``order`` (>= 1) coefficients of Z in t, where the edge activity
-    is center + t.
-
-    With ``gamma`` given, only the (+,+) activity varies; with gamma None
-    the instance is Ising and both activities are tied to center + t.
-    Configurations are counted per (activity exponent, #(-,-) edges, #+
-    vertices); Horner's rule in (center + t) then keeps ``order`` terms.
-    """
-    from .partition import _powers  # shared helper
-
-    free = [v for v in range(g.n) if v not in p]
-    spin = [0] * g.n
-    for v, s in p.items():
-        spin[v] = 1 if s == PLUS else 0
-    edges = g.edges
-    counts: dict[tuple[int, int, int], int] = {}
-    for mask in range(1 << len(free)):
-        for i, v in enumerate(free):
-            spin[v] = (mask >> i) & 1
-        mp = mm = 0
-        for a, b in edges:
-            sa, sb = spin[a], spin[b]
-            if sa and sb:
-                mp += 1
-            elif not sa and not sb:
-                mm += 1
-        key = (mp + mm, 0, sum(spin)) if gamma is None else (mp, mm, sum(spin))
-        counts[key] = counts.get(key, 0) + 1
-    m = len(edges)
-    pow_g = _powers(gamma, m) if gamma is not None else None
-    pow_l = _powers(lam, g.n)
-    weights = [ZERO] * (m + 1)
-    for (k, mm, np_), c in counts.items():
-        base = pow_l[np_] if gamma is None else pow_g[mm] * pow_l[np_]
-        weights[k] = weights[k] + c * base
-    # Z = sum_k weights[k] (center + t)^k, by Horner from the top exponent;
-    # after j steps only the first j coefficients can be nonzero
-    coeffs = [ZERO] * order
-    for j, w in enumerate(reversed(weights)):
-        for i in range(min(j, order - 1), 0, -1):
-            coeffs[i] = coeffs[i] * center + coeffs[i - 1]
-        coeffs[0] = coeffs[0] * center + w
-    return coeffs
 
 
 def marginal_series_beta(g: Graph, p: Pinning, v: int, gamma, lam,

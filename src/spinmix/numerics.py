@@ -99,7 +99,8 @@ class ExactComplex:
 
     def __mul__(self, other):
         if not isinstance(other, ExactComplex):
-            other = ExactComplex(other)
+            # an int, such as a configuration count, is already canonical
+            other = _exact(other, 0, 1) if type(other) is int else ExactComplex(other)
         a, b, d = self._abd
         c, e, f = other._abd
         if not b and not e:

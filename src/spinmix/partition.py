@@ -158,8 +158,107 @@ def _check_feasible(g: Graph, p: Pinning, params: Params):
 
 
 # ---------------------------------------------------------------------------
-# Brute force
+# Brute force: one monomial table, folded three ways
 # ---------------------------------------------------------------------------
+
+
+def _monomial_counts(g: Graph, p: Pinning,
+                     weights: Sequence[ExactComplex] | None = None
+                     ) -> dict[tuple[int, int, int], int | ExactComplex]:
+    """Coefficients of Z(beta, gamma, lambda) over the extensions of p.
+
+    Maps (m+, m-, #+) to the number of extensions of p with m+ (+,+) edges,
+    m- (-,-) edges and #+ plus vertices, pins included. With ``weights``,
+    each extension contributes the product of weights[v] over its + vertices
+    instead of 1. This is the one 2-spin enumeration, and it enforces the
+    enumeration cap.
+    """
+    _check_cap(g)
+    free = [v for v in range(g.n) if v not in p]
+    spin = [0] * g.n
+    for v, s in p.items():
+        spin[v] = 1 if s == PLUS else 0
+    edges = g.edges
+    table: dict[tuple[int, int, int], int | ExactComplex] = {}
+    if weights is not None:
+        # one product per extension: of the + weights among the low half of the
+        # free vertices (and the + pins) and among the high half, both tabulated
+        half = len(free) // 2
+        low_mask = (1 << half) - 1
+        plus_pins = ONE
+        for v, s in p.items():
+            if s == PLUS:
+                plus_pins = plus_pins * weights[v]
+        low = _subset_products([weights[v] for v in free[:half]], plus_pins)
+        high = _subset_products([weights[v] for v in free[half:]], ONE)
+    for mask in range(1 << len(free)):
+        for i, v in enumerate(free):
+            spin[v] = (mask >> i) & 1
+        mp = mm = 0
+        for a, b in edges:
+            sa, sb = spin[a], spin[b]
+            if sa and sb:
+                mp += 1
+            elif not sa and not sb:
+                mm += 1
+        key = (mp, mm, sum(spin))
+        if weights is None:
+            table[key] = table.get(key, 0) + 1
+        else:
+            w = low[mask & low_mask] * high[mask >> half]
+            table[key] = table.get(key, ZERO) + w
+    return table
+
+
+def _subset_products(ws: list[ExactComplex], start: ExactComplex
+                     ) -> list[ExactComplex]:
+    """start times the product of ws[i] over the set bits i of each index."""
+    out = [start]
+    for w in ws:
+        out += [x * w for x in out]
+    return out
+
+
+def _lambda_polynomial(g: Graph, table, beta: ExactComplex,
+                       gamma: ExactComplex) -> Polynomial:
+    """The table evaluated at (beta, gamma), as a polynomial in lambda."""
+    pow_b = _powers(beta, len(g.edges))
+    pow_g = _powers(gamma, len(g.edges))
+    coeffs = [ZERO] * (g.n + 1)
+    for (mp, mm, k), c in table.items():
+        coeffs[k] = coeffs[k] + c * (pow_b[mp] * pow_g[mm])
+    return Polynomial(coeffs)
+
+
+def _edge_activity_series(g: Graph, p: Pinning, gamma: ExactComplex | None,
+                          lam: ExactComplex, center: ExactComplex,
+                          order: int) -> list[ExactComplex]:
+    """First ``order`` (>= 1) coefficients of Z in t, where the edge activity
+    is center + t.
+
+    With ``gamma`` given, only the (+,+) activity varies; with gamma None
+    the instance is Ising and both activities are tied to center + t. The
+    table is folded into the weight of each activity exponent; Horner's rule
+    in (center + t) then keeps ``order`` terms.
+    """
+    table = _monomial_counts(g, p)
+    m = len(g.edges)
+    pow_g = _powers(gamma, m) if gamma is not None else None
+    pow_l = _powers(lam, g.n)
+    weights = [ZERO] * (m + 1)
+    for (mp, mm, k), c in table.items():
+        if gamma is None:
+            weights[mp + mm] = weights[mp + mm] + c * pow_l[k]
+        else:
+            weights[mp] = weights[mp] + c * (pow_g[mm] * pow_l[k])
+    # Z = sum_k weights[k] (center + t)^k, by Horner from the top exponent;
+    # after j steps only the first j coefficients can be nonzero
+    coeffs = [ZERO] * order
+    for j, w in enumerate(reversed(weights)):
+        for i in range(min(j, order - 1), 0, -1):
+            coeffs[i] = coeffs[i] * center + coeffs[i - 1]
+        coeffs[0] = coeffs[0] * center + w
+    return coeffs
 
 
 def z_brute(g: Graph, p: Pinning, params: Params,
@@ -171,34 +270,15 @@ def z_brute(g: Graph, p: Pinning, params: Params,
     contribute zero instead of erroring (the weight semantics already give
     every infeasible configuration weight zero).
     """
+    # the cap error precedes the pinning error (the table's check comes later)
     _check_cap(g)
     if check_feasibility:
         _check_feasible(g, p, params)
     lams = params.field_vector(g.n)
-    free = [v for v in range(g.n) if v not in p]
-    spin = [0] * g.n
-    for v, s in p.items():
-        spin[v] = 1 if s == PLUS else 0
-    pow_b = _powers(params.beta, len(g.edges))
-    pow_g = _powers(params.gamma, len(g.edges))
-    edges = g.edges
-    total = ZERO
-    for mask in range(1 << len(free)):
-        for i, v in enumerate(free):
-            spin[v] = (mask >> i) & 1
-        mp = mm = 0
-        for u, v in edges:
-            su, sv = spin[u], spin[v]
-            if su and sv:
-                mp += 1
-            elif not su and not sv:
-                mm += 1
-        w = pow_b[mp] * pow_g[mm]
-        for v in range(g.n):
-            if spin[v]:
-                w = w * lams[v]
-        total = total + w
-    return total
+    # a per-vertex field goes into the table, which is then evaluated at lambda = 1
+    table = _monomial_counts(g, p, None if params.uniform else lams)
+    lam = params.field if params.uniform else ONE
+    return _lambda_polynomial(g, table, params.beta, params.gamma).evaluate(lam)
 
 
 def z_qspin(g: Graph, p: Pinning, qp: QSpinParams) -> ExactComplex:
@@ -396,40 +476,13 @@ def z_poly_lambda(g: Graph, p: Pinning, beta, gamma,
     (scale_v * lambda)_v; this serves pin elimination and the single-variable
     scan of non-uniform fields.
     """
+    # as in z_brute, the cap error precedes the argument checks
     _check_cap(g)
     beta = ExactComplex._coerce(beta)
     gamma = ExactComplex._coerce(gamma)
     if scale is not None and len(scale) != g.n:
         raise ValueError("scale vector length must equal vertex count")
-    free = [v for v in range(g.n) if v not in p]
-    spin = [0] * g.n
-    for v, s in p.items():
-        spin[v] = 1 if s == PLUS else 0
-    pow_b = _powers(beta, len(g.edges))
-    pow_g = _powers(gamma, len(g.edges))
-    coeffs = [ZERO] * (g.n + 1)
-    edges = g.edges
-    for mask in range(1 << len(free)):
-        for i, v in enumerate(free):
-            spin[v] = (mask >> i) & 1
-        mp = mm = 0
-        for a, b in edges:
-            sa, sb = spin[a], spin[b]
-            if sa and sb:
-                mp += 1
-            elif not sa and not sb:
-                mm += 1
-        w = pow_b[mp] * pow_g[mm]
-        k = 0
-        if scale is None:
-            k = sum(spin)
-        else:
-            for v in range(g.n):
-                if spin[v]:
-                    k += 1
-                    w = w * scale[v]
-        coeffs[k] = coeffs[k] + w
-    return Polynomial(coeffs)
+    return _lambda_polynomial(g, _monomial_counts(g, p, scale), beta, gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from spinmix import cli, mixing
 from spinmix.errors import ZeroPartitionError
+from spinmix.numerics import ExactComplex
 
 
 @pytest.fixture
@@ -320,3 +321,39 @@ class TestExitTwo:
         assert err == "error: ZeroPartitionError: partition value is zero\n"
         assert draws == [0]
         assert list(tmp_path.iterdir()) == []
+
+
+class TestGraphFailureDump:
+    def test_weitz_graph_failure_dumps_and_replays(self, k2, tmp_path, capsys,
+                                                   monkeypatch):
+        # a wrong "true" marginal makes the full-depth comparison fail
+        monkeypatch.setattr(cli, "marginal", lambda *args: ExactComplex(2))
+        report = tmp_path / "weitz.csv"
+        code, out, err = run_cli(["weitz", "--graph", str(k2), "--beta", "0/1",
+                                  "--out", str(report)], capsys)
+        assert code == 1
+        assert out == "weitz pass=0 fail=1 seed=0\n"
+        dump = tmp_path / "weitz_failure.json"
+        assert dump.exists() and report.exists()
+        assert err == f"first failing instance dumped to {dump}\n"
+        code, out, _ = run_cli(["replay", str(dump)], capsys)
+        assert code == 1 and "replay weitz pass=0 fail=1" in out
+
+    def test_ldc_graph_failure_names_the_dump(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        real = cli.eval_ldc
+
+        def failing(inst):
+            ok, row = real(inst)
+            return False, row
+
+        monkeypatch.setattr(cli, "eval_ldc", failing)
+        graph = tmp_path / "p3.json"
+        graph.write_text('{"n":3,"edges":[[0,1],[1,2]]}')
+        code, out, err = run_cli(["ldc", "--graph", str(graph)], capsys)
+        assert code == 1
+        rows = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
+        assert len(rows) == 12
+        assert out.splitlines()[-1] == "ldc pass=0 fail=12 seed=0"
+        assert err == "first failing instance dumped to ldc_failure.json\n"
+        assert Path("ldc_failure.json").exists()

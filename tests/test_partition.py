@@ -8,9 +8,10 @@ from spinmix.corpus import (rand_feasible_pinning, rand_params,
                             rand_qspin_params, rand_qspin_pinning, rand_tree)
 from spinmix.errors import CapExceededError, NotATreeError, PinningError
 from spinmix.graphs import Graph, MINUS, PLUS, Pinning
+from spinmix.mixing import marginal_series_beta, marginal_series_lambda
 from spinmix.numerics import ExactComplex
-from spinmix.partition import (Params, QSpinParams, eliminate_pins,
-                               hardcore_params, spin_reversal,
+from spinmix.partition import (Params, QSpinParams, _edge_activity_series,
+                               eliminate_pins, hardcore_params, spin_reversal,
                                two_spin_embedding, z_brute, z_pair,
                                z_poly_lambda, z_qspin, z_qspin_tree, z_tree)
 
@@ -321,3 +322,59 @@ def test_empty_graph_partition_is_one():
     params = Params(2, 3, 1)
     assert z_brute(g, Pinning(), params) == ExactComplex(1)
     assert z_tree(g, Pinning(), params)[0] == ExactComplex(1)
+
+
+def fold_instances():
+    """Seeded (graph, pins, params) over every parameter regime (uniform and
+    per-vertex fields, beta = 0, gamma = 0), with and without pins, on random
+    and edgeless graphs."""
+    rng = random.Random(61)
+    out = []
+    for mode in ("generic", "beta0", "gamma0", "bg1", "fields", "complex"):
+        for edgeless in (False, True):
+            for pinned in (False, True):
+                for _ in range(2):
+                    n = rng.randint(1, 6)
+                    g = Graph(n, ()) if edgeless else random_graph(rng, n, connected=False)
+                    params = rand_params(rng, mode, n)
+                    pins = Pinning()
+                    if pinned:
+                        pins = rand_feasible_pinning(rng, g, params.beta_is_zero,
+                                                     params.gamma_is_zero, pin_prob=0.5)
+                    out.append((g, pins, params))
+    return out
+
+
+def test_table_folds_match_naive_oracle():
+    # z_brute, z_poly_lambda (plain and scaled) and the edge-activity series
+    # at its center all fold one configuration table; each must equal the
+    # independent oracle exactly
+    lam = ExactComplex(Fraction(-2, 3))
+    for g, pins, params in fold_instances():
+        truth = z_naive(g, pins, params)
+        beta, gamma = params.beta, params.gamma
+        assert z_brute(g, pins, params) == truth
+        scale = tuple(f / lam for f in params.field_vector(g.n))
+        assert z_poly_lambda(g, pins, beta, gamma, scale=scale).evaluate(lam) == truth
+        if not params.uniform:
+            continue
+        assert z_poly_lambda(g, pins, beta, gamma).evaluate(params.field) == truth
+        series = _edge_activity_series(g, pins, gamma, params.field, beta, 3)
+        assert series[0] == truth
+        if not beta.is_zero():
+            tied = _edge_activity_series(g, pins, None, params.field, beta, 3)
+            assert tied[0] == z_naive(g, pins, Params(beta, beta, params.field))
+
+
+PATH25 = Graph(25, tuple((i, i + 1) for i in range(24)))
+
+
+@pytest.mark.parametrize("enumerate_", [
+    lambda g: z_brute(g, Pinning(), Params(1, 1, 1)),
+    lambda g: z_poly_lambda(g, Pinning(), 1, 1),
+    lambda g: marginal_series_lambda(g, Pinning(), 0, 1, 1),
+    lambda g: marginal_series_beta(g, Pinning(), 0, 1, 1, 1),
+], ids=["z_brute", "z_poly_lambda", "marginal_series_lambda", "marginal_series_beta"])
+def test_every_enumeration_is_capped(enumerate_):
+    with pytest.raises(CapExceededError):
+        enumerate_(PATH25)
