@@ -334,7 +334,8 @@ REDRAW_ON_ZERO = frozenset({"saw-check", "weitz", "ldc-beta"})
 # ---------------------------------------------------------------------------
 
 
-def _write_rows(path: str, rows: list[dict], fmt: str):
+def _write_rows(path: str, rows: list[dict] | dict, fmt: str):
+    """Write a report, creating its directory; JSON takes any document."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
@@ -426,11 +427,9 @@ def _run_single_file_command(cfg: RunConfig) -> int:
         rep = lambda_root_scan(g, pins, cfg.beta, cfg.gamma if cfg.gamma is not None else cfg.beta)
         doc = rep.to_json()
         if cfg.out:
-            if cfg.fmt == "json":
-                Path(cfg.out).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-            else:
-                rows = [{"re": r.real, "im": r.imag, "modulus": abs(r)} for r in rep.roots]
-                _write_rows(cfg.out, rows, "csv")
+            rows = doc if cfg.fmt == "json" else [
+                {"re": r.real, "im": r.imag, "modulus": abs(r)} for r in rep.roots]
+            _write_rows(cfg.out, rows, cfg.fmt)
         else:
             print(json.dumps(doc, sort_keys=True, indent=1))
         print(f"{cfg.command} pass=1 fail=0 seed={cfg.seed}")

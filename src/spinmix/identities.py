@@ -4,20 +4,20 @@ Every identity here relates a pair-pinned combination of partition values
 (the left side) to a factored product over the subtrees hanging off the
 u-v path (the right side). Both sides are computed independently in exact
 arithmetic: the left side through pair-pinned partition values, the right
-side through path deletion and subtree messages, never by re-running the
-left-side computation.
+side from the messages of one tree pass rooted at u (where each hanging
+subtree is a message subtree), never by re-running the left side.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import NotATreeError, PinningError
 from .graphs import Graph, MINUS, PLUS, Pinning
 from .numerics import ONE, ZERO, ExactComplex
-from .partition import (Params, QSpinParams, hardcore_params, z_pair, z_qspin_tree,
+from .partition import (Params, QSpinParams, TreeMessages, _qspin_absorb,
+                        _two_spin_absorb, hardcore_params, z_pair, z_qspin_tree,
                         z_tree)
 
 
@@ -44,29 +44,18 @@ def _require_unpinned(p: Pinning, u: int, v: int):
         raise PinningError("u and v must be unpinned")
 
 
-def hanging_subtrees(t: Graph, path: list[int]) -> list[tuple[Graph, dict[int, int], int]]:
-    """Components of t minus the path, each with its attachment vertex.
-
-    Returns (subtree, old->new vertex map, attachment vertex in old ids) for
-    every neighbor of the path that is not itself on the path, in ascending
-    attachment order. In a tree each hanging component has exactly one
-    attachment vertex.
-    """
+def _times_hanging_factors(rhs: ExactComplex, t: Graph, path: list[int],
+                           msgs: TreeMessages, absorb) -> ExactComplex:
+    """rhs times the edge factors, one per spin, of each subtree hanging off
+    the path, read from messages of a pass rooted at path[0]."""
     on_path = set(path)
-    attach = sorted({y for x in path for y in t.neighbors(x) if y not in on_path})
-    out = []
-    for v_i in attach:
-        comp = {v_i}
-        queue = deque([v_i])
-        while queue:
-            x = queue.popleft()
-            for y in t.neighbors(x):
-                if y not in on_path and y not in comp:
-                    comp.add(y)
-                    queue.append(y)
-        comp_graph, comp_map = t.delete_vertices(set(range(t.n)) - comp)
-        out.append((comp_graph, comp_map, v_i))
-    return out
+    ones = (ONE,) * len(msgs.at(path[0]))
+    for x in path:
+        for y in t.neighbors(x):
+            if y not in on_path:
+                for f in absorb(ones, msgs.at(y)):
+                    rhs = rhs * f
+    return rhs
 
 
 def cd_sides(t: Graph, p: Pinning, u: int, v: int, params: Params) -> CdReport:
@@ -93,13 +82,9 @@ def cd_sides(t: Graph, p: Pinning, u: int, v: int, params: Params) -> CdReport:
         for w in path:
             phi = phi * lams[w]
         rhs = (params.beta * params.gamma - ONE) ** d * phi
-        for sub, remap, v_i in hanging_subtrees(t, path):
-            sub_pins = p.restricted(remap).remapped(remap)
-            sub_params = Params(params.beta, params.gamma,
-                                tuple(lams[old] for old in sorted(remap, key=remap.get)))
-            _, msgs = z_tree(sub, sub_pins, sub_params, root=remap[v_i])
-            zp, zm = msgs.at(remap[v_i])
-            rhs = rhs * (params.beta * zp + zm) * (zp + params.gamma * zm)
+        _, msgs = z_tree(t, p, params, root=u, check_feasibility=False)
+        rhs = _times_hanging_factors(rhs, t, path, msgs,
+                                     _two_spin_absorb(params.beta, params.gamma))
     return CdReport(lhs=lhs, rhs=rhs, distance=d, path_hits_pinning=hits,
                     equal=lhs == rhs)
 
@@ -207,14 +192,7 @@ def qspin_det_sides(t: Graph, p: Pinning, u: int, v: int, qp: QSpinParams) -> Cd
             lam_prod = lam_prod * lam
         det_a = exact_determinant([list(row) for row in qp.matrix])
         rhs = det_a ** d * lam_prod ** (d + 1)
-        for sub, remap, v_i in hanging_subtrees(t, path):
-            sub_pins = p.restricted(remap).remapped(remap)
-            _, msgs = z_qspin_tree(sub, sub_pins, qp, root=remap[v_i])
-            vec = msgs[remap[v_i]]
-            for spin_t in range(q):
-                acc = ZERO
-                for k in range(q):
-                    acc = acc + qp.matrix[spin_t][k] * vec[k]
-                rhs = rhs * acc
+        _, msgs = z_qspin_tree(t, p, qp, root=u)
+        rhs = _times_hanging_factors(rhs, t, path, msgs, _qspin_absorb(qp.matrix))
     return CdReport(lhs=lhs, rhs=rhs, distance=d, path_hits_pinning=hits,
                     equal=lhs == rhs)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import PinningError, ZeroPartitionError
-from .graphs import (Graph, MINUS, PLUS, Pinning, build_saw_tree,
+from .graphs import (Graph, MINUS, PLUS, Pinning, SawTree, build_saw_tree,
                      build_saw_tree_truncated, disagreement_distance, is_proper)
 from .numerics import (ONE, ZERO, ExactComplex, PowerSeries,
                        series_div)
@@ -64,14 +64,20 @@ def saw_tree_marginal(g: Graph, p: Pinning, v: int, params: Params
                       ) -> ExactComplex:
     """Marginal of v computed on the SAW tree of g rooted at v."""
     st = build_saw_tree(g, v, p, params.beta_is_zero, params.gamma_is_zero)
+    return _root_marginal(g, st, st.pinning, params, "SAW tree")
+
+
+def _root_marginal(g: Graph, st: SawTree, pins: Pinning, params: Params,
+                   what: str) -> ExactComplex:
+    """Z+ / Z at the root of st under pins, with g's fields mapped via st.origin."""
     lams = params.field_vector(g.n)
     tree_params = Params(params.beta, params.gamma,
                          tuple(lams[o] for o in st.origin))
-    _, msgs = z_tree(st.tree, st.pinning, tree_params, root=st.root)
+    _, msgs = z_tree(st.tree, pins, tree_params, root=st.root)
     zp, zm = msgs.at(st.root)
     z = zp + zm
     if z.is_zero():
-        raise ZeroPartitionError("SAW tree partition value is zero")
+        raise ZeroPartitionError(f"{what} partition value is zero")
     return zp / z
 
 
@@ -341,12 +347,4 @@ def weitz_approx_marginal(g: Graph, v: int, p: Pinning, params: Params,
     pins = st.pinning
     for x in cuts:
         pins = pins.with_pin(x, MINUS)
-    lams = params.field_vector(g.n)
-    tree_params = Params(params.beta, params.gamma,
-                         tuple(lams[o] for o in st.origin))
-    _, msgs = z_tree(st.tree, pins, tree_params, root=st.root)
-    zp, zm = msgs.at(st.root)
-    z = zp + zm
-    if z.is_zero():
-        raise ZeroPartitionError("truncated tree partition value is zero")
-    return zp / z, not cuts
+    return _root_marginal(g, st, pins, params, "truncated tree"), not cuts

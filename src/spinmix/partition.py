@@ -321,39 +321,32 @@ def z_qspin(g: Graph, p: Pinning, qp: QSpinParams) -> ExactComplex:
 
 @dataclass
 class TreeMessages:
-    """Subtree partition values (Z+_w, Z-_w) for every vertex of a forest.
+    """Subtree partition values for every vertex of a forest.
 
-    The pair at w is the partition value of the subtree rooted at w (under
-    the chosen roots) with w pinned to + and to -.
+    The tuple at w is the partition value of the subtree rooted at w (under
+    the chosen roots) with w pinned to each spin: + and -, or 1..q.
     """
 
-    pairs: dict[int, tuple[ExactComplex, ExactComplex]]
+    pairs: dict[int, tuple[ExactComplex, ...]]
     roots: tuple[int, ...]
 
-    def at(self, v: int) -> tuple[ExactComplex, ExactComplex]:
+    def at(self, v: int) -> tuple[ExactComplex, ...]:
         return self.pairs[v]
 
 
 def _forest_order(g: Graph, root: int | None):
-    """(roots, processing order, parent map); raises on cyclic input."""
-    if not g.is_forest():
-        raise NotATreeError("input graph contains a cycle")
-    parent: dict[int, int | None] = {}
+    """(roots, BFS order, children lists); raises on cyclic input."""
+    children: list[list[int]] = [[] for _ in range(g.n)]
     roots = []
     order = []
     seen = [False] * g.n
-    starts = []
-    if root is not None:
-        if not (0 <= root < g.n):
-            raise ValueError(f"root {root} out of range")
-        starts.append(root)
-    starts.extend(range(g.n))
-    for s in starts:
+    if root is not None and not (0 <= root < g.n):
+        raise ValueError(f"root {root} out of range")
+    for s in itertools.chain(() if root is None else (root,), range(g.n)):
         if seen[s]:
             continue
         roots.append(s)
         seen[s] = True
-        parent[s] = None
         q = deque([s])
         while q:
             x = q.popleft()
@@ -361,9 +354,54 @@ def _forest_order(g: Graph, root: int | None):
             for y in g.neighbors(x):
                 if not seen[y]:
                     seen[y] = True
-                    parent[y] = x
+                    children[x].append(y)
                     q.append(y)
-    return roots, order, parent
+    # the BFS found one root per component; a forest has n - #components edges
+    if len(g.edges) != g.n - len(roots):
+        raise NotATreeError("input graph contains a cycle")
+    return roots, order, children
+
+
+def _two_spin_absorb(beta: ExactComplex, gamma: ExactComplex):
+    """vec times one child's 2-spin edge factors (beta c+ + c-, c+ + gamma c-)."""
+    def absorb(vec, child):
+        cp, cm = child
+        return (vec[0] * (beta * cp + cm), vec[1] * (cp + gamma * cm))
+    return absorb
+
+
+def _qspin_absorb(matrix: tuple[tuple[ExactComplex, ...], ...]):
+    """vec times one child's q-spin edge factors sum_j a_{kj} c_j, k = 1..q."""
+    def absorb(vec, child):
+        out = []
+        for x, row in zip(vec, matrix):
+            acc = row[0] * child[0]
+            for a, c in zip(row[1:], child[1:]):
+                acc = acc + a * c
+            out.append(x * acc)
+        return tuple(out)
+    return absorb
+
+
+def _forest_pass(t: Graph, pins: dict[int, int],
+                 weights: Sequence[tuple[ExactComplex, ...]], absorb,
+                 root: int | None) -> tuple[ExactComplex, TreeMessages]:
+    """Leaves-first messages: weights[x] absorbs each child's message and keeps
+    only entry pins[x] when x is pinned. Z is the product of the root sums."""
+    roots, order, children = _forest_order(t, root)
+    msgs: dict[int, tuple[ExactComplex, ...]] = {}
+    for x in reversed(order):
+        vec = weights[x]
+        for y in children[x]:
+            vec = absorb(vec, msgs[y])
+        k = pins.get(x)
+        if k is not None:
+            vec = tuple(c if i == k else ZERO for i, c in enumerate(vec))
+        msgs[x] = vec
+    total = ONE
+    for r in roots:
+        total = total * sum(msgs[r][1:], msgs[r][0])
+    return total, TreeMessages(pairs=msgs, roots=tuple(roots))
 
 
 def z_tree(t: Graph, p: Pinning, params: Params,
@@ -379,62 +417,19 @@ def z_tree(t: Graph, p: Pinning, params: Params,
     if check_feasibility:
         _check_feasible(t, p, params)
     lams = params.field_vector(t.n)
-    beta, gamma = params.beta, params.gamma
-    roots, order, parent = _forest_order(t, root)
-    pairs: dict[int, tuple[ExactComplex, ExactComplex]] = {}
-    for x in reversed(order):
-        zp, zm = lams[x], ONE
-        for y in sorted(t.neighbors(x)):
-            if parent.get(y) != x:
-                continue
-            cp, cm = pairs[y]
-            zp = zp * (beta * cp + cm)
-            zm = zm * (cp + gamma * cm)
-        s = p.get(x)
-        if s == PLUS:
-            zm = ZERO
-        elif s == MINUS:
-            zp = ZERO
-        pairs[x] = (zp, zm)
-    total = ONE
-    for r in roots:
-        zp, zm = pairs[r]
-        total = total * (zp + zm)
-    return total, TreeMessages(pairs=pairs, roots=tuple(roots))
+    return _forest_pass(t, {v: 0 if s == PLUS else 1 for v, s in p.items()},
+                        [(lam, ONE) for lam in lams],
+                        _two_spin_absorb(params.beta, params.gamma), root)
 
 
 def z_qspin_tree(t: Graph, p: Pinning, qp: QSpinParams,
-                 root: int | None = None
-                 ) -> tuple[ExactComplex, dict[int, tuple[ExactComplex, ...]]]:
-    """q-spin analogue of z_tree; messages are length-q vectors per vertex."""
-    q = qp.q
-    roots, order, parent = _forest_order(t, root)
-    lams, mat = qp.lambdas, qp.matrix
-    msgs: dict[int, tuple[ExactComplex, ...]] = {}
-    for x in reversed(order):
-        vec = list(lams)
-        for y in sorted(t.neighbors(x)):
-            if parent.get(y) != x:
-                continue
-            child = msgs[y]
-            for k in range(q):
-                acc = ZERO
-                for j in range(q):
-                    acc = acc + mat[k][j] * child[j]
-                vec[k] = vec[k] * acc
-        s = p.get(x)
-        if s is not None:
-            if not (isinstance(s, int) and 1 <= s <= q):
-                raise PinningError(f"spin {s!r} at vertex {x} is out of range 1..{q}")
-            vec = [vec[k] if k == s - 1 else ZERO for k in range(q)]
-        msgs[x] = tuple(vec)
-    total = ONE
-    for r in roots:
-        acc = ZERO
-        for k in range(q):
-            acc = acc + msgs[r][k]
-        total = total * acc
-    return total, msgs
+                 root: int | None = None) -> tuple[ExactComplex, TreeMessages]:
+    """q-spin analogue of z_tree; messages are length-q tuples per vertex."""
+    for v, s in p.items():
+        if not (isinstance(s, int) and 1 <= s <= qp.q):
+            raise PinningError(f"spin {s!r} at vertex {v} is out of range 1..{qp.q}")
+    return _forest_pass(t, {v: s - 1 for v, s in p.items()}, [qp.lambdas] * t.n,
+                        _qspin_absorb(qp.matrix), root)
 
 
 def z_auto(g: Graph, p: Pinning, params: Params,

@@ -113,6 +113,14 @@ class TestCommands:
         assert len(doc["roots"]) == 2
         assert all(abs(m - 1.0) < 1e-9 for m in doc["moduli"])
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_roots_out_into_missing_directory(self, k2, tmp_path, capsys, fmt):
+        out_path = tmp_path / "not-yet" / f"r.{fmt}"
+        code, _, _ = run_cli(["roots", "--graph", str(k2), "--beta", "2/1",
+                              "--format", fmt, "--out", str(out_path)], capsys)
+        assert code == 0
+        assert out_path.is_file()
+
     def test_ldc_graph_report(self, tmp_path, capsys):
         p2 = tmp_path / "p2.json"
         p2.write_text('{"n":2,"edges":[[0,1]]}')

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -222,6 +223,31 @@ def test_exact_determinant_matches_leibniz_2x2():
     assert exact_determinant(m) == ExactComplex(-2)
 
 
+def hanging_subtrees(t: Graph, path: list[int]) -> list[tuple[Graph, dict[int, int], int]]:
+    """Components of t minus the path, each with its attachment vertex.
+
+    Returns (subtree, old->new vertex map, attachment vertex in old ids) for
+    every neighbor of the path that is not itself on the path, in ascending
+    attachment order. In a tree each hanging component has exactly one
+    attachment vertex.
+    """
+    on_path = set(path)
+    attach = sorted({y for x in path for y in t.neighbors(x) if y not in on_path})
+    out = []
+    for v_i in attach:
+        comp = {v_i}
+        queue = deque([v_i])
+        while queue:
+            x = queue.popleft()
+            for y in t.neighbors(x):
+                if y not in on_path and y not in comp:
+                    comp.add(y)
+                    queue.append(y)
+        comp_graph, comp_map = t.delete_vertices(set(range(t.n)) - comp)
+        out.append((comp_graph, comp_map, v_i))
+    return out
+
+
 class TestPairFactorizations:
     """The adjacent-pair partition values factor over hanging subtrees.
 
@@ -233,7 +259,6 @@ class TestPairFactorizations:
     """
 
     def _messages(self, t, pins, params, path, lams):
-        from spinmix.identities import hanging_subtrees
         from spinmix.partition import z_tree as ztree
         out = []
         for sub, remap, v_i in hanging_subtrees(t, path):

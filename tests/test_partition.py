@@ -317,6 +317,83 @@ class TestQSpin:
             z_qspin(EDGE, Pinning.of({0: 3}), qp)
 
 
+def rand_forest(rng: random.Random, n: int) -> Graph:
+    """A random tree with about a fifth of its edges dropped."""
+    t = rand_tree(rng, n)
+    return Graph(n, tuple(e for e in t.edges if rng.random() < 0.8))
+
+
+def rooted_subtree(g: Graph, root: int | None, w: int) -> list[int]:
+    """Vertices of w's subtree when each component of the forest g is rooted
+    at ``root`` if it holds it, and at its lowest vertex otherwise."""
+    comp = next(c for c in g.components() if w in c)
+    r = root if root in comp else min(comp)
+    return sorted(x for x in comp if w in g.tree_path(r, x))
+
+
+def pinned_subtree_value(g, pins, root, w, spin, naive, restrict):
+    """Oracle for one message entry: ``naive`` on w's subtree with w pinned
+    to ``spin``; ``restrict(keep)`` gives the parameters on the kept vertices."""
+    if w in pins:
+        if pins.get(w) != spin:
+            return ExactComplex(0)
+        pins = pins.restricted(set(range(g.n)) - {w})
+    keep = rooted_subtree(g, root, w)
+    sub, remap = g.delete_vertices(set(range(g.n)) - set(keep))
+    sub_pins = pins.restricted(keep).remapped(remap).with_pin(remap[w], spin)
+    return naive(sub, sub_pins, restrict(keep))
+
+
+class TestTreeMessages:
+    """Each message entry is the subtree partition value with the vertex
+    pinned, checked against the independent enumeration oracles."""
+
+    def test_two_spin_messages_match_naive(self):
+        rng = random.Random(71)
+        modes = ("generic", "beta0", "gamma0", "bg1", "fields", "complex")
+        for trial in range(30):
+            n = rng.randint(1, 8)
+            g = rand_forest(rng, n)
+            params = rand_params(rng, modes[trial % len(modes)], n)
+            pins = rand_feasible_pinning(rng, g, params.beta_is_zero,
+                                         params.gamma_is_zero)
+            root = rng.choice((None, rng.randrange(n)))
+            lams = params.field_vector(n)
+
+            def restrict(keep):
+                return Params(params.beta, params.gamma, tuple(lams[v] for v in keep))
+
+            total, msgs = z_tree(g, pins, params, root=root)
+            assert total == z_naive(g, pins, params)
+            for w in range(n):
+                for k, spin in enumerate((PLUS, MINUS)):
+                    assert msgs.at(w)[k] == pinned_subtree_value(
+                        g, pins, root, w, spin, z_naive, restrict), (g, pins, root, w)
+
+    def test_qspin_messages_match_naive(self):
+        rng = random.Random(73)
+        for trial in range(24):
+            q = (2, 3)[trial % 2]
+            n = rng.randint(1, 7 if q == 2 else 5)
+            g = rand_forest(rng, n)
+            qp = rand_qspin_params(rng, q)
+            pins = rand_qspin_pinning(rng, g, q)
+            root = rng.choice((None, rng.randrange(n)))
+            total, msgs = z_qspin_tree(g, pins, qp, root=root)
+            assert total == z_naive_qspin(g, pins, qp)
+            for w in range(n):
+                for k in range(q):
+                    assert msgs.at(w)[k] == pinned_subtree_value(
+                        g, pins, root, w, k + 1, z_naive_qspin, lambda keep: qp), \
+                        (g, pins, root, w)
+
+    def test_qspin_tree_out_of_range_spin(self):
+        qp = rand_qspin_params(random.Random(0), 2)
+        for spin in (0, 3):
+            with pytest.raises(PinningError):
+                z_qspin_tree(EDGE, Pinning.of({0: spin}), qp)
+
+
 def test_empty_graph_partition_is_one():
     g = Graph(0, ())
     params = Params(2, 3, 1)
