@@ -7,9 +7,9 @@ empirical spatial-mixing decay profiles -- all on exact Gaussian-rational
 arithmetic, with floating point confined to root finding and decay fits.
 """
 
-from .errors import (CapExceededError, GraphFormatError, NotATreeError,
-                     PinningError, RootConvergenceError, SeriesDivisionError,
-                     ZeroPartitionError)
+from .errors import (CapExceededError, DrawLimitError, GraphFormatError,
+                     NotATreeError, PinningError, RootConvergenceError,
+                     SeriesDivisionError, ZeroPartitionError)
 from .graphs import (Graph, MINUS, PLUS, Pinning, SawTree, build_saw_tree,
                      build_saw_tree_truncated, disagreement_distance,
                      is_feasible, is_proper, parse_graph, parse_pinning)

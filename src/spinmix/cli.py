@@ -4,10 +4,12 @@ Every randomized command derives its whole corpus from --seed, and report
 files are byte-identical across runs with the same configuration. Exit
 codes: 0 when every contract assertion passed, 1 on a contract failure
 (the first failing instance is dumped as JSON for `replay`), 2 on
-configuration errors and on arithmetic that cannot finish (a vanishing
+configuration errors, on arithmetic that cannot finish (a vanishing
 partition value, an undefined series division, a root iteration that does
-not converge). The saw-check, weitz and ldc-beta corpora leave out instances
-whose partition value vanishes: the driver draws such a candidate again.
+not converge) and on a draw loop that reaches its bound. The saw-check,
+weitz and ldc-beta corpora leave out instances whose partition value
+vanishes: the driver draws such a candidate again, at most
+corpus.DRAW_LIMIT times a trial.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import corpus
-from .errors import RootConvergenceError, ZeroPartitionError
+from .errors import DrawLimitError, RootConvergenceError, ZeroPartitionError
 from .graphs import (Graph, MINUS, PLUS, Pinning, build_saw_tree,
                      is_proper, parse_graph, parse_pinning)
 from .identities import cd_equivalent_forms, cd_sides, gutman_sides, qspin_det_sides
@@ -245,9 +247,9 @@ def _gen_qspin(cfg: RunConfig, rng: random.Random, trial: int) -> dict:
 
 def _draw_proper(cfg: RunConfig, rng: random.Random, mode: str) -> tuple[int, dict]:
     """A connected graph with drawn parameters and pins, and a vertex proper
-    to the pinning; the whole draw is repeated until such a vertex exists.
-    Returns the vertex count and the instance."""
-    while True:
+    to the pinning; the whole draw is repeated until such a vertex exists,
+    at most corpus.DRAW_LIMIT times. Returns the vertex count and the instance."""
+    for _ in range(corpus.DRAW_LIMIT):
         n = rng.randint(2, cfg.max_vertices or 9)
         g = corpus.rand_connected_graph(rng, n)
         params = corpus.rand_params(rng, mode, n)
@@ -258,6 +260,7 @@ def _draw_proper(cfg: RunConfig, rng: random.Random, mode: str) -> tuple[int, di
         if proper:
             return n, {"graph": g.to_json(), "pins": pins.to_json(),
                        "params": params.to_json(), "v": rng.choice(proper)}
+    raise DrawLimitError(f"no vertex proper to the pinning in {corpus.DRAW_LIMIT} draws")
 
 
 def _gen_saw(cfg: RunConfig, rng: random.Random, trial: int) -> dict:
@@ -401,7 +404,7 @@ def _run_corpus_command(cfg: RunConfig) -> int:
     failures = []
     redraw = cfg.command in REDRAW_ON_ZERO
     for trial in range(cfg.trials):
-        while True:
+        for _ in range(corpus.DRAW_LIMIT):
             inst = gen(cfg, rng, trial)
             try:
                 ok, row = evaluate(inst)
@@ -409,6 +412,9 @@ def _run_corpus_command(cfg: RunConfig) -> int:
             except ZeroPartitionError:
                 if not redraw:
                     raise
+        else:
+            raise DrawLimitError(f"trial {trial}: the partition value vanished on "
+                                 f"{corpus.DRAW_LIMIT} drawn candidates")
         row = {"trial": trial, **row}
         rows.append(row)
         if not ok:
@@ -556,7 +562,7 @@ def run(cfg: RunConfig) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, RootConvergenceError) as exc:
+    except (ArithmeticError, RootConvergenceError, DrawLimitError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

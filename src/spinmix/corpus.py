@@ -13,29 +13,37 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .errors import DrawLimitError
 from .graphs import Graph, MINUS, PLUS, Pinning, flip_spin, is_feasible
 from .numerics import ExactComplex, ONE, ZERO
 from .partition import Params, QSpinParams
 
 PARAM_MODES = ("generic", "beta0", "gamma0", "bg1", "fields", "complex")
 
+# Draws a rejection loop makes before it raises DrawLimitError. Each bounded
+# loop accepts most of its draws (a fraction is nonzero with probability
+# 20/21), so only a defect reaches the bound, and the bound changes no corpus.
+DRAW_LIMIT = 1000
+
 
 def rand_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
-    while True:
+    for _ in range(DRAW_LIMIT):
         f = Fraction(rng.randint(-10, 10), rng.randint(1, 10))
         if not nonzero or f != 0:
             return f
+    raise DrawLimitError(f"no nonzero fraction in {DRAW_LIMIT} draws")
 
 
 def rand_scalar(rng: random.Random, nonzero: bool = False,
                 complex_prob: float = 0.0) -> ExactComplex:
-    while True:
+    for _ in range(DRAW_LIMIT):
         if rng.random() < complex_prob:
             x = ExactComplex(rand_fraction(rng), rand_fraction(rng))
         else:
             x = ExactComplex(rand_fraction(rng))
         if not nonzero or not x.is_zero():
             return x
+    raise DrawLimitError(f"no nonzero scalar in {DRAW_LIMIT} draws")
 
 
 def rand_connected_graph(rng: random.Random, n: int, attempts: int = 1000) -> Graph:
@@ -111,11 +119,12 @@ def rand_params(rng: random.Random, mode: str, n: int) -> Params:
 
 
 def _nontrivial_edge_pair(rng, complex_prob):
-    while True:
+    for _ in range(DRAW_LIMIT):
         beta = rand_scalar(rng, complex_prob=complex_prob)
         gamma = rand_scalar(rng, complex_prob=complex_prob)
         if not (beta.is_zero() and gamma.is_zero()):
             return beta, gamma
+    raise DrawLimitError(f"no edge pair other than (0, 0) in {DRAW_LIMIT} draws")
 
 
 def rand_feasible_pinning(rng: random.Random, g: Graph, beta_is_zero: bool,

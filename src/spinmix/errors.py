@@ -29,5 +29,10 @@ class SeriesDivisionError(ArithmeticError):
     """Raised when formal power-series division is undefined."""
 
 
+class DrawLimitError(RuntimeError):
+    """Raised when a seeded draw loop finds no acceptable candidate within its
+    bound, so that a corpus cannot be completed."""
+
+
 class RootConvergenceError(RuntimeError):
     """Raised when the simultaneous root iteration fails to converge."""

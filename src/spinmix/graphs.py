@@ -105,9 +105,6 @@ class Graph:
             return True
         return sum(1 for d in self.distances_from(0) if d != math.inf) == self.n
 
-    def is_forest(self) -> bool:
-        return len(self.edges) == self.n - len(self.components())
-
     def is_tree(self) -> bool:
         return self.is_connected() and len(self.edges) == self.n - 1
 
@@ -219,38 +216,37 @@ class Pinning:
     """
 
     pins: tuple[tuple[int, object], ...] = ()
+    _spins: dict[int, object] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         items = tuple(sorted(self.pins))
-        verts = [v for v, _ in items]
-        if len(set(verts)) != len(verts):
+        spins = dict(items)
+        if len(spins) != len(items):
             raise PinningError("a vertex may be pinned at most once")
         object.__setattr__(self, "pins", items)
+        object.__setattr__(self, "_spins", spins)
 
     @classmethod
     def of(cls, mapping: Mapping[int, object] | None = None) -> "Pinning":
         return cls(tuple((mapping or {}).items()))
 
     def domain(self) -> frozenset[int]:
-        return frozenset(v for v, _ in self.pins)
+        return frozenset(self._spins)
 
     def __contains__(self, v: int) -> bool:
-        return any(u == v for u, _ in self.pins)
+        return v in self._spins
 
     def __len__(self):
         return len(self.pins)
 
     def get(self, v: int, default=None):
-        for u, s in self.pins:
-            if u == v:
-                return s
-        return default
+        return self._spins.get(v, default)
 
     def items(self):
         return self.pins
 
     def as_dict(self) -> dict[int, object]:
-        return dict(self.pins)
+        return dict(self._spins)
 
     def with_pin(self, v: int, spin) -> "Pinning":
         if v in self:

@@ -12,12 +12,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import PinningError, ZeroPartitionError
+from .errors import NotATreeError, PinningError, ZeroPartitionError
 from .graphs import (Graph, MINUS, PLUS, Pinning, SawTree, build_saw_tree,
                      build_saw_tree_truncated, disagreement_distance, is_proper)
 from .numerics import (ONE, ZERO, ExactComplex, PowerSeries,
                        series_div)
-from .partition import Params, _edge_activity_series, z_auto, z_poly_lambda, z_tree
+from .partition import (Params, _edge_activity_series, _forest_order, z_brute,
+                        z_poly_lambda, z_tree)
 
 
 @dataclass(frozen=True)
@@ -50,14 +51,26 @@ class LdcReport:
 
 
 def marginal(g: Graph, p: Pinning, v: int, params: Params) -> ExactComplex:
-    """Exact marginal ratio Z+_v / Z; v must be proper and Z nonzero."""
+    """Exact marginal ratio Z+_v / Z; v must be proper and Z nonzero.
+
+    One evaluation: on a forest, one message pass rooted at v; otherwise one
+    enumeration that probes v.
+    """
     if not is_proper(g, p, v, params.beta_is_zero, params.gamma_is_zero):
         raise PinningError(f"vertex {v} is not proper to the pinning")
-    z = z_auto(g, p, params)
+    try:
+        forest = _forest_order(g, v)
+    except NotATreeError:
+        z, zp = z_brute(g, p, params, probe=v)
+        zv = z
+    else:
+        z, msgs = z_tree(g, p, params, forest=forest)
+        zp, zm = msgs.at(v)
+        # v's component alone: the other components cancel from the ratio
+        zv = zp + zm
     if z.is_zero():
         raise ZeroPartitionError("partition value is zero at these parameters")
-    zp = z_auto(g, p.with_pin(v, PLUS), params)
-    return zp / z
+    return zp / zv
 
 
 def saw_tree_marginal(g: Graph, p: Pinning, v: int, params: Params
@@ -116,8 +129,7 @@ def marginal_series_lambda(g: Graph, p: Pinning, v: int, beta, gamma,
     gamma = ExactComplex._coerce(gamma)
     if order is None:
         order = _default_order(g)
-    num = z_poly_lambda(g, p.with_pin(v, PLUS), beta, gamma, scale=scale)
-    den = z_poly_lambda(g, p, beta, gamma, scale=scale)
+    den, num = z_poly_lambda(g, p, beta, gamma, scale=scale, probe=v)
     k = den.valuation()
     if k is None:
         raise ZeroPartitionError("partition polynomial is identically zero")
@@ -183,8 +195,7 @@ def marginal_series_beta(g: Graph, p: Pinning, v: int, gamma, lam,
         order = _default_order(g)
     # at least the constant term, so that Z at the center is always checked
     kept = max(order, 1)
-    num = _edge_activity_series(g, p.with_pin(v, PLUS), gamma, lam, center, kept)
-    den = _edge_activity_series(g, p, gamma, lam, center, kept)
+    den, num = _edge_activity_series(g, p, gamma, lam, center, kept, probe=v)
     if den[0].is_zero():
         raise ZeroPartitionError("partition value is zero at the expansion center")
     series = series_div(PowerSeries(num[:order]), PowerSeries(den[:order]))

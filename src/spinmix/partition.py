@@ -163,26 +163,59 @@ def _check_feasible(g: Graph, p: Pinning, params: Params):
 
 
 def _monomial_counts(g: Graph, p: Pinning,
-                     weights: Sequence[ExactComplex] | None = None
-                     ) -> dict[tuple[int, int, int], int | ExactComplex]:
+                     weights: Sequence[ExactComplex] | None = None,
+                     probe: int | None = None
+                     ) -> list[dict[tuple[int, int, int], int | ExactComplex]]:
     """Coefficients of Z(beta, gamma, lambda) over the extensions of p.
 
-    Maps (m+, m-, #+) to the number of extensions of p with m+ (+,+) edges,
-    m- (-,-) edges and #+ plus vertices, pins included. With ``weights``,
-    each extension contributes the product of weights[v] over its + vertices
-    instead of 1. This is the one 2-spin enumeration, and it enforces the
-    enumeration cap.
+    Each table maps (m+, m-, #+) to the number of extensions of p with m+
+    (+,+) edges, m- (-,-) edges and #+ plus vertices, pins included. With
+    ``weights``, each extension contributes the product of weights[v] over its
+    + vertices instead of 1. Returns [table]; with a free ``probe`` vertex,
+    [table of the extensions with probe -, table of those with probe +].
+    This is the one 2-spin enumeration, and it enforces the enumeration cap.
+
+    The extensions are walked in reflected Gray order: step i flips free[j],
+    j the number of trailing zeros of i, so (m+, m-, #+) is updated from that
+    vertex's neighbours alone. The probe is the last free vertex, which flips
+    once, halfway through the walk.
     """
     _check_cap(g)
-    free = [v for v in range(g.n) if v not in p]
-    spin = [0] * g.n
+    for v, _ in p.items():
+        if not 0 <= v < g.n:
+            raise PinningError(f"pinned vertex {v} out of range")
+    free = [v for v in range(g.n) if v not in p and v != probe]
+    if probe is not None:
+        if probe in p or not 0 <= probe < g.n:
+            raise PinningError(f"probe {probe} is not a free vertex")
+        free.append(probe)
+    # spins as bits of one integer (+ is 1), starting from the all-minus extension
+    state = 0
     for v, s in p.items():
-        spin[v] = 1 if s == PLUS else 0
-    edges = g.edges
+        if s == PLUS:
+            state |= 1 << v
+    mp = mm = 0
+    for a, b in g.edges:
+        sa, sb = state >> a & 1, state >> b & 1
+        if sa and sb:
+            mp += 1
+        elif not sa and not sb:
+            mm += 1
+    k = state.bit_count()
+    # per free vertex: its bit, its neighbours' bits and its degree
+    flips = []
+    for v in free:
+        nbrs = 0
+        for w in g.neighbors(v):
+            nbrs |= 1 << w
+        flips.append((1 << v, nbrs, g.degree(v)))
+    split = 1 << (len(free) - 1) if probe is not None else 0
     table: dict[tuple[int, int, int], int | ExactComplex] = {}
+    tables = [table]
     if weights is not None:
         # one product per extension: of the + weights among the low half of the
         # free vertices (and the + pins) and among the high half, both tabulated
+        # and indexed by the Gray code of the step
         half = len(free) // 2
         low_mask = (1 << half) - 1
         plus_pins = ONE
@@ -191,23 +224,32 @@ def _monomial_counts(g: Graph, p: Pinning,
                 plus_pins = plus_pins * weights[v]
         low = _subset_products([weights[v] for v in free[:half]], plus_pins)
         high = _subset_products([weights[v] for v in free[half:]], ONE)
-    for mask in range(1 << len(free)):
-        for i, v in enumerate(free):
-            spin[v] = (mask >> i) & 1
-        mp = mm = 0
-        for a, b in edges:
-            sa, sb = spin[a], spin[b]
-            if sa and sb:
-                mp += 1
-            elif not sa and not sb:
-                mm += 1
-        key = (mp, mm, sum(spin))
+    gray = 0
+    for i in range(1 << len(free)):
+        if i:
+            j = (i & -i).bit_length() - 1
+            bit, nbrs, deg = flips[j]
+            gray ^= 1 << j
+            state ^= bit
+            up = (state & nbrs).bit_count()
+            if state & bit:
+                mp += up
+                mm -= deg - up
+                k += 1
+            else:
+                mp -= up
+                mm += deg - up
+                k -= 1
+            if i == split:
+                table = {}
+                tables.append(table)
+        key = (mp, mm, k)
         if weights is None:
             table[key] = table.get(key, 0) + 1
         else:
-            w = low[mask & low_mask] * high[mask >> half]
+            w = low[gray & low_mask] * high[gray >> half]
             table[key] = table.get(key, ZERO) + w
-    return table
+    return tables
 
 
 def _subset_products(ws: list[ExactComplex], start: ExactComplex
@@ -219,56 +261,79 @@ def _subset_products(ws: list[ExactComplex], start: ExactComplex
     return out
 
 
-def _lambda_polynomial(g: Graph, table, beta: ExactComplex,
-                       gamma: ExactComplex) -> Polynomial:
-    """The table evaluated at (beta, gamma), as a polynomial in lambda."""
+def _lambda_polynomial(g: Graph, p: Pinning, beta: ExactComplex,
+                       gamma: ExactComplex,
+                       weights: Sequence[ExactComplex] | None,
+                       probe: int | None
+                       ) -> Polynomial | tuple[Polynomial, Polynomial]:
+    """Z as a polynomial in lambda at (beta, gamma); with a probe, the pair
+    (Z, Z+_probe) from the same sweep."""
     pow_b = _powers(beta, len(g.edges))
     pow_g = _powers(gamma, len(g.edges))
-    coeffs = [ZERO] * (g.n + 1)
-    for (mp, mm, k), c in table.items():
-        coeffs[k] = coeffs[k] + c * (pow_b[mp] * pow_g[mm])
-    return Polynomial(coeffs)
+    folded = []
+    for table in _monomial_counts(g, p, weights, probe):
+        coeffs = [ZERO] * (g.n + 1)
+        for (mp, mm, k), c in table.items():
+            coeffs[k] = coeffs[k] + c * (pow_b[mp] * pow_g[mm])
+        folded.append(coeffs)
+    if probe is None:
+        return Polynomial(folded[0])
+    minus, plus = folded
+    return Polynomial([a + b for a, b in zip(minus, plus)]), Polynomial(plus)
 
 
 def _edge_activity_series(g: Graph, p: Pinning, gamma: ExactComplex | None,
                           lam: ExactComplex, center: ExactComplex,
-                          order: int) -> list[ExactComplex]:
+                          order: int, probe: int | None = None
+                          ) -> list[ExactComplex] | tuple[list[ExactComplex], ...]:
     """First ``order`` (>= 1) coefficients of Z in t, where the edge activity
-    is center + t.
+    is center + t; with a probe, the pair (Z's, Z+_probe's) from one sweep.
 
     With ``gamma`` given, only the (+,+) activity varies; with gamma None
     the instance is Ising and both activities are tied to center + t. The
     table is folded into the weight of each activity exponent; Horner's rule
     in (center + t) then keeps ``order`` terms.
     """
-    table = _monomial_counts(g, p)
     m = len(g.edges)
     pow_g = _powers(gamma, m) if gamma is not None else None
     pow_l = _powers(lam, g.n)
-    weights = [ZERO] * (m + 1)
-    for (mp, mm, k), c in table.items():
-        if gamma is None:
-            weights[mp + mm] = weights[mp + mm] + c * pow_l[k]
-        else:
-            weights[mp] = weights[mp] + c * (pow_g[mm] * pow_l[k])
-    # Z = sum_k weights[k] (center + t)^k, by Horner from the top exponent;
-    # after j steps only the first j coefficients can be nonzero
-    coeffs = [ZERO] * order
-    for j, w in enumerate(reversed(weights)):
-        for i in range(min(j, order - 1), 0, -1):
-            coeffs[i] = coeffs[i] * center + coeffs[i - 1]
-        coeffs[0] = coeffs[0] * center + w
-    return coeffs
+    vectors = []
+    for table in _monomial_counts(g, p, probe=probe):
+        weights = [ZERO] * (m + 1)
+        for (mp, mm, k), c in table.items():
+            if gamma is None:
+                weights[mp + mm] = weights[mp + mm] + c * pow_l[k]
+            else:
+                weights[mp] = weights[mp] + c * (pow_g[mm] * pow_l[k])
+        vectors.append(weights)
+    if probe is not None:
+        # Z's activity weights are the sum of the probe's minus and plus halves
+        minus, plus = vectors
+        vectors = [[a + b for a, b in zip(minus, plus)], plus]
+    series = []
+    for weights in vectors:
+        # Z = sum_k weights[k] (center + t)^k, by Horner from the top exponent;
+        # after j steps only the first j coefficients can be nonzero
+        coeffs = [ZERO] * order
+        for j, w in enumerate(reversed(weights)):
+            for i in range(min(j, order - 1), 0, -1):
+                coeffs[i] = coeffs[i] * center + coeffs[i - 1]
+            coeffs[0] = coeffs[0] * center + w
+        series.append(coeffs)
+    return series[0] if probe is None else tuple(series)
 
 
 def z_brute(g: Graph, p: Pinning, params: Params,
-            check_feasibility: bool = True) -> ExactComplex:
+            check_feasibility: bool = True, probe: int | None = None
+            ) -> ExactComplex | tuple[ExactComplex, ...]:
     """Partition value by explicit enumeration of all extensions of p.
 
     ``check_feasibility`` guards the caller-supplied pinning; pass False
     when evaluating programmatic pin extensions whose infeasible cases must
     contribute zero instead of erroring (the weight semantics already give
-    every infeasible configuration weight zero).
+    every infeasible configuration weight zero). With a free ``probe``
+    vertex v, returns (Z, Z+_v), Z+_v being the value with v pinned +, from
+    one enumeration.
     """
     # the cap error precedes the pinning error (the table's check comes later)
     _check_cap(g)
@@ -276,9 +341,12 @@ def z_brute(g: Graph, p: Pinning, params: Params,
         _check_feasible(g, p, params)
     lams = params.field_vector(g.n)
     # a per-vertex field goes into the table, which is then evaluated at lambda = 1
-    table = _monomial_counts(g, p, None if params.uniform else lams)
     lam = params.field if params.uniform else ONE
-    return _lambda_polynomial(g, table, params.beta, params.gamma).evaluate(lam)
+    z = _lambda_polynomial(g, p, params.beta, params.gamma,
+                           None if params.uniform else lams, probe)
+    if probe is None:
+        return z.evaluate(lam)
+    return tuple(poly.evaluate(lam) for poly in z)
 
 
 def z_qspin(g: Graph, p: Pinning, qp: QSpinParams) -> ExactComplex:
@@ -385,10 +453,11 @@ def _qspin_absorb(matrix: tuple[tuple[ExactComplex, ...], ...]):
 
 def _forest_pass(t: Graph, pins: dict[int, int],
                  weights: Sequence[tuple[ExactComplex, ...]], absorb,
-                 root: int | None) -> tuple[ExactComplex, TreeMessages]:
-    """Leaves-first messages: weights[x] absorbs each child's message and keeps
-    only entry pins[x] when x is pinned. Z is the product of the root sums."""
-    roots, order, children = _forest_order(t, root)
+                 forest) -> tuple[ExactComplex, TreeMessages]:
+    """Leaves-first messages over ``forest`` (a _forest_order of t): weights[x]
+    absorbs each child's message and keeps only entry pins[x] when x is
+    pinned. Z is the product of the root sums."""
+    roots, order, children = forest
     msgs: dict[int, tuple[ExactComplex, ...]] = {}
     for x in reversed(order):
         vec = weights[x]
@@ -406,20 +475,23 @@ def _forest_pass(t: Graph, pins: dict[int, int],
 
 def z_tree(t: Graph, p: Pinning, params: Params,
            root: int | None = None,
-           check_feasibility: bool = True) -> tuple[ExactComplex, TreeMessages]:
+           check_feasibility: bool = True,
+           *, forest=None) -> tuple[ExactComplex, TreeMessages]:
     """Partition value of an acyclic graph by bottom-up message passing.
 
     Components are rooted at their lowest-index vertex (or at ``root`` for
     its component); children are processed in ascending order. The scalar
     equals z_brute on the same inputs; the messages expose every pinned
-    subtree value needed by the identity right-hand sides.
+    subtree value needed by the identity right-hand sides. A caller that has
+    already traversed t passes ``forest``, its _forest_order for ``root``.
     """
     if check_feasibility:
         _check_feasible(t, p, params)
     lams = params.field_vector(t.n)
     return _forest_pass(t, {v: 0 if s == PLUS else 1 for v, s in p.items()},
                         [(lam, ONE) for lam in lams],
-                        _two_spin_absorb(params.beta, params.gamma), root)
+                        _two_spin_absorb(params.beta, params.gamma),
+                        forest or _forest_order(t, root))
 
 
 def z_qspin_tree(t: Graph, p: Pinning, qp: QSpinParams,
@@ -429,15 +501,22 @@ def z_qspin_tree(t: Graph, p: Pinning, qp: QSpinParams,
         if not (isinstance(s, int) and 1 <= s <= qp.q):
             raise PinningError(f"spin {s!r} at vertex {v} is out of range 1..{qp.q}")
     return _forest_pass(t, {v: s - 1 for v, s in p.items()}, [qp.lambdas] * t.n,
-                        _qspin_absorb(qp.matrix), root)
+                        _qspin_absorb(qp.matrix), _forest_order(t, root))
 
 
 def z_auto(g: Graph, p: Pinning, params: Params,
            check_feasibility: bool = True) -> ExactComplex:
-    """Tree message passing when the graph is acyclic, brute force otherwise."""
-    if g.is_forest():
-        return z_tree(g, p, params, check_feasibility=check_feasibility)[0]
-    return z_brute(g, p, params, check_feasibility=check_feasibility)
+    """Tree message passing when the graph is acyclic, brute force otherwise.
+
+    The graph is traversed once: a cycle found by the forest order sends the
+    call to z_brute, whose cap error precedes its pinning error.
+    """
+    try:
+        forest = _forest_order(g, None)
+    except NotATreeError:
+        return z_brute(g, p, params, check_feasibility=check_feasibility)
+    return z_tree(g, p, params, check_feasibility=check_feasibility,
+                  forest=forest)[0]
 
 
 def z_pair(g: Graph, p: Pinning, u: int, su: str, v: int, sv: str,
@@ -461,7 +540,9 @@ def z_pair(g: Graph, p: Pinning, u: int, su: str, v: int, sv: str,
 
 
 def z_poly_lambda(g: Graph, p: Pinning, beta, gamma,
-                  scale: Sequence[ExactComplex] | None = None) -> Polynomial:
+                  scale: Sequence[ExactComplex] | None = None,
+                  probe: int | None = None
+                  ) -> Polynomial | tuple[Polynomial, Polynomial]:
     """Z as a polynomial in the uniform field variable.
 
     The coefficient of lambda^k sums beta^{m+} gamma^{m-} over configurations
@@ -469,7 +550,8 @@ def z_poly_lambda(g: Graph, p: Pinning, beta, gamma,
     optionally weights each + vertex v by an extra constant factor scale[v],
     which turns the polynomial into Z evaluated at the field vector
     (scale_v * lambda)_v; this serves pin elimination and the single-variable
-    scan of non-uniform fields.
+    scan of non-uniform fields. With a free ``probe`` vertex v, returns the
+    pair (Z, Z+_v) of polynomials from one enumeration.
     """
     # as in z_brute, the cap error precedes the argument checks
     _check_cap(g)
@@ -477,7 +559,7 @@ def z_poly_lambda(g: Graph, p: Pinning, beta, gamma,
     gamma = ExactComplex._coerce(gamma)
     if scale is not None and len(scale) != g.n:
         raise ValueError("scale vector length must equal vertex count")
-    return _lambda_polynomial(g, _monomial_counts(g, p, scale), beta, gamma)
+    return _lambda_polynomial(g, p, beta, gamma, scale, probe)
 
 
 # ---------------------------------------------------------------------------

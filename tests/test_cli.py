@@ -1,11 +1,12 @@
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from spinmix import cli, mixing
-from spinmix.errors import ZeroPartitionError
+from spinmix import cli, corpus, mixing
+from spinmix.errors import DrawLimitError, ZeroPartitionError
 from spinmix.numerics import ExactComplex
 
 
@@ -329,6 +330,56 @@ class TestExitTwo:
         assert err == "error: ZeroPartitionError: partition value is zero\n"
         assert draws == [0]
         assert list(tmp_path.iterdir()) == []
+
+
+class TestDrawLimit:
+    """Every draw loop is bounded; reaching a bound exits 2 with one line."""
+
+    def test_always_vanishing_evaluator_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        draws = []
+        gen = cli.GENERATORS["saw-check"]
+
+        def counted(cfg, rng, trial):
+            draws.append(trial)
+            return gen(cfg, rng, trial)
+
+        def vanishing(inst):
+            raise ZeroPartitionError("partition value is zero")
+
+        monkeypatch.setitem(cli.GENERATORS, "saw-check", counted)
+        monkeypatch.setitem(cli.EVALUATORS, "saw-check", vanishing)
+        code, out, err = run_cli(["saw-check", "--trials", "3"], capsys)
+        assert code == 2 and out == ""
+        assert err == (f"error: DrawLimitError: trial 0: the partition value vanished "
+                       f"on {corpus.DRAW_LIMIT} drawn candidates\n")
+        assert draws == [0] * corpus.DRAW_LIMIT
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_proper_vertex_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "is_proper", lambda *args: False)
+        code, out, err = run_cli(["weitz", "--trials", "2"], capsys)
+        assert code == 2 and out == ""
+        assert err == (f"error: DrawLimitError: no vertex proper to the pinning "
+                       f"in {corpus.DRAW_LIMIT} draws\n")
+
+    def test_corpus_rejection_loops_are_bounded(self):
+        class ZeroStream(random.Random):
+            """Draws 0 wherever it may (and 1 for a denominator), so every
+            fraction and scalar is 0."""
+
+            def randint(self, a, b):
+                return 0 if a <= 0 <= b else a
+
+            def random(self):
+                return 0.0
+
+        for draw in (lambda rng: corpus.rand_fraction(rng, nonzero=True),
+                     lambda rng: corpus.rand_scalar(rng, nonzero=True),
+                     lambda rng: corpus._nontrivial_edge_pair(rng, 0.5)):
+            with pytest.raises(DrawLimitError):
+                draw(ZeroStream())
 
 
 class TestGraphFailureDump:

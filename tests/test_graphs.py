@@ -60,6 +60,21 @@ class TestPinning:
         with pytest.raises(PinningError):
             Pinning.of({0: PLUS}).with_pin(0, MINUS)
 
+    def test_duplicate_vertex_rejected_with_either_spin(self):
+        for spins in ((PLUS, PLUS), (PLUS, MINUS)):
+            with pytest.raises(PinningError):
+                Pinning(((2, spins[0]), (0, MINUS), (2, spins[1])))
+
+    def test_equal_and_hash_independent_of_order(self):
+        a = Pinning(((3, PLUS), (0, MINUS), (1, PLUS)))
+        b = Pinning.of({1: PLUS, 0: MINUS}).with_pin(3, PLUS)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert repr(a) == repr(b) == "Pinning(pins=((0, '-'), (1, '+'), (3, '+')))"
+        assert a.to_json() == b.to_json() == {"pins": {"0": "-", "1": "+", "3": "+"}}
+        assert a != Pinning.of({0: MINUS, 1: PLUS, 3: MINUS})
+        assert [a.get(v, "free") for v in range(4)] == [MINUS, PLUS, "free", PLUS]
+        assert [v in a for v in range(4)] == [True, True, False, True]
+
     def test_bad_spin_rejected(self):
         with pytest.raises(GraphFormatError):
             parse_pinning('{"pins": {"0": "?"}}')

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_graph, scalar
+from conftest import random_graph, scalar, z_naive
+from spinmix import mixing, partition
 from spinmix.corpus import rand_feasible_pinning, rand_params, rand_pinning_pair
 from spinmix.errors import PinningError, SeriesDivisionError, ZeroPartitionError
 from spinmix.graphs import Graph, MINUS, PLUS, Pinning, is_proper
@@ -42,6 +43,73 @@ class TestMarginal:
     def test_improper_vertex_surfaced(self):
         with pytest.raises(PinningError):
             marginal(EDGE, Pinning.of({1: PLUS}), 0, hardcore_params(1))
+
+
+class TestMarginalOneEvaluation:
+    """marginal evaluates once: one message pass on a forest, one probed
+    enumeration otherwise; either way it equals the oracle's ratio."""
+
+    def test_matches_naive_ratio(self):
+        rng = random.Random(4127)
+        checked = 0
+        for trial in range(60):
+            n = rng.randint(1, 7)
+            g = random_graph(rng, n, connected=trial % 2 == 0)
+            params = rand_params(rng, ("generic", "fields", "complex", "beta0")[trial % 4], n)
+            pins = rand_feasible_pinning(rng, g, params.beta_is_zero, params.gamma_is_zero)
+            proper = [v for v in range(n)
+                      if is_proper(g, pins, v, params.beta_is_zero, params.gamma_is_zero)]
+            if not proper:
+                continue
+            v = rng.choice(proper)
+            z = z_naive(g, pins, params)
+            if z.is_zero():
+                with pytest.raises(ZeroPartitionError):
+                    marginal(g, pins, v, params)
+                continue
+            assert marginal(g, pins, v, params) == \
+                z_naive(g, pins.with_pin(v, PLUS), params) / z, (g, pins, v)
+            checked += 1
+        assert checked >= 40
+
+    def test_forest_zero_elsewhere_surfaced(self):
+        # vertex 1 alone has Z = 1 + (-1) = 0, so the total vanishes although
+        # the component of vertex 0 does not
+        with pytest.raises(ZeroPartitionError):
+            marginal(Graph(2, ()), Pinning(), 0, Params(1, 1, (2, -1)))
+
+    def test_forest_takes_one_tree_pass(self, monkeypatch):
+        calls = []
+        real = mixing.z_tree
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mixing, "z_tree", counted)
+        path4 = Graph(4, ((0, 1), (1, 2), (2, 3)))
+        assert marginal(path4, Pinning.of({3: MINUS}), 1, Params(2, 3, 1)) == \
+            z_naive(path4, Pinning.of({1: PLUS, 3: MINUS}), Params(2, 3, 1)) \
+            / z_naive(path4, Pinning.of({3: MINUS}), Params(2, 3, 1))
+        assert calls == [path4]
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda g, p: marginal(g, p, 0, Params(Fraction(1, 2), 3, 2)),
+        lambda g, p: marginal_series_lambda(g, p, 0, Fraction(1, 2), 3),
+        lambda g, p: marginal_series_beta(g, p, 0, 3, 2, Fraction(1, 3)),
+    ], ids=["marginal", "marginal_series_lambda", "marginal_series_beta"])
+    def test_cyclic_graph_takes_one_enumeration(self, evaluate, monkeypatch):
+        calls = []
+        real = partition._monomial_counts
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(partition, "_monomial_counts", counted)
+        g = Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
+        evaluate(g, Pinning.of({3: PLUS}))
+        assert calls == [g]
 
 
 class TestSawMarginalEquality:

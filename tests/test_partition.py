@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_graph, scalar, z_naive, z_naive_qspin
+from spinmix import partition
 from spinmix.corpus import (rand_feasible_pinning, rand_params,
                             rand_qspin_params, rand_qspin_pinning, rand_tree)
 from spinmix.errors import CapExceededError, NotATreeError, PinningError
@@ -11,9 +12,9 @@ from spinmix.graphs import Graph, MINUS, PLUS, Pinning
 from spinmix.mixing import marginal_series_beta, marginal_series_lambda
 from spinmix.numerics import ExactComplex
 from spinmix.partition import (Params, QSpinParams, _edge_activity_series,
-                               eliminate_pins, hardcore_params, spin_reversal,
-                               two_spin_embedding, z_brute, z_pair,
-                               z_poly_lambda, z_qspin, z_qspin_tree, z_tree)
+                               _monomial_counts, eliminate_pins, hardcore_params,
+                               spin_reversal, two_spin_embedding, z_auto, z_brute,
+                               z_pair, z_poly_lambda, z_qspin, z_qspin_tree, z_tree)
 
 EDGE = Graph(2, ((0, 1),))
 PATH3 = Graph(3, ((0, 1), (1, 2)))
@@ -455,3 +456,122 @@ PATH25 = Graph(25, tuple((i, i + 1) for i in range(24)))
 def test_every_enumeration_is_capped(enumerate_):
     with pytest.raises(CapExceededError):
         enumerate_(PATH25)
+
+
+class TestProbePair:
+    """One sweep with a probe vertex v yields (Z, Z+_v) for every fold."""
+
+    @staticmethod
+    def probed():
+        for g, pins, params in fold_instances():
+            free = [v for v in range(g.n) if v not in pins]
+            if free:
+                yield g, pins, params, free[-1]
+                yield g, pins, params, free[0]
+
+    def test_z_brute_pair_matches_naive_oracle(self):
+        for g, pins, params, v in self.probed():
+            plus = pins.with_pin(v, PLUS)
+            assert z_brute(g, pins, params, probe=v) == (
+                z_naive(g, pins, params), z_naive(g, plus, params)), (g, pins, v)
+
+    def test_z_poly_lambda_pair_matches_naive_oracle(self):
+        lam = ExactComplex(Fraction(-2, 3))
+        for g, pins, params, v in self.probed():
+            plus = pins.with_pin(v, PLUS)
+            truth = (z_naive(g, pins, params), z_naive(g, plus, params))
+            beta, gamma = params.beta, params.gamma
+            scale = tuple(f / lam for f in params.field_vector(g.n))
+            pair = z_poly_lambda(g, pins, beta, gamma, scale=scale, probe=v)
+            assert tuple(poly.evaluate(lam) for poly in pair) == truth
+            assert pair == (z_poly_lambda(g, pins, beta, gamma, scale=scale),
+                            z_poly_lambda(g, plus, beta, gamma, scale=scale))
+            if params.uniform:
+                pair = z_poly_lambda(g, pins, beta, gamma, probe=v)
+                assert tuple(poly.evaluate(params.field) for poly in pair) == truth
+
+    def test_edge_activity_pair_matches_naive_oracle(self):
+        for g, pins, params, v in self.probed():
+            if not params.uniform:
+                continue
+            plus = pins.with_pin(v, PLUS)
+            beta, gamma, lam = params.beta, params.gamma, params.field
+            den, num = _edge_activity_series(g, pins, gamma, lam, beta, 3, probe=v)
+            assert (den[0], num[0]) == (z_naive(g, pins, params), z_naive(g, plus, params))
+            assert den == _edge_activity_series(g, pins, gamma, lam, beta, 3)
+            assert num == _edge_activity_series(g, plus, gamma, lam, beta, 3)
+            if not beta.is_zero():
+                tied = Params(beta, beta, lam)
+                den, num = _edge_activity_series(g, pins, None, lam, beta, 3, probe=v)
+                assert (den[0], num[0]) == (z_naive(g, pins, tied), z_naive(g, plus, tied))
+
+    def test_probe_tables_split_by_probe_spin(self):
+        rng = random.Random(73)
+        for _ in range(20):
+            n = rng.randint(2, 8)
+            g = random_graph(rng, n, connected=False)
+            pins = rand_feasible_pinning(rng, g, False, False, pin_prob=0.3)
+            free = [v for v in range(n) if v not in pins]
+            if not free:
+                continue
+            v = rng.choice(free)
+            weights = [scalar(rng, nonzero=True) for _ in range(n)]
+            for w in (None, weights):
+                assert _monomial_counts(g, pins, w, probe=v) == [
+                    _monomial_counts(g, pins.with_pin(v, MINUS), w)[0],
+                    _monomial_counts(g, pins.with_pin(v, PLUS), w)[0]]
+
+    @pytest.mark.parametrize("vertex", [2, -1])
+    def test_pin_outside_graph_rejected(self, vertex):
+        # a spin bit outside the graph would count as a + vertex
+        with pytest.raises(PinningError):
+            z_brute(EDGE, Pinning.of({vertex: PLUS}), Params(2, 3, 5))
+        with pytest.raises(PinningError):
+            z_poly_lambda(EDGE, Pinning.of({vertex: MINUS}), 2, 3)
+
+    @pytest.mark.parametrize("probe", [0, 2, -1])
+    def test_probe_must_be_free(self, probe):
+        with pytest.raises(PinningError):
+            z_brute(EDGE, Pinning.of({0: PLUS}), Params(2, 3, 1), probe=probe)
+
+
+class TestZAuto:
+    def test_forest_traversed_once(self, monkeypatch):
+        components, orders = [], []
+        real_components, real_order = Graph.components, partition._forest_order
+
+        def counted_components(self):
+            components.append(self)
+            return real_components(self)
+
+        def counted_order(g, root):
+            orders.append(g)
+            return real_order(g, root)
+
+        monkeypatch.setattr(Graph, "components", counted_components)
+        monkeypatch.setattr(partition, "_forest_order", counted_order)
+        rng = random.Random(83)
+        trees = [rand_tree(rng, rng.randint(1, 8)) for _ in range(10)]
+        for t in trees:
+            params = rand_params(rng, "generic", t.n)
+            assert z_auto(t, Pinning(), params) == z_naive(t, Pinning(), params)
+        assert components == [] and orders == trees
+
+    def test_cyclic_graph_falls_back_to_enumeration(self):
+        params = Params(Fraction(1, 2), 3, 2)
+        k3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
+        assert z_auto(k3, Pinning.of({1: MINUS}), params) == \
+            z_naive(k3, Pinning.of({1: MINUS}), params)
+
+    def test_cap_error_precedes_pinning_error_on_cyclic_input(self):
+        cycle = Graph(25, tuple((i, (i + 1) % 25) for i in range(25)))
+        infeasible = Pinning.of({0: PLUS, 1: PLUS})
+        with pytest.raises(CapExceededError):
+            z_auto(cycle, infeasible, hardcore_params(1))
+
+    def test_infeasible_pinning_rejected(self):
+        infeasible = Pinning.of({0: PLUS, 1: PLUS})
+        with pytest.raises(PinningError):
+            z_auto(PATH3, infeasible, hardcore_params(1))
+        with pytest.raises(PinningError):
+            z_auto(Graph(3, ((0, 1), (0, 2), (1, 2))), infeasible, hardcore_params(1))
