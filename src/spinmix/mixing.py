@@ -17,8 +17,8 @@ from .graphs import (Graph, MINUS, PLUS, Pinning, SawTree, build_saw_tree,
                      build_saw_tree_truncated, disagreement_distance, is_proper)
 from .numerics import (ONE, ZERO, ExactComplex, PowerSeries,
                        series_div)
-from .partition import (Params, _edge_activity_series, _forest_order, z_brute,
-                        z_poly_lambda, z_tree)
+from .partition import (Params, _edge_activity_series, z_brute, z_poly_lambda,
+                        z_tree)
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,11 @@ def marginal(g: Graph, p: Pinning, v: int, params: Params) -> ExactComplex:
     if not is_proper(g, p, v, params.beta_is_zero, params.gamma_is_zero):
         raise PinningError(f"vertex {v} is not proper to the pinning")
     try:
-        forest = _forest_order(g, v)
+        z, msgs = z_tree(g, p, params, root=v)
     except NotATreeError:
         z, zp = z_brute(g, p, params, probe=v)
         zv = z
     else:
-        z, msgs = z_tree(g, p, params, forest=forest)
         zp, zm = msgs.at(v)
         # v's component alone: the other components cancel from the ratio
         zv = zp + zm

@@ -157,6 +157,19 @@ def _check_feasible(g: Graph, p: Pinning, params: Params):
         raise PinningError("infeasible pinning for these parameters")
 
 
+def _check_pins_in_range(g: Graph, p: Pinning):
+    for v, _ in p.items():
+        if not 0 <= v < g.n:
+            raise PinningError(f"pinned vertex {v} out of range")
+
+
+def _check_qspin_pins(g: Graph, p: Pinning, q: int):
+    for v, s in p.items():
+        if not (isinstance(s, int) and 1 <= s <= q):
+            raise PinningError(f"spin {s!r} at vertex {v} is out of range 1..{q}")
+    _check_pins_in_range(g, p)
+
+
 # ---------------------------------------------------------------------------
 # Brute force: one monomial table, folded three ways
 # ---------------------------------------------------------------------------
@@ -181,9 +194,7 @@ def _monomial_counts(g: Graph, p: Pinning,
     once, halfway through the walk.
     """
     _check_cap(g)
-    for v, _ in p.items():
-        if not 0 <= v < g.n:
-            raise PinningError(f"pinned vertex {v} out of range")
+    _check_pins_in_range(g, p)
     free = [v for v in range(g.n) if v not in p and v != probe]
     if probe is not None:
         if probe in p or not 0 <= probe < g.n:
@@ -261,25 +272,36 @@ def _subset_products(ws: list[ExactComplex], start: ExactComplex
     return out
 
 
+def _fold(g: Graph, p: Pinning, weights: Sequence[ExactComplex] | None,
+          probe: int | None, size: int, term) -> list[list[ExactComplex]]:
+    """The sweep's tables folded into vectors of ``size`` coefficients, each
+    entry adding term(m+, m-, #+, count) = (index, value). Returns [Z's]; with
+    a probe, [Z's, Z+_probe's], Z's being the sum of the probe's two halves."""
+    vectors = []
+    for table in _monomial_counts(g, p, weights, probe):
+        vec = [ZERO] * size
+        for (mp, mm, k), c in table.items():
+            i, x = term(mp, mm, k, c)
+            vec[i] = vec[i] + x
+        vectors.append(vec)
+    if probe is not None:
+        minus, plus = vectors
+        vectors = [[a + b for a, b in zip(minus, plus)], plus]
+    return vectors
+
+
 def _lambda_polynomial(g: Graph, p: Pinning, beta: ExactComplex,
                        gamma: ExactComplex,
                        weights: Sequence[ExactComplex] | None,
-                       probe: int | None
-                       ) -> Polynomial | tuple[Polynomial, Polynomial]:
-    """Z as a polynomial in lambda at (beta, gamma); with a probe, the pair
-    (Z, Z+_probe) from the same sweep."""
+                       probe: int | None) -> list[Polynomial]:
+    """Z as a polynomial in lambda at (beta, gamma): [Z], or with a probe
+    [Z, Z+_probe] from the same sweep."""
     pow_b = _powers(beta, len(g.edges))
     pow_g = _powers(gamma, len(g.edges))
-    folded = []
-    for table in _monomial_counts(g, p, weights, probe):
-        coeffs = [ZERO] * (g.n + 1)
-        for (mp, mm, k), c in table.items():
-            coeffs[k] = coeffs[k] + c * (pow_b[mp] * pow_g[mm])
-        folded.append(coeffs)
-    if probe is None:
-        return Polynomial(folded[0])
-    minus, plus = folded
-    return Polynomial([a + b for a, b in zip(minus, plus)]), Polynomial(plus)
+
+    def term(mp, mm, k, c):
+        return k, c * (pow_b[mp] * pow_g[mm])
+    return [Polynomial(c) for c in _fold(g, p, weights, probe, g.n + 1, term)]
 
 
 def _edge_activity_series(g: Graph, p: Pinning, gamma: ExactComplex | None,
@@ -295,23 +317,17 @@ def _edge_activity_series(g: Graph, p: Pinning, gamma: ExactComplex | None,
     in (center + t) then keeps ``order`` terms.
     """
     m = len(g.edges)
-    pow_g = _powers(gamma, m) if gamma is not None else None
     pow_l = _powers(lam, g.n)
-    vectors = []
-    for table in _monomial_counts(g, p, probe=probe):
-        weights = [ZERO] * (m + 1)
-        for (mp, mm, k), c in table.items():
-            if gamma is None:
-                weights[mp + mm] = weights[mp + mm] + c * pow_l[k]
-            else:
-                weights[mp] = weights[mp] + c * (pow_g[mm] * pow_l[k])
-        vectors.append(weights)
-    if probe is not None:
-        # Z's activity weights are the sum of the probe's minus and plus halves
-        minus, plus = vectors
-        vectors = [[a + b for a, b in zip(minus, plus)], plus]
+    if gamma is None:
+        def term(mp, mm, k, c):
+            return mp + mm, c * pow_l[k]
+    else:
+        pow_g = _powers(gamma, m)
+
+        def term(mp, mm, k, c):
+            return mp, c * (pow_g[mm] * pow_l[k])
     series = []
-    for weights in vectors:
+    for weights in _fold(g, p, None, probe, m + 1, term):
         # Z = sum_k weights[k] (center + t)^k, by Horner from the top exponent;
         # after j steps only the first j coefficients can be nonzero
         coeffs = [ZERO] * order
@@ -342,11 +358,9 @@ def z_brute(g: Graph, p: Pinning, params: Params,
     lams = params.field_vector(g.n)
     # a per-vertex field goes into the table, which is then evaluated at lambda = 1
     lam = params.field if params.uniform else ONE
-    z = _lambda_polynomial(g, p, params.beta, params.gamma,
-                           None if params.uniform else lams, probe)
-    if probe is None:
-        return z.evaluate(lam)
-    return tuple(poly.evaluate(lam) for poly in z)
+    values = [z.evaluate(lam) for z in _lambda_polynomial(
+        g, p, params.beta, params.gamma, None if params.uniform else lams, probe)]
+    return values[0] if probe is None else tuple(values)
 
 
 def z_qspin(g: Graph, p: Pinning, qp: QSpinParams) -> ExactComplex:
@@ -356,11 +370,7 @@ def z_qspin(g: Graph, p: Pinning, qp: QSpinParams) -> ExactComplex:
     """
     _check_cap(g)
     q = qp.q
-    for v, s in p.items():
-        if not (isinstance(s, int) and 1 <= s <= q):
-            raise PinningError(f"spin {s!r} at vertex {v} is out of range 1..{q}")
-        if not (0 <= v < g.n):
-            raise PinningError(f"pinned vertex {v} out of range")
+    _check_qspin_pins(g, p, q)
     free = [v for v in range(g.n) if v not in p]
     if q ** len(free) > (1 << ENUMERATION_CAP):
         raise CapExceededError("q-spin enumeration too large")
@@ -475,31 +485,30 @@ def _forest_pass(t: Graph, pins: dict[int, int],
 
 def z_tree(t: Graph, p: Pinning, params: Params,
            root: int | None = None,
-           check_feasibility: bool = True,
-           *, forest=None) -> tuple[ExactComplex, TreeMessages]:
+           check_feasibility: bool = True) -> tuple[ExactComplex, TreeMessages]:
     """Partition value of an acyclic graph by bottom-up message passing.
 
     Components are rooted at their lowest-index vertex (or at ``root`` for
     its component); children are processed in ascending order. The scalar
     equals z_brute on the same inputs; the messages expose every pinned
-    subtree value needed by the identity right-hand sides. A caller that has
-    already traversed t passes ``forest``, its _forest_order for ``root``.
+    subtree value needed by the identity right-hand sides. A cycle raises
+    NotATreeError before any other check, so a caller can fall back to
+    enumeration on the same arguments.
     """
+    forest = _forest_order(t, root)
+    _check_pins_in_range(t, p)
     if check_feasibility:
         _check_feasible(t, p, params)
     lams = params.field_vector(t.n)
     return _forest_pass(t, {v: 0 if s == PLUS else 1 for v, s in p.items()},
                         [(lam, ONE) for lam in lams],
-                        _two_spin_absorb(params.beta, params.gamma),
-                        forest or _forest_order(t, root))
+                        _two_spin_absorb(params.beta, params.gamma), forest)
 
 
 def z_qspin_tree(t: Graph, p: Pinning, qp: QSpinParams,
                  root: int | None = None) -> tuple[ExactComplex, TreeMessages]:
     """q-spin analogue of z_tree; messages are length-q tuples per vertex."""
-    for v, s in p.items():
-        if not (isinstance(s, int) and 1 <= s <= qp.q):
-            raise PinningError(f"spin {s!r} at vertex {v} is out of range 1..{qp.q}")
+    _check_qspin_pins(t, p, qp.q)
     return _forest_pass(t, {v: s - 1 for v, s in p.items()}, [qp.lambdas] * t.n,
                         _qspin_absorb(qp.matrix), _forest_order(t, root))
 
@@ -508,15 +517,14 @@ def z_auto(g: Graph, p: Pinning, params: Params,
            check_feasibility: bool = True) -> ExactComplex:
     """Tree message passing when the graph is acyclic, brute force otherwise.
 
-    The graph is traversed once: a cycle found by the forest order sends the
-    call to z_brute, whose cap error precedes its pinning error.
+    The graph is traversed once: z_tree meets a cycle before any other check
+    and the call falls back to z_brute, whose cap error precedes its pinning
+    error.
     """
     try:
-        forest = _forest_order(g, None)
+        return z_tree(g, p, params, check_feasibility=check_feasibility)[0]
     except NotATreeError:
         return z_brute(g, p, params, check_feasibility=check_feasibility)
-    return z_tree(g, p, params, check_feasibility=check_feasibility,
-                  forest=forest)[0]
 
 
 def z_pair(g: Graph, p: Pinning, u: int, su: str, v: int, sv: str,
@@ -559,7 +567,8 @@ def z_poly_lambda(g: Graph, p: Pinning, beta, gamma,
     gamma = ExactComplex._coerce(gamma)
     if scale is not None and len(scale) != g.n:
         raise ValueError("scale vector length must equal vertex count")
-    return _lambda_polynomial(g, p, beta, gamma, scale, probe)
+    polys = _lambda_polynomial(g, p, beta, gamma, scale, probe)
+    return polys[0] if probe is None else tuple(polys)
 
 
 # ---------------------------------------------------------------------------
@@ -586,10 +595,8 @@ def eliminate_pins(g: Graph, p: Pinning, beta,
     fields = tuple(ExactComplex._coerce(x) for x in fields)
     if len(fields) != g.n:
         raise ValueError("field vector length must equal vertex count")
+    _check_pins_in_range(g, p)
     assigned = p.as_dict()
-    for v in assigned:
-        if not (0 <= v < g.n):
-            raise PinningError(f"pinned vertex {v} out of range")
     inside_agree = 0
     minus_boundary = 0
     shift = [0] * g.n

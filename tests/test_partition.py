@@ -9,7 +9,7 @@ from spinmix.corpus import (rand_feasible_pinning, rand_params,
                             rand_qspin_params, rand_qspin_pinning, rand_tree)
 from spinmix.errors import CapExceededError, NotATreeError, PinningError
 from spinmix.graphs import Graph, MINUS, PLUS, Pinning
-from spinmix.mixing import marginal_series_beta, marginal_series_lambda
+from spinmix.mixing import marginal, marginal_series_beta, marginal_series_lambda
 from spinmix.numerics import ExactComplex
 from spinmix.partition import (Params, QSpinParams, _edge_activity_series,
                                _monomial_counts, eliminate_pins, hardcore_params,
@@ -123,6 +123,11 @@ class TestZTree:
         g = Graph(3, ((0, 1), (1, 2), (0, 2)))
         with pytest.raises(NotATreeError):
             z_tree(g, Pinning(), Params(1, 1, 1))
+        # before any pinning check, so z_auto and marginal can fall back to
+        # enumeration on the same arguments
+        for bad in (Pinning.of({0: PLUS, 1: PLUS}), Pinning.of({5: PLUS})):
+            with pytest.raises(NotATreeError):
+                z_tree(g, bad, hardcore_params(1))
 
 
 class TestZPair:
@@ -528,6 +533,19 @@ class TestProbePair:
             z_brute(EDGE, Pinning.of({vertex: PLUS}), Params(2, 3, 5))
         with pytest.raises(PinningError):
             z_poly_lambda(EDGE, Pinning.of({vertex: MINUS}), 2, 3)
+        # the tree pass would ignore such a pin, so z_tree rejects it too and
+        # forest and cyclic inputs agree
+        k3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
+        for g, outside in ((EDGE, vertex), (k3, vertex + 1 if vertex > 0 else vertex)):
+            with pytest.raises(PinningError):
+                z_auto(g, Pinning.of({outside: PLUS}), Params(2, 3, 5))
+            with pytest.raises(PinningError):
+                marginal(g, Pinning.of({outside: PLUS}), 0, Params(2, 3, 5))
+        with pytest.raises(PinningError):
+            z_tree(EDGE, Pinning.of({vertex: PLUS}), Params(2, 3, 5))
+        with pytest.raises(PinningError):
+            z_qspin_tree(EDGE, Pinning.of({vertex: 1}),
+                         QSpinParams(((1, 2), (2, 1)), (1, 1)))
 
     @pytest.mark.parametrize("probe", [0, 2, -1])
     def test_probe_must_be_free(self, probe):
