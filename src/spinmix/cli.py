@@ -1,9 +1,13 @@
 """Command-line front door: identity corpora, LDC sweeps, decay, zero scans.
 
-Every randomized command derives its whole corpus from --seed, and report
-files are byte-identical across runs with the same configuration. Exit
-codes: 0 when every contract assertion passed, 1 on a contract failure
-(the first failing instance is dumped as JSON for `replay`), 2 on
+The parsed arguments are the run configuration: each flag and its default
+is declared once, in _build_parser, and the drivers, generators and
+handlers read the argparse.Namespace directly. Every randomized command
+derives its whole corpus from --seed, and report files are byte-identical
+across runs with the same configuration. Exit codes: 0 when every contract
+assertion passed, 1 on a contract failure (the first failing instance is
+dumped as JSON for `replay`), 2 on usage errors (argparse rejects a
+malformed --beta, --gamma or --lambda, or roots without --beta), on
 configuration errors, on arithmetic that cannot finish (a vanishing
 partition value, an undefined series division, a root iteration that does
 not converge) and on a draw loop that reaches its bound. The saw-check,
@@ -20,8 +24,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 from . import corpus
@@ -35,30 +37,6 @@ from .mixing import (decay_profile, ldc_report, ldc_report_beta, marginal,
 from .numerics import ExactComplex, ONE, parse_scalar
 from .partition import Params, QSpinParams
 from .zerofree import lambda_root_scan, pinned_annulus_check, region_min_modulus
-
-COMMANDS = ("cd-check", "gutman-check", "qspin-check", "saw-check", "ldc",
-            "ldc-beta", "decay", "roots", "annulus", "region", "weitz")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    seed: int = 0
-    trials: int = 100
-    max_vertices: int | None = None
-    graph_path: str | None = None
-    pins_path: str | None = None
-    beta: ExactComplex | None = None
-    gamma: ExactComplex | None = None
-    lam: ExactComplex | None = None
-    q: int = 2
-    depth: int | None = None
-    kmax: int = 10
-    kmin: int = 1
-    mode: str = "ssm"
-    out: str | None = None
-    fmt: str = "csv"
-    extra: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +121,8 @@ def eval_ldc(inst: dict) -> tuple[bool, dict]:
     b = _pins_from_json(inst["pins_b"])
     beta = ExactComplex.from_json(inst["beta"])
     gamma = ExactComplex.from_json(inst["gamma"])
-    rep = ldc_report(g, a, b, inst["v"], beta, gamma, inst.get("order"))
-    row = {"n": g.n, "v": inst["v"],
-           "distance": "inf" if rep.distance == math.inf else rep.distance,
-           "first_difference": rep.first_difference, "order": rep.order,
-           "satisfied": rep.satisfied, "pass": rep.satisfied}
-    return rep.satisfied, row
+    return _ldc_row(g, inst["v"], ldc_report(g, a, b, inst["v"], beta, gamma,
+                                             inst.get("order")))
 
 
 def eval_ldc_beta(inst: dict) -> tuple[bool, dict]:
@@ -158,8 +132,13 @@ def eval_ldc_beta(inst: dict) -> tuple[bool, dict]:
     gamma = None if inst["gamma"] is None else ExactComplex.from_json(inst["gamma"])
     lam = ExactComplex.from_json(inst["lambda"])
     center = ExactComplex.from_json(inst["center"])
-    rep = ldc_report_beta(g, a, b, inst["v"], gamma, lam, center, inst.get("order"))
-    row = {"n": g.n, "v": inst["v"],
+    return _ldc_row(g, inst["v"], ldc_report_beta(g, a, b, inst["v"], gamma, lam,
+                                                  center, inst.get("order")))
+
+
+def _ldc_row(g: Graph, v: int, rep) -> tuple[bool, dict]:
+    """The verdict and row of one locality report (eval_ldc, eval_ldc_beta)."""
+    row = {"n": g.n, "v": v,
            "distance": "inf" if rep.distance == math.inf else rep.distance,
            "first_difference": rep.first_difference, "order": rep.order,
            "satisfied": rep.satisfied, "pass": rep.satisfied}
@@ -214,7 +193,7 @@ EVALUATORS = {
 # ---------------------------------------------------------------------------
 
 
-def _gen_cd(cfg: RunConfig, rng: random.Random, trial: int) -> dict:
+def _gen_cd(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict:
     n = rng.randint(2, cfg.max_vertices or 14)
     t = corpus.rand_tree(rng, n)
     mode = corpus.PARAM_MODES[trial % len(corpus.PARAM_MODES)]
@@ -226,7 +205,7 @@ def _gen_cd(cfg: RunConfig, rng: random.Random, trial: int) -> dict:
             "params": params.to_json(), "u": u, "v": v, "mode": mode}
 
 
-def _gen_gutman(cfg: RunConfig, rng: random.Random, trial: int) -> dict:
+def _gen_gutman(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict:
     n = rng.randint(2, cfg.max_vertices or 12)
     t = corpus.rand_tree(rng, n)
     u, v = rng.sample(range(n), 2)
@@ -234,7 +213,7 @@ def _gen_gutman(cfg: RunConfig, rng: random.Random, trial: int) -> dict:
     return {"graph": t.to_json(), "u": u, "v": v, "lambda": lam.to_json()}
 
 
-def _gen_qspin(cfg: RunConfig, rng: random.Random, trial: int) -> dict:
+def _gen_qspin(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict:
     n = rng.randint(2, cfg.max_vertices or 8)
     t = corpus.rand_tree(rng, n)
     q = cfg.q if cfg.q else (2 if trial % 2 == 0 else 3)
@@ -245,7 +224,8 @@ def _gen_qspin(cfg: RunConfig, rng: random.Random, trial: int) -> dict:
             "qparams": qp.to_json(), "u": u, "v": v}
 
 
-def _draw_proper(cfg: RunConfig, rng: random.Random, mode: str) -> tuple[int, dict]:
+def _draw_proper(cfg: argparse.Namespace, rng: random.Random,
+                 mode: str) -> tuple[int, dict]:
     """A connected graph with drawn parameters and pins, and a vertex proper
     to the pinning; the whole draw is repeated until such a vertex exists,
     at most corpus.DRAW_LIMIT times. Returns the vertex count and the instance."""
@@ -263,13 +243,13 @@ def _draw_proper(cfg: RunConfig, rng: random.Random, mode: str) -> tuple[int, di
     raise DrawLimitError(f"no vertex proper to the pinning in {corpus.DRAW_LIMIT} draws")
 
 
-def _gen_saw(cfg: RunConfig, rng: random.Random, trial: int) -> dict:
+def _gen_saw(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict:
     mode = ("generic", "beta0", "gamma0", "complex", "fields")[trial % 5]
     _, inst = _draw_proper(cfg, rng, mode)
     return {**inst, "mode": mode}
 
 
-def _gen_ldc(cfg: RunConfig, rng: random.Random, trial: int) -> dict:
+def _gen_ldc(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict:
     n = rng.randint(2, cfg.max_vertices or 8)
     g = corpus.rand_connected_graph(rng, n)
     beta = corpus.rand_scalar(rng, complex_prob=0.2)
@@ -284,7 +264,7 @@ def _gen_ldc(cfg: RunConfig, rng: random.Random, trial: int) -> dict:
             "gamma": gamma.to_json(), "v": v}
 
 
-def _gen_ldc_beta(cfg: RunConfig, rng: random.Random, trial: int) -> dict:
+def _gen_ldc_beta(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict:
     n = rng.randint(2, cfg.max_vertices or 7)
     g = corpus.rand_connected_graph(rng, n)
     gamma = corpus.rand_scalar(rng, nonzero=True, complex_prob=0.2)
@@ -297,21 +277,19 @@ def _gen_ldc_beta(cfg: RunConfig, rng: random.Random, trial: int) -> dict:
             "lambda": lam.to_json(), "center": center.to_json(), "v": v}
 
 
-def _gen_weitz(cfg: RunConfig, rng: random.Random, trial: int) -> dict:
+def _gen_weitz(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict:
     n, inst = _draw_proper(cfg, rng, ("generic", "beta0", "complex")[trial % 3])
     return {**inst, "depth": cfg.depth if cfg.depth is not None else n}
 
 
-def _gen_annulus(cfg: RunConfig, rng: random.Random, trial: int) -> dict:
-    dmax = cfg.extra.get("degree_bound", 3)
+def _gen_annulus(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict:
     n = rng.randint(2, cfg.max_vertices or 8)
-    g = corpus.rand_bounded_degree_graph(rng, n, dmax)
-    beta = cfg.beta if cfg.beta is not None else ExactComplex(Fraction(3, 2))
+    g = corpus.rand_bounded_degree_graph(rng, n, cfg.degree_bound)
     # keep one vertex unpinned so the field polynomial has degree >= 1
     free = rng.randrange(n)
     pins = corpus.rand_feasible_pinning(rng, g, False, False, exclude=(free,))
     return {"graph": g.to_json(), "pins": pins.to_json(),
-            "beta": beta.to_json(), "degree_bound": dmax}
+            "beta": cfg.beta.to_json(), "degree_bound": cfg.degree_bound}
 
 
 GENERATORS = {
@@ -363,7 +341,7 @@ def _write_rows(path: str, rows: list[dict] | dict, fmt: str):
     p.write_text("\n".join(lines) + "\n")
 
 
-def _dump_failure(cfg: RunConfig, trial: int, inst: dict, row: dict) -> str:
+def _dump_failure(cfg: argparse.Namespace, trial: int, inst: dict, row: dict) -> str:
     name = f"{cfg.command}_failure.json"
     base = Path(cfg.out).parent if cfg.out else Path(".")
     path = base / name
@@ -373,13 +351,13 @@ def _dump_failure(cfg: RunConfig, trial: int, inst: dict, row: dict) -> str:
     return str(path)
 
 
-def _finish(cfg: RunConfig, rows: list[dict], failures: list[tuple[int, dict, dict]],
-            echo: bool = False) -> int:
+def _finish(cfg: argparse.Namespace, rows: list[dict],
+            failures: list[tuple[int, dict, dict]], echo: bool = False) -> int:
     """The tail of corpus and --graph runs: write the report (or, with ``echo``
     and no --out, print each row), dump the first failing (trial, instance,
     row), print the summary line and return the exit code."""
     if cfg.out:
-        _write_rows(cfg.out, rows, cfg.fmt)
+        _write_rows(cfg.out, rows, cfg.format)
     elif echo:
         for row in rows:
             print(json.dumps(row, sort_keys=True))
@@ -396,7 +374,7 @@ def _finish(cfg: RunConfig, rows: list[dict], failures: list[tuple[int, dict, di
 # ---------------------------------------------------------------------------
 
 
-def _run_corpus_command(cfg: RunConfig) -> int:
+def _run_corpus_command(cfg: argparse.Namespace) -> int:
     rng = random.Random(cfg.seed)
     gen = GENERATORS[cfg.command]
     evaluate = EVALUATORS[cfg.command]
@@ -422,20 +400,21 @@ def _run_corpus_command(cfg: RunConfig) -> int:
     return _finish(cfg, rows, failures)
 
 
-def _run_single_file_command(cfg: RunConfig) -> int:
+def _run_single_file_command(cfg: argparse.Namespace) -> int:
     """Commands driven by an explicit --graph file instead of a seeded corpus."""
-    g = parse_graph(Path(cfg.graph_path).read_text())
+    g = parse_graph(Path(cfg.graph).read_text())
     pins = Pinning()
-    if cfg.pins_path:
-        pins = parse_pinning(Path(cfg.pins_path).read_text())
+    if cfg.pins:
+        pins = parse_pinning(Path(cfg.pins).read_text())
 
     if cfg.command == "roots":
-        rep = lambda_root_scan(g, pins, cfg.beta, cfg.gamma if cfg.gamma is not None else cfg.beta)
+        gamma = cfg.beta if cfg.gamma is None else cfg.gamma
+        rep = lambda_root_scan(g, pins, cfg.beta, gamma)
         doc = rep.to_json()
         if cfg.out:
-            rows = doc if cfg.fmt == "json" else [
+            rows = doc if cfg.format == "json" else [
                 {"re": r.real, "im": r.imag, "modulus": abs(r)} for r in rep.roots]
-            _write_rows(cfg.out, rows, cfg.fmt)
+            _write_rows(cfg.out, rows, cfg.format)
         else:
             print(json.dumps(doc, sort_keys=True, indent=1))
         print(f"{cfg.command} pass=1 fail=0 seed={cfg.seed}")
@@ -443,14 +422,11 @@ def _run_single_file_command(cfg: RunConfig) -> int:
 
     if cfg.command == "annulus":
         inst = {"graph": g.to_json(), "pins": pins.to_json(),
-                "beta": ExactComplex._coerce(cfg.beta).to_json(),
-                "degree_bound": cfg.extra.get("degree_bound")}
+                "beta": cfg.beta.to_json(), "degree_bound": cfg.degree_bound}
         ok, row = eval_annulus(inst)
         return _finish(cfg, [row], [] if ok else [(0, inst, row)])
 
     if cfg.command == "ldc":
-        beta = cfg.beta if cfg.beta is not None else ExactComplex(0)
-        gamma = cfg.gamma if cfg.gamma is not None else ExactComplex(1)
         rows = []
         failures = []
         for v in range(g.n):
@@ -460,8 +436,8 @@ def _run_single_file_command(cfg: RunConfig) -> int:
                 for spin in (PLUS, MINUS):
                     inst = {"graph": g.to_json(), "pins_a": pins.to_json(),
                             "pins_b": pins.with_pin(u, spin).to_json(),
-                            "beta": ExactComplex._coerce(beta).to_json(),
-                            "gamma": ExactComplex._coerce(gamma).to_json(), "v": v}
+                            "beta": cfg.beta.to_json(), "gamma": cfg.gamma.to_json(),
+                            "v": v}
                     ok, row = eval_ldc(inst)
                     row = {"v": v, "u": u, "pin": spin, **row}
                     rows.append(row)
@@ -469,43 +445,29 @@ def _run_single_file_command(cfg: RunConfig) -> int:
                         failures.append((0, inst, row))
         return _finish(cfg, rows, failures, echo=True)
 
-    if cfg.command == "weitz":
-        depth = cfg.depth if cfg.depth is not None else g.n
-        params = _params_from_cfg(cfg, g)
-        inst = {"graph": g.to_json(), "pins": pins.to_json(),
-                "params": params.to_json(), "v": cfg.extra.get("vertex", 0),
-                "depth": depth}
-        ok, row = eval_weitz(inst)
-        return _finish(cfg, [row], [] if ok else [(0, inst, row)], echo=True)
-
-    raise ValueError(f"command {cfg.command} needs a seeded corpus")
-
-
-def _params_from_cfg(cfg: RunConfig, g: Graph) -> Params:
-    beta = cfg.beta if cfg.beta is not None else ExactComplex(0)
-    gamma = cfg.gamma if cfg.gamma is not None else ExactComplex(1)
-    if g.fields is not None:
-        if cfg.lam is not None:
-            raise ValueError("--lambda conflicts with per-vertex fields in the graph file")
-        return Params(beta, gamma, g.fields)
-    lam = cfg.lam if cfg.lam is not None else ExactComplex(1)
-    return Params(beta, gamma, lam)
+    # weitz: the per-vertex fields of the graph file, else --lambda (default 1)
+    if g.fields is None:
+        field = ONE if cfg.lam is None else cfg.lam
+    elif cfg.lam is None:
+        field = g.fields
+    else:
+        raise ValueError("--lambda conflicts with per-vertex fields in the graph file")
+    inst = {"graph": g.to_json(), "pins": pins.to_json(),
+            "params": Params(cfg.beta, cfg.gamma, field).to_json(), "v": cfg.vertex,
+            "depth": g.n if cfg.depth is None else cfg.depth}
+    ok, row = eval_weitz(inst)
+    return _finish(cfg, [row], [] if ok else [(0, inst, row)], echo=True)
 
 
-def _run_decay(cfg: RunConfig) -> int:
-    beta = cfg.beta if cfg.beta is not None else ExactComplex(0)
-    gamma = cfg.gamma if cfg.gamma is not None else ExactComplex(1)
-    lam = cfg.lam if cfg.lam is not None else ExactComplex(1)
-    params = Params(beta, gamma, lam)
+def _run_decay(cfg: argparse.Namespace) -> int:
+    params = Params(cfg.beta, cfg.gamma, cfg.lam)
     kmin = cfg.kmin
     if params.beta_is_zero and cfg.mode in ("ssm", "psm") and kmin < 2:
         kmin = 2
     prof = decay_profile(path_decay_instances(cfg.kmax, cfg.mode, kmin), params)
     if cfg.out:
-        rows = [{"k": r.k, "gap": r.gap,
-                 "log_gap": r.log_gap if r.log_gap is not None else None}
-                for r in prof.rows]
-        _write_rows(cfg.out, rows, cfg.fmt)
+        rows = [{"k": r.k, "gap": r.gap, "log_gap": r.log_gap} for r in prof.rows]
+        _write_rows(cfg.out, rows, cfg.format)
         Path(str(cfg.out) + ".json").write_text(
             json.dumps(prof.sidecar(), sort_keys=True, indent=1) + "\n")
     else:
@@ -516,26 +478,23 @@ def _run_decay(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_region(cfg: RunConfig) -> int:
+def _run_region(cfg: argparse.Namespace) -> int:
     max_n = cfg.max_vertices or 10
     instances = []
     for n in range(2, max_n + 1):
         g = Graph(n, tuple((i, i + 1) for i in range(n - 1)))
         instances.append((g, Pinning()))
-    beta = cfg.beta if cfg.beta is not None else ExactComplex(0)
-    gamma = cfg.gamma if cfg.gamma is not None else ExactComplex(1)
-    side = cfg.extra.get("grid", 9)
-    span = cfg.extra.get("span", 0.4)
+    side, span = cfg.grid, cfg.span
     grid = []
     for i in range(side):
         for j in range(side):
             re = -span + 2 * span * i / (side - 1) if side > 1 else 0.0
             im = -span + 2 * span * j / (side - 1) if side > 1 else 0.0
             grid.append(complex(re, im))
-    table = region_min_modulus(instances, beta, gamma, grid)
+    table = region_min_modulus(instances, cfg.beta, cfg.gamma, grid)
     rows = [{"re": lam.real, "im": lam.imag, "min_modulus": m} for lam, m in table]
     if cfg.out:
-        _write_rows(cfg.out, rows, cfg.fmt)
+        _write_rows(cfg.out, rows, cfg.format)
     else:
         for row in rows:
             print(json.dumps(row, sort_keys=True))
@@ -543,22 +502,16 @@ def _run_region(cfg: RunConfig) -> int:
     return 0
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one configured command; returns the process exit code."""
+def run(cfg: argparse.Namespace) -> int:
+    """Execute one parsed command; returns the process exit code."""
     try:
         if cfg.command == "decay":
             return _run_decay(cfg)
         if cfg.command == "region":
             return _run_region(cfg)
-        if cfg.command == "roots":
-            if not cfg.graph_path:
-                raise ValueError("roots needs --graph")
+        if getattr(cfg, "graph", None) is not None:
             return _run_single_file_command(cfg)
-        if cfg.graph_path:
-            return _run_single_file_command(cfg)
-        if cfg.command in GENERATORS:
-            return _run_corpus_command(cfg)
-        raise ValueError(f"unknown command {cfg.command!r}")
+        return _run_corpus_command(cfg)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -617,13 +570,15 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", type=str, default=None)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    def add_params(sp):
-        sp.add_argument("--beta", type=str, default=None,
+    def add_params(sp, beta="0", gamma="1", lam="1"):
+        """--beta, --gamma and --lambda with this command's defaults; a None
+        default leaves the flag unset, and makes --beta required."""
+        sp.add_argument("--beta", type=parse_scalar, default=beta, required=beta is None,
                         help=("rational p/q, optionally p/q,p/q for a complex value; "
                               "give a negative value as --beta=-p/q"))
-        sp.add_argument("--gamma", type=str, default=None,
+        sp.add_argument("--gamma", type=parse_scalar, default=gamma,
                         help="as --beta; a negative value as --gamma=-p/q")
-        sp.add_argument("--lambda", dest="lam", type=str, default=None,
+        sp.add_argument("--lambda", dest="lam", type=parse_scalar, default=lam,
                         help="as --beta; a negative value as --lambda=-p/q")
 
     sp = sub.add_parser("cd-check", help="pair-difference identity corpus on trees")
@@ -650,12 +605,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kmin", type=int, default=1)
     sp = sub.add_parser("roots", help="field-polynomial root scan of one instance")
     add_common(sp, 1)
-    add_params(sp)
+    add_params(sp, beta=None, gamma=None)
     sp.add_argument("--graph", type=str, required=True)
     sp.add_argument("--pins", type=str, default=None)
     sp = sub.add_parser("annulus", help="pinned root-modulus band checks")
     add_common(sp, 50)
-    sp.add_argument("--beta", type=str, default="3/2",
+    sp.add_argument("--beta", type=parse_scalar, default="3/2",
                     help="rational p/q; give a negative value as --beta=-p/q")
     sp.add_argument("--graph", type=str, default=None)
     sp.add_argument("--pins", type=str, default=None)
@@ -667,7 +622,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--span", type=float, default=0.4)
     sp = sub.add_parser("weitz", help="truncated-SAW marginal approximation")
     add_common(sp, 50)
-    add_params(sp)
+    add_params(sp, lam=None)
     sp.add_argument("--graph", type=str, default=None)
     sp.add_argument("--pins", type=str, default=None)
     sp.add_argument("--depth", type=int, default=None,
@@ -678,41 +633,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cfg_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("seed", "trials", "out"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "max_vertices"):
-        cfg.max_vertices = args.max_vertices
-    if hasattr(args, "format"):
-        cfg.fmt = args.format
-    for name, attr in (("beta", "beta"), ("gamma", "gamma"), ("lam", "lam")):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, attr, parse_scalar(getattr(args, name)))
-    if hasattr(args, "graph"):
-        cfg.graph_path = args.graph
-    if hasattr(args, "pins"):
-        cfg.pins_path = args.pins
-    for name in ("q", "depth", "kmax", "kmin", "mode"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "degree_bound"):
-        cfg.extra["degree_bound"] = args.degree_bound
-    if hasattr(args, "grid"):
-        cfg.extra["grid"] = args.grid
-    if hasattr(args, "span"):
-        cfg.extra["span"] = args.span
-    if hasattr(args, "vertex"):
-        cfg.extra["vertex"] = args.vertex
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "replay":
         return replay(args.dump)
-    return run(_cfg_from_args(args))
+    return run(args)
 
 
 if __name__ == "__main__":

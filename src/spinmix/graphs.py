@@ -402,25 +402,16 @@ def _build_saw(g, root, p, beta_is_zero, gamma_is_zero, max_depth):
         raise PinningError("infeasible pinning")
 
     origin = [root]
-    parent: list[int | None] = [None]
-    depth = [0]
     tree_edges: list[tuple[int, int]] = []
     pins: list[tuple[int, str]] = []
     cuts: list[int] = []
-    queue = deque([0])
+    # each entry carries its walk from the root, as source vertices
+    queue: deque[tuple[int, tuple[int, ...]]] = deque([(0, (root,))])
     while queue:
-        x = queue.popleft()
-        w = origin[x]
-        # walk from root to x, as source vertices
-        chain: list[int] = []
-        node: int | None = x
-        while node is not None:
-            chain.append(origin[node])
-            node = parent[node]
-        walk = chain[::-1]
-        on_walk = {v: i for i, v in enumerate(walk)}
+        x, walk = queue.popleft()
+        w = walk[-1]
         parent_origin = walk[-2] if len(walk) >= 2 else None
-        if max_depth is not None and depth[x] >= max_depth:
+        if max_depth is not None and len(walk) - 1 >= max_depth:
             for y in g.neighbors(w):
                 if y != parent_origin:
                     cuts.append(x)
@@ -431,16 +422,14 @@ def _build_saw(g, root, p, beta_is_zero, gamma_is_zero, max_depth):
                 continue
             child = len(origin)
             origin.append(y)
-            parent.append(x)
-            depth.append(depth[x] + 1)
             tree_edges.append((x, child))
             if y in p:
                 pins.append((child, p.get(y)))
-            elif y in on_walk:
-                continuing = walk[on_walk[y] + 1]
+            elif y in walk:
+                continuing = walk[walk.index(y) + 1]
                 pins.append((child, PLUS if w > continuing else MINUS))
             else:
-                queue.append(child)
+                queue.append((child, walk + (y,)))
     tree = Graph(len(origin), tuple(tree_edges))
     saw = SawTree(tree=tree, root=0, origin=tuple(origin), pinning=Pinning(tuple(pins)))
     return saw, tuple(cuts)

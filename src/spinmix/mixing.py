@@ -258,12 +258,6 @@ class DecayProfile:
             return None
         return self.constant * self.rate ** (-k)
 
-    def to_csv_rows(self) -> list[list]:
-        out = [["k", "gap", "log_gap"]]
-        for r in self.rows:
-            out.append([r.k, repr(r.gap), "" if r.log_gap is None else repr(r.log_gap)])
-        return out
-
     def sidecar(self) -> dict:
         return {"rate": self.rate, "constant": self.constant}
 

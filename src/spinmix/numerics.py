@@ -235,13 +235,15 @@ ONE = ExactComplex(1)
 
 
 def parse_scalar(text: str) -> ExactComplex:
-    """Parse a CLI scalar literal: 'p/q' or 'p/q,p/q' (real,imaginary)."""
+    """Parse a CLI scalar literal: 'p/q' or 'p/q,p/q' (real,imaginary).
+    Raises ValueError on a malformed literal, a zero denominator included."""
     parts = text.split(",")
-    if len(parts) == 1:
-        return ExactComplex(Fraction(parts[0]))
-    if len(parts) == 2:
-        return ExactComplex(Fraction(parts[0]), Fraction(parts[1]))
-    raise ValueError(f"bad rational literal: {text!r}")
+    if len(parts) > 2:
+        raise ValueError(f"bad rational literal: {text!r}")
+    try:
+        return ExactComplex(*map(Fraction, parts))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -68,10 +68,6 @@ class Params:
     def gamma_is_zero(self) -> bool:
         return self.gamma.is_zero()
 
-    @property
-    def is_ising(self) -> bool:
-        return self.beta == self.gamma
-
     def to_json(self) -> dict:
         fld = (self.field.to_json() if self.uniform
                else [x.to_json() for x in self.field])

@@ -416,3 +416,59 @@ class TestGraphFailureDump:
         assert out.splitlines()[-1] == "ldc pass=0 fail=12 seed=0"
         assert err == "first failing instance dumped to ldc_failure.json\n"
         assert Path("ldc_failure.json").exists()
+
+
+class TestUsageErrors:
+    """A malformed scalar, or roots without --beta, is an argparse usage error."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["ldc", "--beta", "foo"], "--beta"),
+        (["ldc", "--beta=1/0"], "--beta"),
+        (["decay", "--lambda=x"], "--lambda"),
+        (["annulus", "--beta", "foo"], "--beta"),
+        (["roots", "--graph", "K2"], "--beta"),
+    ], ids=["ldc-beta-foo", "ldc-beta-zero-denominator", "decay-lambda-x", "annulus-beta-foo",
+            "roots-no-beta"])
+    def test_exits_2_naming_the_flag(self, argv, flag, k2, tmp_path, capsys,
+                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = [str(k2) if a == "K2" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert any(line.startswith(f"spinmix {argv[0]}: error: ") and flag in line
+                   for line in err.splitlines())
+        assert list(tmp_path.iterdir()) == [k2]
+
+
+# Exact-valued single-file reports, recorded before the parsed arguments
+# became the run configuration: (graph, pins, argv, SHA-256 of the CSV report)
+P4_FIELDS = ('{"n":4,"edges":[[0,1],[1,2],[2,3]],'
+             '"fields":[[1,2,0,1],[3,1,0,1],[2,1,1,3],[1,1,0,1]]}')
+P4 = '{"n":4,"edges":[[0,1],[1,2],[2,3]]}'
+GRAPH_REPORTS = [
+    (P4_FIELDS, '{"pins": {"3": "+"}}', ["ldc", "--beta=1/2,1/3"],
+     "1affa28f97e12ecc9dee17da107fb76510f7a6b504ba8a3cd2f8a3391b556bdb"),
+    (P4_FIELDS, None, ["weitz", "--depth", "2", "--vertex", "1"],
+     "b28b3e4a8d6cc942872b629aa69d88e95b76a8d5e9da9e8b5363e6f78ab01191"),
+    (P4, None, ["weitz", "--lambda=-1/3,1/2"],
+     "706ae1942a7fd31962d3b5df232bc055688b3148f2c1d887959f73e1edf8f228"),
+]
+
+
+@pytest.mark.parametrize("graph,pins,argv,digest", GRAPH_REPORTS,
+                         ids=["ldc-fields-pins-complex", "weitz-fields-depth-2",
+                              "weitz-complex-lambda"])
+def test_graph_report_digest(graph, pins, argv, digest, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(graph)
+    extra = ["--graph", str(path)]
+    if pins is not None:
+        (tmp_path / "pins.json").write_text(pins)
+        extra += ["--pins", str(tmp_path / "pins.json")]
+    report = tmp_path / "report.csv"
+    code, out, _ = run_cli([*argv, *extra, "--out", str(report)], capsys)
+    assert code == 0 and out.endswith(" fail=0 seed=0\n")
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest

@@ -49,6 +49,11 @@ class TestExactComplex:
         assert ExactComplex.from_json(x.to_json()) == x
         assert parse_scalar("7") == ExactComplex(7)
 
+    def test_parse_zero_denominator(self):
+        # a ValueError, so argparse turns it into a usage error
+        with pytest.raises(ValueError):
+            parse_scalar("1/0")
+
     def test_abs2(self):
         assert ExactComplex(3, 4).abs2() == 25
 
