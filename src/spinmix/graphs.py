@@ -308,7 +308,10 @@ def is_feasible(g: Graph, p: Pinning, beta_is_zero: bool, gamma_is_zero: bool) -
 
 def is_proper(g: Graph, p: Pinning, v: int,
               beta_is_zero: bool, gamma_is_zero: bool) -> bool:
-    """True iff v is unpinned and both one-vertex extensions stay feasible."""
+    """True iff v is unpinned and both one-vertex extensions stay feasible;
+    a vertex outside g raises PinningError."""
+    if not 0 <= v < g.n:
+        raise PinningError(f"vertex {v} out of range 0..{g.n - 1}")
     if v in p:
         return False
     if beta_is_zero and any(p.get(w) == PLUS for w in g.neighbors(v)):

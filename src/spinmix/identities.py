@@ -3,20 +3,22 @@
 Every identity here relates a pair-pinned combination of partition values
 (the left side) to a factored product over the subtrees hanging off the
 u-v path (the right side). Both sides are computed independently in exact
-arithmetic: the left side through pair-pinned partition values, the right
-side from the messages of one tree pass rooted at u (where each hanging
-subtree is a message subtree), never by re-running the left side.
+arithmetic, never one from the other. The determinant identities read the
+left side's pair matrix from tree passes rooted at u: the root message of
+the pass with v pinned to spin j is column j. The right side reads each
+hanging subtree from the messages of one unpinned pass rooted at u.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import NotATreeError, PinningError
 from .graphs import Graph, MINUS, PLUS, Pinning
 from .numerics import ONE, ZERO, ExactComplex
-from .partition import (Params, QSpinParams, TreeMessages, _qspin_absorb,
+from .partition import (Params, QSpinParams, _check_feasible, _qspin_absorb,
                         _two_spin_absorb, hardcore_params, z_pair, z_qspin_tree,
                         z_tree)
 
@@ -37,25 +39,46 @@ def _require_tree(t: Graph):
         raise NotATreeError("identity requires a connected acyclic graph")
 
 
-def _require_unpinned(p: Pinning, u: int, v: int):
+def _require_unpinned(t: Graph, p: Pinning, u: int, v: int):
     if u == v:
         raise ValueError("u and v must be distinct")
+    if not (0 <= u < t.n and 0 <= v < t.n):
+        raise PinningError(f"u={u} or v={v} is out of range 0..{t.n - 1}")
     if u in p or v in p:
         raise PinningError("u and v must be unpinned")
 
 
-def _times_hanging_factors(rhs: ExactComplex, t: Graph, path: list[int],
-                           msgs: TreeMessages, absorb) -> ExactComplex:
-    """rhs times the edge factors, one per spin, of each subtree hanging off
-    the path, read from messages of a pass rooted at path[0]."""
-    on_path = set(path)
-    ones = (ONE,) * len(msgs.at(path[0]))
-    for x in path:
-        for y in t.neighbors(x):
-            if y not in on_path:
-                for f in absorb(ones, msgs.at(y)):
-                    rhs = rhs * f
-    return rhs
+def _det_sides(t: Graph, p: Pinning, u: int, v: int, spins, messages,
+               det_a: ExactComplex, phi_at, absorb) -> CdReport:
+    """Both sides of det [Z with u = i, v = j]_{i,j in spins} on a tree.
+
+    ``messages(pins)`` is one tree pass rooted at u. When the u-v path avoids
+    the pinned set, rhs = det_a^d * Phi * the edge factors ``absorb`` of each
+    subtree hanging off the path, with Phi the product of ``phi_at(w)`` over
+    the path; when the path meets a pin, rhs = 0.
+    """
+    columns = [messages(p.with_pin(v, s)).at(u) for s in spins]
+    lhs = exact_determinant(list(zip(*columns)))
+    path = t.tree_path(u, v)
+    d = len(path) - 1
+    hits = any(w in p for w in path)
+    if hits:
+        rhs = ZERO
+    else:
+        phi = phi_at(u)
+        for w in path[1:]:
+            phi = phi * phi_at(w)
+        rhs = phi * det_a ** d
+        msgs = messages(p)
+        on_path = set(path)
+        ones = (ONE,) * len(spins)
+        for x in path:
+            for y in t.neighbors(x):
+                if y not in on_path:
+                    for f in absorb(ones, msgs.at(y)):
+                        rhs = rhs * f
+    return CdReport(lhs=lhs, rhs=rhs, distance=d, path_hits_pinning=hits,
+                    equal=lhs == rhs)
 
 
 def cd_sides(t: Graph, p: Pinning, u: int, v: int, params: Params) -> CdReport:
@@ -68,25 +91,13 @@ def cd_sides(t: Graph, p: Pinning, u: int, v: int, params: Params) -> CdReport:
     fields otherwise; when the path meets a pin, rhs = 0.
     """
     _require_tree(t)
-    _require_unpinned(p, u, v)
-    lhs = (z_pair(t, p, u, PLUS, v, PLUS, params) * z_pair(t, p, u, MINUS, v, MINUS, params)
-           - z_pair(t, p, u, PLUS, v, MINUS, params) * z_pair(t, p, u, MINUS, v, PLUS, params))
-    path = t.tree_path(u, v)
-    d = len(path) - 1
-    hits = any(w in p for w in path)
-    if hits:
-        rhs = ZERO
-    else:
-        lams = params.field_vector(t.n)
-        phi = ONE
-        for w in path:
-            phi = phi * lams[w]
-        rhs = (params.beta * params.gamma - ONE) ** d * phi
-        _, msgs = z_tree(t, p, params, root=u, check_feasibility=False)
-        rhs = _times_hanging_factors(rhs, t, path, msgs,
-                                     _two_spin_absorb(params.beta, params.gamma))
-    return CdReport(lhs=lhs, rhs=rhs, distance=d, path_hits_pinning=hits,
-                    equal=lhs == rhs)
+    _require_unpinned(t, p, u, v)
+    _check_feasible(t, p, params)
+    return _det_sides(
+        t, p, u, v, (PLUS, MINUS),
+        lambda pins: z_tree(t, pins, params, root=u, check_feasibility=False)[1],
+        params.beta * params.gamma - ONE, params.field_vector(t.n).__getitem__,
+        _two_spin_absorb(params.beta, params.gamma))
 
 
 def cd_equivalent_forms(t: Graph, p: Pinning, u: int, v: int, params: Params) -> bool:
@@ -97,7 +108,7 @@ def cd_equivalent_forms(t: Graph, p: Pinning, u: int, v: int, params: Params) ->
                                     == Z^{++}Z^{--} - Z^{+-}Z^{-+}.
     """
     _require_tree(t)
-    _require_unpinned(p, u, v)
+    _require_unpinned(t, p, u, v)
     z, _ = z_tree(t, p, params)
     zp_u, _ = z_tree(t, p.with_pin(u, PLUS), params, check_feasibility=False)
     zm_u, _ = z_tree(t, p.with_pin(u, MINUS), params, check_feasibility=False)
@@ -141,12 +152,12 @@ def gutman_sides(t: Graph, u: int, v: int, lam) -> CdReport:
                     equal=lhs == rhs)
 
 
-def exact_determinant(matrix: list[list[ExactComplex]]) -> ExactComplex:
+def exact_determinant(matrix: Sequence[Sequence[ExactComplex]]) -> ExactComplex:
     """Leibniz-expansion determinant; intended for the small q used here."""
     n = len(matrix)
     total = ZERO
     for perm in itertools.permutations(range(n)):
-        sign = 1
+        odd = False
         seen = [False] * n
         for i in range(n):
             if seen[i]:
@@ -158,11 +169,11 @@ def exact_determinant(matrix: list[list[ExactComplex]]) -> ExactComplex:
                 j = perm[j]
                 length += 1
             if length % 2 == 0:
-                sign = -sign
-        term = ONE if sign > 0 else -ONE
-        for i in range(n):
+                odd = not odd
+        term = matrix[0][perm[0]]
+        for i in range(1, n):
             term = term * matrix[i][perm[i]]
-        total = total + term
+        total = total - term if odd else total + term
     return total
 
 
@@ -176,23 +187,11 @@ def qspin_det_sides(t: Graph, p: Pinning, u: int, v: int, qp: QSpinParams) -> Cd
     reading validated against the brute-force determinant oracle.
     """
     _require_tree(t)
-    _require_unpinned(p, u, v)
-    q = qp.q
-    matrix = [[z_qspin_tree(t, p.with_pin(u, i + 1).with_pin(v, j + 1), qp)[0]
-               for j in range(q)] for i in range(q)]
-    lhs = exact_determinant(matrix)
-    path = t.tree_path(u, v)
-    d = len(path) - 1
-    hits = any(w in p for w in path)
-    if hits:
-        rhs = ZERO
-    else:
-        lam_prod = ONE
-        for lam in qp.lambdas:
-            lam_prod = lam_prod * lam
-        det_a = exact_determinant([list(row) for row in qp.matrix])
-        rhs = det_a ** d * lam_prod ** (d + 1)
-        _, msgs = z_qspin_tree(t, p, qp, root=u)
-        rhs = _times_hanging_factors(rhs, t, path, msgs, _qspin_absorb(qp.matrix))
-    return CdReport(lhs=lhs, rhs=rhs, distance=d, path_hits_pinning=hits,
-                    equal=lhs == rhs)
+    _require_unpinned(t, p, u, v)
+    lam_prod = qp.lambdas[0]
+    for lam in qp.lambdas[1:]:
+        lam_prod = lam_prod * lam
+    return _det_sides(t, p, u, v, range(1, qp.q + 1),
+                      lambda pins: z_qspin_tree(t, pins, qp, root=u)[1],
+                      exact_determinant(qp.matrix), lambda w: lam_prod,
+                      _qspin_absorb(qp.matrix))

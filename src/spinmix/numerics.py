@@ -268,14 +268,6 @@ class PowerSeries:
     def order(self) -> int:
         return len(self.coefficients)
 
-    @classmethod
-    def zero(cls, order: int) -> "PowerSeries":
-        return cls([ZERO] * order)
-
-    @classmethod
-    def constant(cls, value, order: int) -> "PowerSeries":
-        return cls([value] + [ZERO] * (order - 1))
-
     def __eq__(self, other):
         return isinstance(other, PowerSeries) and self.coefficients == other.coefficients
 
@@ -284,14 +276,6 @@ class PowerSeries:
 
     def __repr__(self):
         return f"PowerSeries([{', '.join(str(c) for c in self.coefficients)}])"
-
-    def __add__(self, other):
-        n = min(self.order, other.order)
-        return PowerSeries(a + b for a, b in zip(self.coefficients[:n], other.coefficients[:n]))
-
-    def __sub__(self, other):
-        n = min(self.order, other.order)
-        return PowerSeries(a - b for a, b in zip(self.coefficients[:n], other.coefficients[:n]))
 
     def __mul__(self, other):
         if isinstance(other, ExactComplex):
@@ -304,11 +288,6 @@ class PowerSeries:
             for j, b in enumerate(other.coefficients[: n - i]):
                 out[i + j] = out[i + j] + a * b
         return PowerSeries(out)
-
-    def truncated(self, order: int) -> "PowerSeries":
-        if order > self.order:
-            return PowerSeries(self.coefficients + (ZERO,) * (order - self.order))
-        return PowerSeries(self.coefficients[:order])
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None if all zero."""
@@ -414,9 +393,6 @@ class Polynomial:
 
     def shifted_down(self, k: int) -> "Polynomial":
         return Polynomial(self.coefficients[k:])
-
-    def scaled(self, factor: ExactComplex) -> "Polynomial":
-        return Polynomial(c * factor for c in self.coefficients)
 
     def to_series(self, order: int) -> PowerSeries:
         coeffs = list(self.coefficients[:order])

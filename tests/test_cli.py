@@ -35,6 +35,16 @@ class TestExitCodes:
                                 "--beta", "2/1"], capsys)
         assert code == 2 and "config error" in err
 
+    def test_out_of_range_vertex_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        graph = tmp_path / "p3.json"
+        graph.write_text('{"n":3,"edges":[[0,1],[1,2]]}')
+        code, out, err = run_cli(["weitz", "--graph", str(graph), "--vertex", "99"],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["config error: vertex 99 out of range 0..2"]
+        assert list(tmp_path.iterdir()) == [graph]
+
     def test_contract_failure_dumps_instance(self, tmp_path, capsys, monkeypatch):
         # exercise the failure path by swapping in an evaluator that flags
         # every instance; the dump must replay against the real evaluator

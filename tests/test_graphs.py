@@ -131,6 +131,13 @@ class TestProper:
         g = Graph(2, ((0, 1),))
         assert not is_proper(g, Pinning.of({0: PLUS}), 0, False, False)
 
+    @pytest.mark.parametrize("v", [2, 99, -1])
+    @pytest.mark.parametrize("bz", [True, False])
+    def test_out_of_range_vertex_rejected(self, v, bz):
+        # -1 must not reach the last vertex through negative indexing
+        with pytest.raises(PinningError, match="out of range"):
+            is_proper(Graph(2, ((0, 1),)), Pinning(), v, bz, False)
+
 
 class TestDisagreementDistance:
     path4 = Graph(4, ((0, 1), (1, 2), (2, 3)))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import deque
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import scalar, z_naive, z_naive_qspin
+from spinmix import cli, identities, partition
 from spinmix.corpus import (PARAM_MODES, rand_feasible_pinning, rand_params,
                             rand_qspin_params, rand_qspin_pinning, rand_tree,
                             rand_unpinned_pair)
@@ -364,3 +366,68 @@ class TestPairFactorizations:
                 rhs = lams[v] * (beta * z0(PLUS, s_u) + z0(MINUS, s_u)) * side
                 assert lhs == rhs
             done += 1
+
+
+class TestPassCounts:
+    """The pair matrix is read from root messages: one tree pass per spin of
+    v, plus the one unpinned pass of the right side."""
+
+    STAR = Graph(5, ((0, 1), (1, 2), (1, 3), (3, 4)))
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {}
+
+        def counted(name):
+            real = getattr(partition, name)
+
+            def wrapped(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return real(*args, **kwargs)
+            for module in (partition, identities):
+                monkeypatch.setattr(module, name, wrapped)
+
+        for name in ("z_tree", "z_qspin_tree", "z_pair"):
+            counted(name)
+        return counts
+
+    def test_cd_sides_three_passes(self, calls):
+        params = Params(Fraction(5, 3), Fraction(-2, 7), Fraction(3, 4))
+        rep = cd_sides(self.STAR, Pinning.of({4: MINUS}), 0, 2, params)
+        assert rep.equal and not rep.path_hits_pinning
+        assert calls == {"z_tree": 3}
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_qspin_det_sides_q_plus_one_passes(self, calls, q):
+        qp = rand_qspin_params(random.Random(q), q)
+        rep = qspin_det_sides(self.STAR, Pinning.of({4: q}), 0, 2, qp)
+        assert rep.equal and not rep.path_hits_pinning
+        assert calls == {"z_qspin_tree": q + 1}
+
+
+@pytest.mark.parametrize("u,v", [(0, 3), (3, 0), (0, -1), (-1, 0), (0, 99)])
+def test_out_of_range_endpoint_is_pinning_error(u, v):
+    with pytest.raises(PinningError):
+        cd_sides(PATH3, Pinning(), u, v, Params(2, 3, 1))
+    with pytest.raises(PinningError):
+        qspin_det_sides(PATH3, Pinning(), u, v, rand_qspin_params(random.Random(0), 3))
+
+
+# SHA-256 of the CSV reports of 40 trials at seed 5, recorded while the left
+# side still made q^2 pair-pinned partition calls. The rows hold only exact
+# str(lhs)/str(rhs) values, so the digests do not depend on the host.
+IDENTITY_REPORTS = [
+    (["cd-check"],
+     "0654fd5d27b3689ed8496d9c4e750400eecf6d51571c3d2b1ac787330d04829c"),
+    (["qspin-check", "--q", "3"],
+     "26c8b23b8caeb2c1ff64d8d6c382f06efd5a3fe29419b9c3ce50f03020dc5343"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", IDENTITY_REPORTS, ids=["cd-check", "qspin-check-q3"])
+def test_identity_report_digest(argv, digest, tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    code = cli.main([*argv, "--trials", "40", "--seed", "5", "--out", str(report)])
+    assert code == 0
+    assert capsys.readouterr().out.endswith(f"{argv[0]} pass=40 fail=0 seed=5\n")
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest

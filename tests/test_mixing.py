@@ -44,6 +44,12 @@ class TestMarginal:
         with pytest.raises(PinningError):
             marginal(EDGE, Pinning.of({1: PLUS}), 0, hardcore_params(1))
 
+    @pytest.mark.parametrize("v", [99, 3, -1])
+    def test_out_of_range_vertex_is_pinning_error(self, v):
+        p3 = Graph(3, ((0, 1), (1, 2)))
+        with pytest.raises(PinningError, match="out of range"):
+            marginal(p3, Pinning(), v, hardcore_params(1))
+
 
 class TestMarginalOneEvaluation:
     """marginal evaluates once: one message pass on a forest, one probed
@@ -521,6 +527,12 @@ class TestWeitz:
         value, exact = weitz_approx_marginal(p5, 0, Pinning(), hardcore_params(1), 4)
         assert exact
         assert value == marginal(p5, Pinning(), 0, hardcore_params(1))
+
+    @pytest.mark.parametrize("v", [99, -1])
+    def test_out_of_range_vertex_is_pinning_error(self, v):
+        p3 = Graph(3, ((0, 1), (1, 2)))
+        with pytest.raises(PinningError, match="out of range"):
+            weitz_approx_marginal(p3, v, Pinning(), hardcore_params(1), 3)
 
     @pytest.mark.parametrize("depth", [0, -1])
     def test_depth_below_one_rejected(self, depth):
