@@ -283,6 +283,8 @@ def _gen_weitz(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict:
 
 
 def _gen_annulus(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict:
+    if cfg.max_vertices is not None and cfg.max_vertices < 2:
+        raise ValueError(f"--max-vertices must be at least 2, got {cfg.max_vertices}")
     n = rng.randint(2, cfg.max_vertices or 8)
     g = corpus.rand_bounded_degree_graph(rng, n, cfg.degree_bound)
     # keep one vertex unpinned so the field polynomial has degree >= 1

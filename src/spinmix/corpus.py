@@ -60,14 +60,27 @@ def rand_connected_graph(rng: random.Random, n: int, attempts: int = 1000) -> Gr
 
 def rand_bounded_degree_graph(rng: random.Random, n: int, dmax: int,
                               attempts: int = 20000) -> Graph:
-    """Connected Erdos-Renyi draw conditioned on maximum degree <= dmax."""
+    """Connected Erdos-Renyi draw conditioned on maximum degree <= dmax.
+
+    Raises ValueError, drawing nothing, when no connected graph on n
+    vertices meets the bound (dmax < 2 and n > dmax + 1).
+    """
+    if dmax < 2 and n > dmax + 1:
+        raise ValueError(f"no connected graph on {n} vertices has maximum "
+                         f"degree <= {dmax}")
     if n <= 1:
         return Graph(n, ())
     for _ in range(attempts):
         edges = tuple((i, j) for i in range(n) for j in range(i + 1, n)
                       if rng.random() < 0.5)
+        degree = [0] * n
+        for i, j in edges:
+            degree[i] += 1
+            degree[j] += 1
+        if max(degree) > dmax:
+            continue
         g = Graph(n, edges)
-        if g.is_connected() and g.max_degree() <= dmax:
+        if g.is_connected():
             return g
     raise RuntimeError(f"no degree-{dmax} connected graph on {n} vertices")
 

@@ -132,10 +132,9 @@ def gutman_sides(t: Graph, u: int, v: int, lam) -> CdReport:
     gamma=1 (independence polynomials evaluated at lambda).
     """
     _require_tree(t)
-    if u == v:
-        raise ValueError("u and v must be distinct")
-    lam = ExactComplex._coerce(lam)
     empty = Pinning()
+    _require_unpinned(t, empty, u, v)
+    lam = ExactComplex._coerce(lam)
 
     def z_of(deleted: set[int]) -> ExactComplex:
         sub, _ = t.delete_vertices(deleted)

@@ -496,6 +496,10 @@ _START_ANGLE = 1.0 / math.sqrt(2.0)
 _MAX_SWEEPS = 1000
 
 
+def _re_im(z: complex) -> tuple[float, float]:
+    return z.real, z.imag
+
+
 def _horner_with_derivative(coeffs: Sequence[complex], x: complex) -> tuple[complex, complex]:
     p = 0j
     dp = 0j
@@ -525,7 +529,7 @@ def poly_roots(p: Polynomial, tol: float = 1e-12) -> list[complex]:
     roots: list[complex] = []
     for factor, multiplicity in square_free_factors(p):
         roots.extend(_aberth_simple(factor, tol) * multiplicity)
-    return sorted(roots, key=lambda w: (w.real, w.imag))
+    return sorted(roots, key=_re_im)
 
 
 def _aberth_simple(p: Polynomial, tol: float) -> list[complex]:
@@ -605,13 +609,14 @@ def _aberth_simple(p: Polynomial, tol: float) -> list[complex]:
 def match_roots(found: Sequence[complex], expected: Sequence[complex]) -> float:
     """Minimum over pairings of the largest |found_i - expected_sigma(i)|.
 
-    Exact assignment by bitmask DP; intended for the small root multisets
-    produced here (degree <= ~20).
+    Two multisets that are equal once sorted by (re, im) match at 0.0
+    without a search; otherwise the assignment is exact, by bitmask DP,
+    intended for the small root multisets produced here (degree <= ~20).
     """
     n = len(expected)
     if len(found) != n:
         raise ValueError("root multisets differ in size")
-    if n == 0:
+    if sorted(found, key=_re_im) == sorted(expected, key=_re_im):
         return 0.0
     dist = [[abs(f - e) for e in expected] for f in found]
     full = (1 << n) - 1

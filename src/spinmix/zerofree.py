@@ -67,6 +67,11 @@ def _report(roots: list[complex], band: tuple[float, float] | None = None,
                       cross_check_mismatch=cross_check_mismatch)
 
 
+def _monic(poly: Polynomial) -> Polynomial:
+    lead = poly.coefficients[-1]
+    return Polynomial([c / lead for c in poly.coefficients])
+
+
 def _poly_root_multiset(poly: Polynomial, tol: float) -> list[complex]:
     """Roots with multiplicity; a forced lambda^k factor yields k exact zeros."""
     if poly.degree < 1:
@@ -92,9 +97,13 @@ def pinned_annulus_check(g: Graph, p: Pinning, beta, d: int | None = None,
 
     For edge activity beta > 1 on a graph of maximum degree <= d, every
     nonzero root of the pinned field polynomial must have modulus inside
-    [beta^-d, beta^d]. The same roots are recomputed through the
-    pin-elimination route and matched; the report records the violation
-    count and the worst cross-check mismatch.
+    [beta^-d, beta^d]. The polynomial is recomputed through the
+    pin-elimination route and compared exactly: one zero root per + pin,
+    times the eliminated polynomial up to a constant factor. Since the
+    roots depend only on the monic coefficients, equal routes share one
+    root solve; only when they differ are the eliminated polynomial's
+    roots found separately and matched in floats. The report records the
+    violation count and the worst cross-check mismatch.
     """
     beta = ExactComplex._coerce(beta)
     if not beta.is_real() or beta.re <= 1:
@@ -109,10 +118,14 @@ def pinned_annulus_check(g: Graph, p: Pinning, beta, d: int | None = None,
     ones = (ONE,) * g.n
     reduced, rescaled, _prefactor = eliminate_pins(g, p, beta, ones)
     plus_pins = sum(1 for _, s in p.items() if s == PLUS)
-    via_elimination: list[complex] = [0j] * plus_pins
     reduced_poly = z_poly_lambda(reduced, Pinning(), beta, beta, scale=rescaled)
-    if reduced_poly.degree >= 1:
-        via_elimination.extend(_poly_root_multiset(reduced_poly, 1e-12))
+    if (poly.valuation() == plus_pins
+            and _monic(poly.shifted_down(plus_pins)) == _monic(reduced_poly)):
+        via_elimination = direct
+    else:
+        via_elimination = [0j] * plus_pins
+        if reduced_poly.degree >= 1:
+            via_elimination.extend(_poly_root_multiset(reduced_poly, 1e-12))
     mismatch = match_roots(direct, via_elimination)
 
     b = float(beta.re)

@@ -482,3 +482,35 @@ def test_graph_report_digest(graph, pins, argv, digest, tmp_path, capsys):
     code, out, _ = run_cli([*argv, *extra, "--out", str(report)], capsys)
     assert code == 0 and out.endswith(" fail=0 seed=0\n")
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of the CSV reports of 40 annulus trials at seed 0, recorded while
+# the pin-elimination route still ran its own root solve and every rejected
+# draw built a Graph: (degree bound, SHA-256)
+ANNULUS_REPORTS = [
+    ("3", "fdbb7905a2eeae5a45b9cab7fbb7a6d1f8f87632db844482bed0857f366e8bb0"),
+    ("4", "57c5391259d0b15ca7ec264d8f1a8cd39a72096660d20dd74e91d04ebfd4960d"),
+]
+
+
+@pytest.mark.parametrize("bound,digest", ANNULUS_REPORTS, ids=["degree-3", "degree-4"])
+def test_annulus_report_digest(bound, digest, tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    code, out, _ = run_cli(["annulus", "--trials", "40", "--degree-bound", bound,
+                            "--max-vertices", "9", "--out", str(report)], capsys)
+    assert code == 0 and out.endswith("annulus pass=40 fail=0 seed=0\n")
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--degree-bound", "0"], "no connected graph on 3 vertices has maximum degree <= 0"),
+    (["--degree-bound", "1"], "no connected graph on 3 vertices has maximum degree <= 1"),
+    (["--max-vertices", "1"], "--max-vertices must be at least 2, got 1"),
+], ids=["degree-bound-0", "degree-bound-1", "max-vertices-1"])
+def test_unsatisfiable_annulus_corpus_exits_2(argv, message, tmp_path, capsys,
+                                              monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["annulus", "--trials", "2", "--seed", "1", *argv], capsys)
+    assert code == 2 and out == ""
+    assert err == f"config error: {message}\n"
+    assert list(tmp_path.iterdir()) == []

@@ -413,6 +413,17 @@ def test_out_of_range_endpoint_is_pinning_error(u, v):
         qspin_det_sides(PATH3, Pinning(), u, v, rand_qspin_params(random.Random(0), 3))
 
 
+@pytest.mark.parametrize("u,v", [(0, 3), (3, 0), (0, -1), (-1, 0), (0, 99)])
+def test_gutman_out_of_range_endpoint_is_pinning_error(u, v):
+    with pytest.raises(PinningError):
+        gutman_sides(PATH3, u, v, 1)
+
+
+def test_gutman_equal_endpoints_rejected():
+    with pytest.raises(ValueError, match="distinct"):
+        gutman_sides(PATH3, 1, 1, 1)
+
+
 # SHA-256 of the CSV reports of 40 trials at seed 5, recorded while the left
 # side still made q^2 pair-pinned partition calls. The rows hold only exact
 # str(lhs)/str(rhs) values, so the digests do not depend on the host.

@@ -313,3 +313,54 @@ def test_match_roots_orders_do_not_matter():
     assert match_roots(a, b) == 0.0
     with pytest.raises(ValueError):
         match_roots(a, b[:2])
+
+
+def _match_roots_by_dp(found, expected):
+    """Bitmask-DP bottleneck assignment, as match_roots computed it before
+    its equal-multiset fast path."""
+    n = len(expected)
+    if n == 0:
+        return 0.0
+    dist = [[abs(f - e) for e in expected] for f in found]
+    full = (1 << n) - 1
+    best = {0: 0.0}
+    for i in range(n):
+        nxt = {}
+        for mask, cost in best.items():
+            for j in range(n):
+                bit = 1 << j
+                if mask & bit:
+                    continue
+                m2 = mask | bit
+                c2 = max(cost, dist[i][j])
+                if c2 < nxt.get(m2, math.inf):
+                    nxt[m2] = c2
+        best = nxt
+    return best[full]
+
+
+class TestMatchRoots:
+    def test_shuffled_equal_multisets_match_at_zero(self):
+        rng = random.Random(41)
+        for n in range(0, 12):
+            roots = [complex(rng.randint(-3, 3), rng.randint(-3, 3)) / 2
+                     for _ in range(n)]
+            shuffled = roots[:]
+            rng.shuffle(shuffled)
+            assert match_roots(shuffled, roots) == 0.0
+            assert match_roots(roots, shuffled) == 0.0
+
+    def test_unequal_lists_match_the_dp(self):
+        rng = random.Random(42)
+        for trial in range(60):
+            n = rng.randint(1, 8)
+            found = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)]
+            if trial % 2:
+                expected = [z + complex(rng.gauss(0, 1e-3), rng.gauss(0, 1e-3))
+                            for z in found]
+                rng.shuffle(expected)
+            else:
+                expected = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                            for _ in range(n)]
+            assert match_roots(found, expected) == _match_roots_by_dp(found, expected)
+            assert match_roots(found, expected) > 0.0

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_graph
+from spinmix import cli, numerics, zerofree
 from spinmix.corpus import rand_bounded_degree_graph, rand_feasible_pinning
 from spinmix.errors import PinningError
 from spinmix.graphs import Graph, MINUS, PLUS, Pinning
@@ -97,6 +98,101 @@ class TestPinnedAnnulus:
         star = Graph(4, ((0, 1), (0, 2), (0, 3)))
         with pytest.raises(ValueError):
             pinned_annulus_check(star, Pinning(), 2, d=2)
+
+
+class TestAnnulusCrossCheck:
+    """The pin-elimination route is compared exactly; its roots are solved
+    and matched separately only when the two polynomials differ."""
+
+    P4 = Graph(4, ((0, 1), (1, 2), (2, 3)))
+    PINS = Pinning.of({0: PLUS, 3: MINUS})
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"poly_roots": 0, "square_free_factors": 0, "match_roots": 0}
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(zerofree, "poly_roots")
+        counted(numerics, "square_free_factors")
+        counted(zerofree, "match_roots")
+        return counts
+
+    def test_agreeing_routes_solve_once(self, calls):
+        rep = pinned_annulus_check(self.P4, self.PINS, Fraction(3, 2))
+        assert calls == {"poly_roots": 1, "square_free_factors": 1, "match_roots": 1}
+        assert rep.cross_check_mismatch == 0.0
+        assert rep.roots.count(0j) == 1
+
+    def test_disagreeing_routes_solve_twice_and_fail(self, calls, monkeypatch):
+        eliminate = zerofree.eliminate_pins
+
+        def perturbed(*args):
+            reduced, rescaled, prefactor = eliminate(*args)
+            return reduced, (rescaled[0] * 2, *rescaled[1:]), prefactor
+        monkeypatch.setattr(zerofree, "eliminate_pins", perturbed)
+        rep = pinned_annulus_check(self.P4, self.PINS, Fraction(3, 2))
+        assert calls == {"poly_roots": 2, "square_free_factors": 2, "match_roots": 1}
+        assert rep.cross_check_mismatch > 1e-9
+        ok, row = cli.eval_annulus({"graph": self.P4.to_json(),
+                                    "pins": self.PINS.to_json(),
+                                    "beta": "3/2", "degree_bound": 3})
+        assert not ok and not row["pass"]
+        assert row["cross_check_mismatch"] > 1e-9
+
+
+def _graph_first_bounded_degree_graph(rng, n, dmax, attempts=20000):
+    """The draw loop that builds a Graph for every draw, kept verbatim as the
+    reference the rejecting loop must reproduce draw for draw."""
+    if n <= 1:
+        return Graph(n, ())
+    for _ in range(attempts):
+        edges = tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                      if rng.random() < 0.5)
+        g = Graph(n, edges)
+        if g.is_connected() and g.max_degree() <= dmax:
+            return g
+    raise RuntimeError(f"no degree-{dmax} connected graph on {n} vertices")
+
+
+class TestBoundedDegreeDraw:
+    def test_same_graphs_and_stream_as_graph_first_loop(self):
+        # a small attempt cap lets the rare bounds (dmax 2 at n 9) run out of
+        # draws in both loops, so the exhausted path is compared too
+        exhausted = 0
+        for seed in range(240):
+            n = 2 + seed % 8
+            dmax = 2 + seed // 8 % 3
+            mine, theirs = random.Random(seed), random.Random(seed)
+            try:
+                expected = _graph_first_bounded_degree_graph(theirs, n, dmax, 300)
+            except RuntimeError:
+                exhausted += 1
+                with pytest.raises(RuntimeError):
+                    rand_bounded_degree_graph(mine, n, dmax, 300)
+            else:
+                assert rand_bounded_degree_graph(mine, n, dmax, 300) == expected
+            assert mine.getstate() == theirs.getstate()
+        assert 0 < exhausted < 240
+
+    @pytest.mark.parametrize("n,dmax", [(2, 0), (3, 1), (9, 1), (1, -1)])
+    def test_unsatisfiable_bound_draws_nothing(self, n, dmax):
+        rng = random.Random(5)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="no connected graph"):
+            rand_bounded_degree_graph(rng, n, dmax)
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize("n,dmax", [(1, 0), (2, 1)])
+    def test_smallest_satisfiable_bounds(self, n, dmax):
+        g = rand_bounded_degree_graph(random.Random(5), n, dmax)
+        assert g.n == n and g.is_connected() and g.max_degree() <= dmax
 
 
 class TestSinglePin:
