@@ -194,7 +194,7 @@ EVALUATORS = {
 
 
 def _gen_cd(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict:
-    n = rng.randint(2, cfg.max_vertices or 14)
+    n = rng.randint(2, cfg.max_vertices)
     t = corpus.rand_tree(rng, n)
     mode = corpus.PARAM_MODES[trial % len(corpus.PARAM_MODES)]
     params = corpus.rand_params(rng, mode, n)
@@ -206,7 +206,7 @@ def _gen_cd(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict:
 
 
 def _gen_gutman(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict:
-    n = rng.randint(2, cfg.max_vertices or 12)
+    n = rng.randint(2, cfg.max_vertices)
     t = corpus.rand_tree(rng, n)
     u, v = rng.sample(range(n), 2)
     lam = corpus.rand_scalar(rng, nonzero=True, complex_prob=0.25)
@@ -214,7 +214,7 @@ def _gen_gutman(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict
 
 
 def _gen_qspin(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict:
-    n = rng.randint(2, cfg.max_vertices or 8)
+    n = rng.randint(2, cfg.max_vertices)
     t = corpus.rand_tree(rng, n)
     q = cfg.q if cfg.q else (2 if trial % 2 == 0 else 3)
     qp = corpus.rand_qspin_params(rng, q)
@@ -230,7 +230,7 @@ def _draw_proper(cfg: argparse.Namespace, rng: random.Random,
     to the pinning; the whole draw is repeated until such a vertex exists,
     at most corpus.DRAW_LIMIT times. Returns the vertex count and the instance."""
     for _ in range(corpus.DRAW_LIMIT):
-        n = rng.randint(2, cfg.max_vertices or 9)
+        n = rng.randint(2, cfg.max_vertices)
         g = corpus.rand_connected_graph(rng, n)
         params = corpus.rand_params(rng, mode, n)
         pins = corpus.rand_feasible_pinning(rng, g, params.beta_is_zero,
@@ -250,7 +250,7 @@ def _gen_saw(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict:
 
 
 def _gen_ldc(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict:
-    n = rng.randint(2, cfg.max_vertices or 8)
+    n = rng.randint(2, cfg.max_vertices)
     g = corpus.rand_connected_graph(rng, n)
     beta = corpus.rand_scalar(rng, complex_prob=0.2)
     if trial % 4 == 0:
@@ -265,7 +265,7 @@ def _gen_ldc(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict:
 
 
 def _gen_ldc_beta(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict:
-    n = rng.randint(2, cfg.max_vertices or 7)
+    n = rng.randint(2, cfg.max_vertices)
     g = corpus.rand_connected_graph(rng, n)
     gamma = corpus.rand_scalar(rng, nonzero=True, complex_prob=0.2)
     lam = corpus.rand_scalar(rng, nonzero=True, complex_prob=0.2)
@@ -283,9 +283,7 @@ def _gen_weitz(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict:
 
 
 def _gen_annulus(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict:
-    if cfg.max_vertices is not None and cfg.max_vertices < 2:
-        raise ValueError(f"--max-vertices must be at least 2, got {cfg.max_vertices}")
-    n = rng.randint(2, cfg.max_vertices or 8)
+    n = rng.randint(2, cfg.max_vertices)
     g = corpus.rand_bounded_degree_graph(rng, n, cfg.degree_bound)
     # keep one vertex unpinned so the field polynomial has degree >= 1
     free = rng.randrange(n)
@@ -481,9 +479,8 @@ def _run_decay(cfg: argparse.Namespace) -> int:
 
 
 def _run_region(cfg: argparse.Namespace) -> int:
-    max_n = cfg.max_vertices or 10
     instances = []
-    for n in range(2, max_n + 1):
+    for n in range(2, cfg.max_vertices + 1):
         g = Graph(n, tuple((i, i + 1) for i in range(n - 1)))
         instances.append((g, Pinning()))
     side, span = cfg.grid, cfg.span
@@ -507,6 +504,8 @@ def _run_region(cfg: argparse.Namespace) -> int:
 def run(cfg: argparse.Namespace) -> int:
     """Execute one parsed command; returns the process exit code."""
     try:
+        if cfg.max_vertices is not None and cfg.max_vertices < 2:
+            raise ValueError(f"--max-vertices must be at least 2, got {cfg.max_vertices}")
         if cfg.command == "decay":
             return _run_decay(cfg)
         if cfg.command == "region":
@@ -565,10 +564,10 @@ def _build_parser() -> argparse.ArgumentParser:
                      "determines every corpus."))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, trials_default=100):
+    def add_common(sp, trials_default=100, max_vertices=None):
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--trials", type=int, default=trials_default)
-        sp.add_argument("--max-vertices", type=int, default=None)
+        sp.add_argument("--max-vertices", type=int, default=max_vertices)
         sp.add_argument("--out", type=str, default=None)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -584,21 +583,21 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="as --beta; a negative value as --lambda=-p/q")
 
     sp = sub.add_parser("cd-check", help="pair-difference identity corpus on trees")
-    add_common(sp, 200)
+    add_common(sp, 200, 14)
     sp = sub.add_parser("gutman-check", help="hard-core deletion identity corpus")
-    add_common(sp, 200)
+    add_common(sp, 200, 12)
     sp = sub.add_parser("qspin-check", help="q-spin determinant identity corpus")
-    add_common(sp)
+    add_common(sp, max_vertices=8)
     sp.add_argument("--q", type=int, default=0, help="spin count (0 alternates 2 and 3)")
     sp = sub.add_parser("saw-check", help="SAW-tree marginal and structure corpus")
-    add_common(sp)
+    add_common(sp, max_vertices=9)
     sp = sub.add_parser("ldc", help="field-series coefficient locality")
-    add_common(sp)
+    add_common(sp, max_vertices=8)
     add_params(sp)
     sp.add_argument("--graph", type=str, default=None)
     sp.add_argument("--pins", type=str, default=None)
     sp = sub.add_parser("ldc-beta", help="edge-activity series locality at 1/gamma")
-    add_common(sp)
+    add_common(sp, max_vertices=7)
     sp = sub.add_parser("decay", help="gap decay profile on path families")
     add_common(sp)
     add_params(sp)
@@ -611,19 +610,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--graph", type=str, required=True)
     sp.add_argument("--pins", type=str, default=None)
     sp = sub.add_parser("annulus", help="pinned root-modulus band checks")
-    add_common(sp, 50)
+    add_common(sp, 50, 8)
     sp.add_argument("--beta", type=parse_scalar, default="3/2",
                     help="rational p/q; give a negative value as --beta=-p/q")
     sp.add_argument("--graph", type=str, default=None)
     sp.add_argument("--pins", type=str, default=None)
     sp.add_argument("--degree-bound", type=int, default=3)
     sp = sub.add_parser("region", help="min |Z| table over a field grid")
-    add_common(sp, 1)
+    add_common(sp, 1, 10)
     add_params(sp)
     sp.add_argument("--grid", type=int, default=9, help="grid points per axis")
     sp.add_argument("--span", type=float, default=0.4)
     sp = sub.add_parser("weitz", help="truncated-SAW marginal approximation")
-    add_common(sp, 50)
+    add_common(sp, 50, 9)
     add_params(sp, lam=None)
     sp.add_argument("--graph", type=str, default=None)
     sp.add_argument("--pins", type=str, default=None)

@@ -33,6 +33,7 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
     fields: tuple[ExactComplex, ...] | None = None
     _adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _forests: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 0:

@@ -5,22 +5,24 @@ Every identity here relates a pair-pinned combination of partition values
 u-v path (the right side). Both sides are computed independently in exact
 arithmetic, never one from the other. The determinant identities read the
 left side's pair matrix from tree passes rooted at u: the root message of
-the pass with v pinned to spin j is column j. The right side reads each
-hanging subtree from the messages of one unpinned pass rooted at u.
+the pass with v pinned to spin j is column j. The right side multiplies
+the edge factors of each hanging subtree, read from the integer messages of
+one unpinned pass rooted at u. gutman_sides deletes a vertex set S by
+pinning it to -, so all its partition values come from passes over T.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NotATreeError, PinningError
 from .graphs import Graph, MINUS, PLUS, Pinning
 from .numerics import ONE, ZERO, ExactComplex
-from .partition import (Params, QSpinParams, _check_feasible, _qspin_absorb,
-                        _two_spin_absorb, hardcore_params, z_pair, z_qspin_tree,
-                        z_tree)
+from .partition import (Params, QSpinParams, _check_feasible, hardcore_params,
+                        z_pair, z_qspin_tree, z_tree)
 
 
 @dataclass(frozen=True)
@@ -49,13 +51,13 @@ def _require_unpinned(t: Graph, p: Pinning, u: int, v: int):
 
 
 def _det_sides(t: Graph, p: Pinning, u: int, v: int, spins, messages,
-               det_a: ExactComplex, phi_at, absorb) -> CdReport:
+               det_a: ExactComplex, phi_at) -> CdReport:
     """Both sides of det [Z with u = i, v = j]_{i,j in spins} on a tree.
 
     ``messages(pins)`` is one tree pass rooted at u. When the u-v path avoids
-    the pinned set, rhs = det_a^d * Phi * the edge factors ``absorb`` of each
-    subtree hanging off the path, with Phi the product of ``phi_at(w)`` over
-    the path; when the path meets a pin, rhs = 0.
+    the pinned set, rhs = det_a^d * Phi * the edge factors of each subtree
+    hanging off the path, with Phi the product of ``phi_at(w)`` over the
+    path; when the path meets a pin, rhs = 0.
     """
     columns = [messages(p.with_pin(v, s)).at(u) for s in spins]
     lhs = exact_determinant(list(zip(*columns)))
@@ -65,18 +67,10 @@ def _det_sides(t: Graph, p: Pinning, u: int, v: int, spins, messages,
     if hits:
         rhs = ZERO
     else:
-        phi = phi_at(u)
-        for w in path[1:]:
-            phi = phi * phi_at(w)
-        rhs = phi * det_a ** d
-        msgs = messages(p)
         on_path = set(path)
-        ones = (ONE,) * len(spins)
-        for x in path:
-            for y in t.neighbors(x):
-                if y not in on_path:
-                    for f in absorb(ones, msgs.at(y)):
-                        rhs = rhs * f
+        hanging = [y for x in path for y in t.neighbors(x) if y not in on_path]
+        rhs = (math.prod(map(phi_at, path)) * det_a ** d
+               * messages(p).edge_product(hanging))
     return CdReport(lhs=lhs, rhs=rhs, distance=d, path_hits_pinning=hits,
                     equal=lhs == rhs)
 
@@ -96,8 +90,7 @@ def cd_sides(t: Graph, p: Pinning, u: int, v: int, params: Params) -> CdReport:
     return _det_sides(
         t, p, u, v, (PLUS, MINUS),
         lambda pins: z_tree(t, pins, params, root=u, check_feasibility=False)[1],
-        params.beta * params.gamma - ONE, params.field_vector(t.n).__getitem__,
-        _two_spin_absorb(params.beta, params.gamma))
+        params.beta * params.gamma - ONE, params.field_vector(t.n).__getitem__)
 
 
 def cd_equivalent_forms(t: Graph, p: Pinning, u: int, v: int, params: Params) -> bool:
@@ -129,24 +122,22 @@ def gutman_sides(t: Graph, u: int, v: int, lam) -> CdReport:
 
     lhs = Z_T Z_{T-{u,v}} - Z_{T-u} Z_{T-v}; rhs = -(-lambda)^{d+1}
     Z_{T-path} Z_{T-N[path]} with all partition values taken at beta=0,
-    gamma=1 (independence polynomials evaluated at lambda).
+    gamma=1 (independence polynomials evaluated at lambda). Z_{T-S} is Z_T
+    with S pinned -, a vertex of weight 1 that allows any neighbour.
     """
     _require_tree(t)
-    empty = Pinning()
-    _require_unpinned(t, empty, u, v)
-    lam = ExactComplex._coerce(lam)
+    _require_unpinned(t, Pinning(), u, v)
+    params = hardcore_params(lam)
 
-    def z_of(deleted: set[int]) -> ExactComplex:
-        sub, _ = t.delete_vertices(deleted)
-        return z_tree(sub, empty, hardcore_params(lam))[0]
+    def z_of(deleted) -> ExactComplex:
+        pins = Pinning(tuple((w, MINUS) for w in deleted))
+        return z_tree(t, pins, params, check_feasibility=False)[0]
 
     path = t.tree_path(u, v)
     d = len(path) - 1
-    closed = set(path)
-    for w in path:
-        closed.update(t.neighbors(w))
-    lhs = z_of(set()) * z_of({u, v}) - z_of({u}) * z_of({v})
-    rhs = -((-lam) ** (d + 1)) * z_of(set(path)) * z_of(closed)
+    closed = set(path).union(*map(t.neighbors, path))
+    lhs = z_of(()) * z_of((u, v)) - z_of((u,)) * z_of((v,))
+    rhs = -((-params.field) ** (d + 1)) * z_of(path) * z_of(closed)
     return CdReport(lhs=lhs, rhs=rhs, distance=d, path_hits_pinning=False,
                     equal=lhs == rhs)
 
@@ -187,10 +178,7 @@ def qspin_det_sides(t: Graph, p: Pinning, u: int, v: int, qp: QSpinParams) -> Cd
     """
     _require_tree(t)
     _require_unpinned(t, p, u, v)
-    lam_prod = qp.lambdas[0]
-    for lam in qp.lambdas[1:]:
-        lam_prod = lam_prod * lam
+    lam_prod = math.prod(qp.lambdas)
     return _det_sides(t, p, u, v, range(1, qp.q + 1),
                       lambda pins: z_qspin_tree(t, pins, qp, root=u)[1],
-                      exact_determinant(qp.matrix), lambda w: lam_prod,
-                      _qspin_absorb(qp.matrix))
+                      exact_determinant(qp.matrix), lambda w: lam_prod)

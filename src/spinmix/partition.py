@@ -4,19 +4,21 @@ Weight conventions: a full configuration sigma has weight
 beta^{m+} * gamma^{m-} * prod_{sigma(v)=+} lambda_v, where m+ and m- count
 (+,+) and (-,-) edges. Exponents are plain counts and x^0 = 1 even when
 x = 0, so infeasible configurations contribute zero weight without any case
-analysis.
+analysis. The tree message pass runs on Gaussian-integer numerators over one
+denominator per call and reduces a value only when it is read.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CapExceededError, NotATreeError, PinningError
 from .graphs import Graph, MINUS, PLUS, Pinning, is_feasible
-from .numerics import ONE, ZERO, ExactComplex, Polynomial
+from .numerics import ONE, ZERO, ExactComplex, Polynomial, _reduced
 
 ENUMERATION_CAP = 24
 
@@ -398,18 +400,38 @@ class TreeMessages:
     """Subtree partition values for every vertex of a forest.
 
     The tuple at w is the partition value of the subtree rooted at w (under
-    the chosen roots) with w pinned to each spin: + and -, or 1..q.
+    the chosen roots) with w pinned to each spin: + and -, or 1..q. It is
+    kept as Gaussian-integer numerators (re, im) over denom ** e, with
+    msgs[w] = (numerators, e), and reduced when read.
     """
 
-    pairs: dict[int, tuple[ExactComplex, ...]]
+    msgs: dict[int, tuple[list[tuple[int, int]], int]]
+    denom: int
+    matrix: list[list[tuple[int, int]]]
     roots: tuple[int, ...]
 
     def at(self, v: int) -> tuple[ExactComplex, ...]:
-        return self.pairs[v]
+        vec, e = self.msgs[v]
+        return tuple(_reduced(re, im, self.denom ** e) for re, im in vec)
+
+    def edge_product(self, ys) -> ExactComplex:
+        """Product over the vertices ys and the spins k of sum_j a_kj Z^j_y,
+        the factor y's subtree gives a neighbour at spin k."""
+        ones = [(1, 0)] * len(self.matrix)
+        re, im, e = 1, 0, 0
+        for y in ys:
+            vec, ey = self.msgs[y]
+            for fr, fi in _absorb(self.matrix, ones, vec):
+                re, im = re * fr - im * fi, re * fi + im * fr
+            e += len(ones) * (ey + 1)
+        return _reduced(re, im, self.denom ** e)
 
 
 def _forest_order(g: Graph, root: int | None):
-    """(roots, BFS order, children lists); raises on cyclic input."""
+    """(roots, BFS order, children lists), kept on g per root; raises on
+    cyclic input."""
+    if root in g._forests:
+        return g._forests[root]
     children: list[list[int]] = [[] for _ in range(g.n)]
     roots = []
     order = []
@@ -433,50 +455,59 @@ def _forest_order(g: Graph, root: int | None):
     # the BFS found one root per component; a forest has n - #components edges
     if len(g.edges) != g.n - len(roots):
         raise NotATreeError("input graph contains a cycle")
-    return roots, order, children
+    forest = g._forests[root] = (tuple(roots), tuple(order), tuple(map(tuple, children)))
+    return forest
 
 
-def _two_spin_absorb(beta: ExactComplex, gamma: ExactComplex):
-    """vec times one child's 2-spin edge factors (beta c+ + c-, c+ + gamma c-)."""
-    def absorb(vec, child):
-        cp, cm = child
-        return (vec[0] * (beta * cp + cm), vec[1] * (cp + gamma * cm))
-    return absorb
+def _absorb(matrix, vec, child):
+    """vec times a child's edge factors sum_j a_kj c_j, k = 1..q, on numerators."""
+    out = []
+    for (vr, vi), row in zip(vec, matrix):
+        re = im = 0
+        for (ar, ai), (cr, ci) in zip(row, child):
+            re += ar * cr - ai * ci
+            im += ar * ci + ai * cr
+        out.append((vr * re - vi * im, vr * im + vi * re))
+    return out
 
 
-def _qspin_absorb(matrix: tuple[tuple[ExactComplex, ...], ...]):
-    """vec times one child's q-spin edge factors sum_j a_{kj} c_j, k = 1..q."""
-    def absorb(vec, child):
-        out = []
-        for x, row in zip(vec, matrix):
-            acc = row[0] * child[0]
-            for a, c in zip(row[1:], child[1:]):
-                acc = acc + a * c
-            out.append(x * acc)
-        return tuple(out)
-    return absorb
+def _tree_pass(pins: dict[int, int], matrix, weights, forest
+               ) -> tuple[ExactComplex, TreeMessages]:
+    """Leaves-first messages over ``forest`` (a _forest_order) for a q x q
+    edge matrix: weights[x] absorbs each child's message and keeps only
+    entry pins[x] when x is pinned. Z is the product of the root sums.
 
-
-def _forest_pass(t: Graph, pins: dict[int, int],
-                 weights: Sequence[tuple[ExactComplex, ...]], absorb,
-                 forest) -> tuple[ExactComplex, TreeMessages]:
-    """Leaves-first messages over ``forest`` (a _forest_order of t): weights[x]
-    absorbs each child's message and keeps only entry pins[x] when x is
-    pinned. Z is the product of the root sums."""
+    Fraction-free, as in Bareiss elimination: the pass runs on numerators
+    over D, the lcm of the matrix and weight denominators. x's message lies
+    over D ** e_x, e_x = 1 + sum over its children (e_c + 1).
+    """
     roots, order, children = forest
-    msgs: dict[int, tuple[ExactComplex, ...]] = {}
+    # a uniform field is one shared weight tuple, converted once
+    distinct = {id(w): w for w in weights}
+    denom = math.lcm(*[x._abd[2] for xs in (*matrix, *distinct.values()) for x in xs])
+
+    def over(xs):
+        return [(a * k, b * k) for x in xs for a, b, d in [x._abd] for k in [denom // d]]
+    mat = [over(row) for row in matrix]
+    start = {i: over(w) for i, w in distinct.items()}
+    msgs: dict[int, tuple[list[tuple[int, int]], int]] = {}
     for x in reversed(order):
-        vec = weights[x]
+        vec, e = start[id(weights[x])], 1
         for y in children[x]:
-            vec = absorb(vec, msgs[y])
+            child, ey = msgs[y]
+            vec = _absorb(mat, vec, child)
+            e += ey + 1
         k = pins.get(x)
         if k is not None:
-            vec = tuple(c if i == k else ZERO for i, c in enumerate(vec))
-        msgs[x] = vec
-    total = ONE
+            vec = [c if i == k else (0, 0) for i, c in enumerate(vec)]
+        msgs[x] = vec, e
+    re, im, e = 1, 0, 0
     for r in roots:
-        total = total * sum(msgs[r][1:], msgs[r][0])
-    return total, TreeMessages(pairs=msgs, roots=tuple(roots))
+        vec, er = msgs[r]
+        sr, si = map(sum, zip(*vec))
+        re, im = re * sr - im * si, re * si + im * sr
+        e += er
+    return _reduced(re, im, denom ** e), TreeMessages(msgs, denom, mat, roots)
 
 
 def z_tree(t: Graph, p: Pinning, params: Params,
@@ -489,24 +520,25 @@ def z_tree(t: Graph, p: Pinning, params: Params,
     equals z_brute on the same inputs; the messages expose every pinned
     subtree value needed by the identity right-hand sides. A cycle raises
     NotATreeError before any other check, so a caller can fall back to
-    enumeration on the same arguments.
+    enumeration on the same arguments. The pass is the q-spin one, with
+    matrix [[beta, 1], [1, gamma]] and weights (lambda_v, 1).
     """
     forest = _forest_order(t, root)
     _check_pins_in_range(t, p)
     if check_feasibility:
         _check_feasible(t, p, params)
-    lams = params.field_vector(t.n)
-    return _forest_pass(t, {v: 0 if s == PLUS else 1 for v, s in p.items()},
-                        [(lam, ONE) for lam in lams],
-                        _two_spin_absorb(params.beta, params.gamma), forest)
+    return _tree_pass({v: 0 if s == PLUS else 1 for v, s in p.items()},
+                      ((params.beta, ONE), (ONE, params.gamma)),
+                      [(params.field, ONE)] * t.n if params.uniform
+                      else [(lam, ONE) for lam in params.field_vector(t.n)], forest)
 
 
 def z_qspin_tree(t: Graph, p: Pinning, qp: QSpinParams,
                  root: int | None = None) -> tuple[ExactComplex, TreeMessages]:
     """q-spin analogue of z_tree; messages are length-q tuples per vertex."""
     _check_qspin_pins(t, p, qp.q)
-    return _forest_pass(t, {v: s - 1 for v, s in p.items()}, [qp.lambdas] * t.n,
-                        _qspin_absorb(qp.matrix), _forest_order(t, root))
+    return _tree_pass({v: s - 1 for v, s in p.items()}, qp.matrix,
+                      [qp.lambdas] * t.n, _forest_order(t, root))
 
 
 def z_auto(g: Graph, p: Pinning, params: Params,

@@ -514,3 +514,17 @@ def test_unsatisfiable_annulus_corpus_exits_2(argv, message, tmp_path, capsys,
     assert code == 2 and out == ""
     assert err == f"config error: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["cd-check", "gutman-check", "qspin-check", "saw-check",
+                                     "weitz", "ldc", "ldc-beta", "annulus", "region"])
+@pytest.mark.parametrize("value", ["1", "0", "-3"])
+def test_max_vertices_below_two_exits_2(command, value, tmp_path, capsys, monkeypatch):
+    # a value below 2 was an empty randrange range, a silent default (0) or,
+    # for region, rows of infinite modulus
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli([command, "--trials", "1", "--max-vertices", value], capsys)
+    assert code == 2 and out == ""
+    assert err == f"config error: --max-vertices must be at least 2, got {value}\n"
+    assert list(tmp_path.iterdir()) == []
+

@@ -16,8 +16,8 @@ from spinmix.identities import (cd_equivalent_forms, cd_sides,
                                 exact_determinant, gutman_sides,
                                 qspin_det_sides)
 from spinmix.numerics import ExactComplex
-from spinmix.partition import (Params, QSpinParams, two_spin_embedding,
-                               z_pair, z_tree)
+from spinmix.partition import (Params, QSpinParams, hardcore_params,
+                               two_spin_embedding, z_pair, z_tree)
 
 EDGE = Graph(2, ((0, 1),))
 PATH3 = Graph(3, ((0, 1), (1, 2)))
@@ -162,6 +162,35 @@ class TestGutman:
                    - z(t.delete_vertices({u})[0], lam)
                    * z(t.delete_vertices({v})[0], lam))
             assert rep.lhs == lhs
+
+
+def gutman_by_deletion(t, u, v, lam):
+    """Both sides of the deletion identity with every Z_{T-S} taken on the
+    induced subgraph T - S, as gutman_sides did before it pinned S to -."""
+    lam = ExactComplex._coerce(lam)
+
+    def z_of(deleted):
+        sub, _ = t.delete_vertices(deleted)
+        return z_tree(sub, Pinning(), hardcore_params(lam))[0]
+
+    path = t.tree_path(u, v)
+    closed = set(path)
+    for w in path:
+        closed.update(t.neighbors(w))
+    lhs = z_of(set()) * z_of({u, v}) - z_of({u}) * z_of({v})
+    rhs = -((-lam) ** len(path)) * z_of(set(path)) * z_of(closed)
+    return lhs, rhs
+
+
+def test_gutman_pins_equal_the_deletion_route():
+    rng = random.Random(779)
+    for _ in range(80):
+        n = rng.randint(2, 12)
+        t = rand_tree(rng, n)
+        u, v = rng.sample(range(n), 2)
+        lam = scalar(rng, nonzero=True, complex_prob=0.25)
+        rep = gutman_sides(t, u, v, lam)
+        assert (rep.lhs, rep.rhs) == gutman_by_deletion(t, u, v, lam), (t, u, v, lam)
 
 
 class TestQSpinDeterminant:
@@ -442,3 +471,45 @@ def test_identity_report_digest(argv, digest, tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out.endswith(f"{argv[0]} pass=40 fail=0 seed=5\n")
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of the CSV report of 40 gutman-check trials at seed 5, recorded
+# while gutman_sides built each T - S as an induced subgraph.
+GUTMAN_REPORT = "a896af5edc6cdb37bff6d36f1ee37b31439b58cf01880fdd13e8ac6efc3553b4"
+
+
+def test_gutman_report_digest(tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    code = cli.main(["gutman-check", "--trials", "40", "--seed", "5", "--out", str(report)])
+    assert code == 0
+    assert capsys.readouterr().out.endswith("gutman-check pass=40 fail=0 seed=5\n")
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == GUTMAN_REPORT
+
+
+def test_eval_cd_builds_each_forest_order_once(monkeypatch):
+    """One cd-check instance runs 12 tree passes on one parsed graph, 3 rooted
+    at u (2 when the u-v path meets a pin) and 9 at the default roots. Each
+    (graph, root) order is built once."""
+    calls, alive = [], []
+    real = partition._forest_order
+
+    def counted(g, root):
+        # a built order is a new object, a kept one is returned again; holding
+        # every graph and order keeps their ids distinct
+        forest = real(g, root)
+        alive.append((g, forest))
+        calls.append((id(g), root, id(forest)))
+        return forest
+
+    monkeypatch.setattr(partition, "_forest_order", counted)
+    rng = random.Random(5)
+    cfg = cli._build_parser().parse_args(["cd-check"])
+    for trial in range(12):
+        inst = cli._gen_cd(cfg, rng, trial)
+        calls.clear()
+        ok, row = cli.eval_cd(inst)
+        assert ok
+        assert len(calls) == 12 - row["path_hits_pinning"]
+        built = set(calls)
+        assert len(built) == len({key[:2] for key in built}) == 2
+        assert {root for _, root, _ in built} == {inst["u"], None}

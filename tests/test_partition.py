@@ -7,7 +7,8 @@ from conftest import random_graph, scalar, z_naive, z_naive_qspin
 from spinmix import partition
 from spinmix.corpus import (rand_feasible_pinning, rand_params,
                             rand_qspin_params, rand_qspin_pinning, rand_tree)
-from spinmix.errors import CapExceededError, NotATreeError, PinningError
+from spinmix.errors import (CapExceededError, NotATreeError, PinningError,
+                            ZeroPartitionError)
 from spinmix.graphs import Graph, MINUS, PLUS, Pinning
 from spinmix.mixing import marginal, marginal_series_beta, marginal_series_lambda
 from spinmix.numerics import ExactComplex
@@ -593,3 +594,104 @@ class TestZAuto:
             z_auto(PATH3, infeasible, hardcore_params(1))
         with pytest.raises(PinningError):
             z_auto(Graph(3, ((0, 1), (0, 2), (1, 2))), infeasible, hardcore_params(1))
+
+
+def distinct_denominator_scalar(rng: random.Random, den: int) -> ExactComplex:
+    """A nonzero complex scalar whose canonical denominator is ``den``."""
+    while True:
+        re = Fraction(rng.randint(-30, 30), den)
+        im = Fraction(rng.randint(-30, 30), den)
+        x = ExactComplex(re, im)
+        if x and x._abd[2] == den:
+            return x
+
+
+class TestIntegerPass:
+    """The pass runs on Gaussian-integer numerators over one denominator and
+    reduces a value only when it is read; the reads must still be the exact
+    canonical values of the enumeration oracles."""
+
+    def test_pairwise_different_field_denominators(self):
+        rng = random.Random(97)
+        lcms = set()
+        for trial in range(30):
+            n = rng.randint(1, 8)
+            g = rand_forest(rng, n)
+            dens = rng.sample(range(1, 11), n)
+            lams = tuple(distinct_denominator_scalar(rng, d) for d in dens)
+            beta = distinct_denominator_scalar(rng, rng.randint(1, 10))
+            gamma = distinct_denominator_scalar(rng, rng.randint(1, 10))
+            params = Params(beta, gamma, lams)
+            pins = rand_feasible_pinning(rng, g, False, False)
+            root = rng.choice((None, rng.randrange(n)))
+            total, msgs = z_tree(g, pins, params, root=root)
+            lcms.add(msgs.denom)
+            assert total == z_naive(g, pins, params)
+            for w in range(n):
+                for k, spin in enumerate((PLUS, MINUS)):
+                    assert msgs.at(w)[k] == pinned_subtree_value(
+                        g, pins, root, w, spin, z_naive,
+                        lambda keep: Params(beta, gamma, tuple(lams[v] for v in keep)))
+        assert 2520 in lcms
+
+    def test_qspin_q3_pairwise_different_denominators(self):
+        rng = random.Random(101)
+        for _ in range(12):
+            n = rng.randint(1, 5)
+            g = rand_forest(rng, n)
+            dens = rng.sample(range(1, 11), 9)
+            entries = iter(distinct_denominator_scalar(rng, d) for d in dens)
+            upper = {(i, j): next(entries) for i in range(3) for j in range(i, 3)}
+            matrix = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(3))
+                           for i in range(3))
+            qp = QSpinParams(matrix, tuple(next(entries) for _ in range(3)))
+            pins = rand_qspin_pinning(rng, g, 3)
+            root = rng.choice((None, rng.randrange(n)))
+            total, msgs = z_qspin_tree(g, pins, qp, root=root)
+            assert total == z_naive_qspin(g, pins, qp)
+            for w in range(n):
+                for k in range(3):
+                    assert msgs.at(w)[k] == pinned_subtree_value(
+                        g, pins, root, w, k + 1, z_naive_qspin, lambda keep: qp)
+
+    def test_cancelled_message_is_canonical_zero(self):
+        # at the root of an edge, the + entry is lambda (beta lambda + 1),
+        # which cancels at beta = -1/lambda
+        params = Params(Fraction(-1, 2), 3, 2)
+        total, msgs = z_tree(EDGE, Pinning(), params, root=0)
+        zero = msgs.at(0)[0]
+        assert zero == ExactComplex(0) and hash(zero) == hash(ExactComplex(0))
+        assert zero._abd == (0, 0, 1) and str(zero) == "0"
+        assert total == msgs.at(0)[1] == z_naive(EDGE, Pinning(), params)
+
+    def test_vanishing_partition_value(self):
+        # Z = (lambda + 1)^2 on an edge at beta = gamma = 1
+        params = Params(1, 1, ExactComplex(-1))
+        total, msgs = z_tree(EDGE, Pinning(), params)
+        assert total == ExactComplex(0) and hash(total) == hash(ExactComplex(0))
+        assert total._abd == (0, 0, 1)
+        with pytest.raises(ZeroPartitionError):
+            marginal(EDGE, Pinning(), 0, params)
+
+    def test_edge_product_matches_exact_factors(self):
+        rng = random.Random(103)
+        for _ in range(20):
+            n = rng.randint(2, 8)
+            t = rand_tree(rng, n)
+            params = rand_params(rng, ("complex", "fields")[rng.randrange(2)], n)
+            _, msgs = z_tree(t, Pinning(), params, root=0)
+            ys = rng.sample(range(1, n), rng.randint(0, n - 1))
+            expected = ExactComplex(1)
+            for y in ys:
+                zp, zm = msgs.at(y)
+                expected = expected * (params.beta * zp + zm) * (zp + params.gamma * zm)
+            assert msgs.edge_product(ys) == expected
+
+
+def test_forest_order_kept_on_the_graph():
+    g = Graph(4, ((0, 1), (1, 2), (1, 3)))
+    first = partition._forest_order(g, 2)
+    assert partition._forest_order(g, 2) is first
+    assert partition._forest_order(g, None) is not first
+    # the kept orders are no part of the graph's value
+    assert g == Graph(4, ((0, 1), (1, 2), (1, 3))) and hash(g) == hash(Graph(4, g.edges))
