@@ -24,8 +24,7 @@ from .numerics import (ExactComplex, Polynomial, PowerSeries, match_roots,
                        parse_scalar, poly_roots, series_div, series_invert)
 from .partition import (Params, QSpinParams, TreeMessages, eliminate_pins,
                         hardcore_params, spin_reversal, two_spin_embedding,
-                        z_brute, z_pair, z_poly_lambda, z_qspin, z_qspin_tree,
-                        z_tree)
+                        z_brute, z_poly_lambda, z_qspin, z_qspin_tree, z_tree)
 from .zerofree import (RootReport, SinglePinReport, lambda_root_scan,
                        pinned_annulus_check, region_min_modulus,
                        single_pin_check)

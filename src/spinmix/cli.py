@@ -30,7 +30,7 @@ from . import corpus
 from .errors import DrawLimitError, RootConvergenceError, ZeroPartitionError
 from .graphs import (Graph, MINUS, PLUS, Pinning, build_saw_tree,
                      is_proper, parse_graph, parse_pinning)
-from .identities import cd_equivalent_forms, cd_sides, gutman_sides, qspin_det_sides
+from .identities import cd_sides, gutman_sides, qspin_det_sides
 from .mixing import (decay_profile, ldc_report, ldc_report_beta, marginal,
                      path_decay_instances, verify_saw_marginal,
                      weitz_approx_marginal)
@@ -61,12 +61,11 @@ def eval_cd(inst: dict) -> tuple[bool, dict]:
     p = _pins_from_json(inst["pins"])
     params = Params.from_json(inst["params"])
     rep = cd_sides(g, p, inst["u"], inst["v"], params)
-    forms_ok = cd_equivalent_forms(g, p, inst["u"], inst["v"], params)
-    ok = rep.equal and forms_ok
+    ok = rep.equal and rep.forms_equal
     row = {"n": g.n, "u": inst["u"], "v": inst["v"], "distance": rep.distance,
            "path_hits_pinning": rep.path_hits_pinning,
            "lhs": str(rep.lhs), "rhs": str(rep.rhs),
-           "equal": rep.equal, "equivalent_forms": forms_ok, "pass": ok}
+           "equal": rep.equal, "equivalent_forms": rep.forms_equal, "pass": ok}
     return ok, row
 
 
@@ -504,7 +503,7 @@ def _run_region(cfg: argparse.Namespace) -> int:
 def run(cfg: argparse.Namespace) -> int:
     """Execute one parsed command; returns the process exit code."""
     try:
-        if cfg.max_vertices is not None and cfg.max_vertices < 2:
+        if "max_vertices" in cfg and cfg.max_vertices < 2:
             raise ValueError(f"--max-vertices must be at least 2, got {cfg.max_vertices}")
         if cfg.command == "decay":
             return _run_decay(cfg)
@@ -567,7 +566,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(sp, trials_default=100, max_vertices=None):
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--trials", type=int, default=trials_default)
-        sp.add_argument("--max-vertices", type=int, default=max_vertices)
+        if max_vertices is not None:
+            sp.add_argument("--max-vertices", type=int, default=max_vertices)
         sp.add_argument("--out", type=str, default=None)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
 

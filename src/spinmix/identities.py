@@ -3,37 +3,43 @@
 Every identity here relates a pair-pinned combination of partition values
 (the left side) to a factored product over the subtrees hanging off the
 u-v path (the right side). Both sides are computed independently in exact
-arithmetic, never one from the other. The determinant identities read the
-left side's pair matrix from tree passes rooted at u: the root message of
-the pass with v pinned to spin j is column j. The right side multiplies
-the edge factors of each hanging subtree, read from the integer messages of
-one unpinned pass rooted at u. gutman_sides deletes a vertex set S by
-pinning it to -, so all its partition values come from passes over T.
+arithmetic, never one from the other. Each pinned value is read from a
+root message: the one at u holds the tree's value with u pinned to each
+spin. The determinant identities take column j of the pair matrix from a
+pass rooted at u with v pinned to spin j, and the right side's edge
+factors from the unpinned pass rooted at u. cd_sides makes 4 passes: those
+3, which also give Z and Z+-_u, and an unpinned pass rooted at v for Z+-_v,
+so one call checks both sides and both single-pin forms of the left side.
+qspin_det_sides makes q + 1. gutman_sides deletes a vertex set S by pinning
+it to -, in 4 passes rooted at u: Z_T and Z_{T-u} from the unpinned one,
+Z_{T-v} and Z_{T-{u,v}} from the one with v pinned -.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import NotATreeError, PinningError
 from .graphs import Graph, MINUS, PLUS, Pinning
 from .numerics import ONE, ZERO, ExactComplex
 from .partition import (Params, QSpinParams, _check_feasible, hardcore_params,
-                        z_pair, z_qspin_tree, z_tree)
+                        z_qspin_tree, z_tree)
 
 
 @dataclass(frozen=True)
 class CdReport:
-    """Both sides of an identity instance plus the case-split context."""
+    """Both sides of an identity instance plus the case-split context;
+    ``forms_equal`` is set by cd_sides alone (see cd_equivalent_forms)."""
 
     lhs: ExactComplex
     rhs: ExactComplex
     distance: int
     path_hits_pinning: bool
     equal: bool
+    forms_equal: bool | None = None
 
 
 def _require_tree(t: Graph):
@@ -50,16 +56,16 @@ def _require_unpinned(t: Graph, p: Pinning, u: int, v: int):
         raise PinningError("u and v must be unpinned")
 
 
-def _det_sides(t: Graph, p: Pinning, u: int, v: int, spins, messages,
-               det_a: ExactComplex, phi_at) -> CdReport:
-    """Both sides of det [Z with u = i, v = j]_{i,j in spins} on a tree.
+def _det_sides(t: Graph, p: Pinning, u: int, v: int, columns,
+               det_a: ExactComplex, phi_at, unpinned) -> CdReport:
+    """Both sides of det [Z with u = i, v = j]_{i,j} on a tree.
 
-    ``messages(pins)`` is one tree pass rooted at u. When the u-v path avoids
+    ``columns[j]`` is u's root message with v pinned to the j-th spin, and
+    ``unpinned()`` the pass rooted at u under p. When the u-v path avoids
     the pinned set, rhs = det_a^d * Phi * the edge factors of each subtree
     hanging off the path, with Phi the product of ``phi_at(w)`` over the
     path; when the path meets a pin, rhs = 0.
     """
-    columns = [messages(p.with_pin(v, s)).at(u) for s in spins]
     lhs = exact_determinant(list(zip(*columns)))
     path = t.tree_path(u, v)
     d = len(path) - 1
@@ -70,7 +76,7 @@ def _det_sides(t: Graph, p: Pinning, u: int, v: int, spins, messages,
         on_path = set(path)
         hanging = [y for x in path for y in t.neighbors(x) if y not in on_path]
         rhs = (math.prod(map(phi_at, path)) * det_a ** d
-               * messages(p).edge_product(hanging))
+               * unpinned().edge_product(hanging))
     return CdReport(lhs=lhs, rhs=rhs, distance=d, path_hits_pinning=hits,
                     equal=lhs == rhs)
 
@@ -82,15 +88,26 @@ def cd_sides(t: Graph, p: Pinning, u: int, v: int, params: Params) -> CdReport:
     avoids the pinned set, rhs = (beta*gamma - 1)^d * Phi * prod over
     hanging subtrees of (beta Z+ + Z-)(Z+ + gamma Z-), where Phi is
     lambda^{d+1} for a uniform field and the product of the path vertices'
-    fields otherwise; when the path meets a pin, rhs = 0.
+    fields otherwise; when the path meets a pin, rhs = 0. ``forms_equal``
+    reads Z+-_v from a pass rooted at v, not from the pair matrix.
     """
     _require_tree(t)
     _require_unpinned(t, p, u, v)
     _check_feasible(t, p, params)
-    return _det_sides(
-        t, p, u, v, (PLUS, MINUS),
-        lambda pins: z_tree(t, pins, params, root=u, check_feasibility=False)[1],
-        params.beta * params.gamma - ONE, params.field_vector(t.n).__getitem__)
+
+    def rooted_at(root, pins):
+        return z_tree(t, pins, params, root=root, check_feasibility=False)
+
+    z, unpinned = rooted_at(u, p)
+    columns = [rooted_at(u, p.with_pin(v, s))[1].at(u) for s in (PLUS, MINUS)]
+    rep = _det_sides(t, p, u, v, columns, params.beta * params.gamma - ONE,
+                     params.field_vector(t.n).__getitem__, lambda: unpinned)
+    (zpp, _), (_, zmm) = columns
+    zp_u, zm_u = unpinned.at(u)
+    zp_v, zm_v = rooted_at(v, p)[1].at(v)
+    forms_equal = (z * zpp - zp_u * zp_v == rep.lhs
+                   and z * zmm - zm_u * zm_v == rep.lhs)
+    return replace(rep, forms_equal=forms_equal)
 
 
 def cd_equivalent_forms(t: Graph, p: Pinning, u: int, v: int, params: Params) -> bool:
@@ -98,23 +115,10 @@ def cd_equivalent_forms(t: Graph, p: Pinning, u: int, v: int, params: Params) ->
 
     Verifies, exactly,
         Z * Z^{u+,v+} - Z+_u * Z+_v == Z * Z^{u-,v-} - Z-_u * Z-_v
-                                    == Z^{++}Z^{--} - Z^{+-}Z^{-+}.
+                                    == Z^{++}Z^{--} - Z^{+-}Z^{-+}
+    on the passes of cd_sides.
     """
-    _require_tree(t)
-    _require_unpinned(t, p, u, v)
-    z, _ = z_tree(t, p, params)
-    zp_u, _ = z_tree(t, p.with_pin(u, PLUS), params, check_feasibility=False)
-    zm_u, _ = z_tree(t, p.with_pin(u, MINUS), params, check_feasibility=False)
-    zp_v, _ = z_tree(t, p.with_pin(v, PLUS), params, check_feasibility=False)
-    zm_v, _ = z_tree(t, p.with_pin(v, MINUS), params, check_feasibility=False)
-    zpp = z_pair(t, p, u, PLUS, v, PLUS, params)
-    zmm = z_pair(t, p, u, MINUS, v, MINUS, params)
-    zpm = z_pair(t, p, u, PLUS, v, MINUS, params)
-    zmp = z_pair(t, p, u, MINUS, v, PLUS, params)
-    lhs = zpp * zmm - zpm * zmp
-    plus_form = z * zpp - zp_u * zp_v
-    minus_form = z * zmm - zm_u * zm_v
-    return plus_form == lhs and minus_form == lhs
+    return cd_sides(t, p, u, v, params).forms_equal
 
 
 def gutman_sides(t: Graph, u: int, v: int, lam) -> CdReport:
@@ -123,21 +127,23 @@ def gutman_sides(t: Graph, u: int, v: int, lam) -> CdReport:
     lhs = Z_T Z_{T-{u,v}} - Z_{T-u} Z_{T-v}; rhs = -(-lambda)^{d+1}
     Z_{T-path} Z_{T-N[path]} with all partition values taken at beta=0,
     gamma=1 (independence polynomials evaluated at lambda). Z_{T-S} is Z_T
-    with S pinned -, a vertex of weight 1 that allows any neighbour.
+    with S pinned -, a vertex of weight 1 that allows any neighbour; the -
+    entry of u's root message is then Z_{T-S-u}.
     """
     _require_tree(t)
     _require_unpinned(t, Pinning(), u, v)
     params = hardcore_params(lam)
 
-    def z_of(deleted) -> ExactComplex:
-        pins = Pinning(tuple((w, MINUS) for w in deleted))
-        return z_tree(t, pins, params, check_feasibility=False)[0]
+    def deleted(vertices):
+        pins = Pinning(tuple((w, MINUS) for w in vertices))
+        return z_tree(t, pins, params, root=u, check_feasibility=False)
 
     path = t.tree_path(u, v)
     d = len(path) - 1
     closed = set(path).union(*map(t.neighbors, path))
-    lhs = z_of(()) * z_of((u, v)) - z_of((u,)) * z_of((v,))
-    rhs = -((-params.field) ** (d + 1)) * z_of(path) * z_of(closed)
+    (z_t, msgs), (z_v, msgs_v) = deleted(()), deleted((v,))
+    lhs = z_t * msgs_v.at(u)[1] - msgs.at(u)[1] * z_v
+    rhs = -((-params.field) ** (d + 1)) * deleted(path)[0] * deleted(closed)[0]
     return CdReport(lhs=lhs, rhs=rhs, distance=d, path_hits_pinning=False,
                     equal=lhs == rhs)
 
@@ -179,6 +185,10 @@ def qspin_det_sides(t: Graph, p: Pinning, u: int, v: int, qp: QSpinParams) -> Cd
     _require_tree(t)
     _require_unpinned(t, p, u, v)
     lam_prod = math.prod(qp.lambdas)
-    return _det_sides(t, p, u, v, range(1, qp.q + 1),
-                      lambda pins: z_qspin_tree(t, pins, qp, root=u)[1],
-                      exact_determinant(qp.matrix), lambda w: lam_prod)
+
+    def rooted_at_u(pins):
+        return z_qspin_tree(t, pins, qp, root=u)[1]
+
+    columns = [rooted_at_u(p.with_pin(v, s)).at(u) for s in range(1, qp.q + 1)]
+    return _det_sides(t, p, u, v, columns, exact_determinant(qp.matrix),
+                      lambda w: lam_prod, lambda: rooted_at_u(p))

@@ -281,7 +281,8 @@ def fit_decay(rows: Iterable[DecayRow]) -> tuple[float | None, float | None]:
 def decay_profile(instances: Iterable[DecayInstance], params: Params) -> DecayProfile:
     """Evaluate |P^a - P^b| for every instance and fit the decay rate.
 
-    Marginals are computed exactly and only the gap is floated; exact zero
+    Marginals are computed exactly and only the gap is floated (its log is
+    taken from the exact value when the float underflows to 0.0); exact zero
     gaps are recorded with an empty log column and excluded from the fit.
     Raises ZeroPartitionError (tagged with k) when either boundary makes
     the partition value vanish.
@@ -296,9 +297,13 @@ def decay_profile(instances: Iterable[DecayInstance], params: Params) -> DecayPr
         diff = pa - pb
         gap = abs(diff.to_complex())
         if diff.is_zero():
-            rows.append(DecayRow(k=inst.k, gap=0.0, log_gap=None))
+            log_gap = None
+        elif gap:
+            log_gap = math.log(gap)
         else:
-            rows.append(DecayRow(k=inst.k, gap=gap, log_gap=math.log(gap)))
+            sq = diff.abs2()
+            log_gap = (math.log(sq.numerator) - math.log(sq.denominator)) / 2
+        rows.append(DecayRow(k=inst.k, gap=gap, log_gap=log_gap))
     rate, constant = fit_decay(rows)
     return DecayProfile(rows=tuple(rows), rate=rate, constant=constant)
 

@@ -541,35 +541,6 @@ def z_qspin_tree(t: Graph, p: Pinning, qp: QSpinParams,
                       [qp.lambdas] * t.n, _forest_order(t, root))
 
 
-def z_auto(g: Graph, p: Pinning, params: Params,
-           check_feasibility: bool = True) -> ExactComplex:
-    """Tree message passing when the graph is acyclic, brute force otherwise.
-
-    The graph is traversed once: z_tree meets a cycle before any other check
-    and the call falls back to z_brute, whose cap error precedes its pinning
-    error.
-    """
-    try:
-        return z_tree(g, p, params, check_feasibility=check_feasibility)[0]
-    except NotATreeError:
-        return z_brute(g, p, params, check_feasibility=check_feasibility)
-
-
-def z_pair(g: Graph, p: Pinning, u: int, su: str, v: int, sv: str,
-           params: Params) -> ExactComplex:
-    """Partition value with p extended by {u -> su, v -> sv}.
-
-    The base pinning must be feasible; an extension that violates a hard
-    constraint yields the value zero, so the four pair values always sum to
-    the unextended partition value.
-    """
-    if u == v:
-        raise ValueError("z_pair needs two distinct vertices")
-    _check_feasible(g, p, params)
-    extended = p.with_pin(u, su).with_pin(v, sv)
-    return z_auto(g, extended, params, check_feasibility=False)
-
-
 # ---------------------------------------------------------------------------
 # Polynomial in the uniform field
 # ---------------------------------------------------------------------------

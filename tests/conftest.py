@@ -3,6 +3,9 @@
 ``z_naive`` is the independent enumeration oracle: it walks full spin
 assignments with itertools and recomputes every weight from scratch, sharing
 no code with the library's bitmask enumeration or tree recursion.
+``z_auto`` and ``z_pair`` are the one-value-per-pass routes the tree
+identities took before they read pinned values from root messages; tests
+keep them as references.
 """
 
 from __future__ import annotations
@@ -11,9 +14,10 @@ import itertools
 import random
 from fractions import Fraction
 
+from spinmix.errors import NotATreeError
 from spinmix.graphs import Graph, MINUS, PLUS, Pinning
 from spinmix.numerics import ExactComplex
-from spinmix.partition import Params
+from spinmix.partition import Params, _check_feasible, z_brute, z_tree
 
 
 def z_naive(g: Graph, p: Pinning, params: Params) -> ExactComplex:
@@ -33,6 +37,35 @@ def z_naive(g: Graph, p: Pinning, params: Params) -> ExactComplex:
                 w = w * lams[v]
         total = total + w
     return total
+
+
+def z_auto(g: Graph, p: Pinning, params: Params,
+           check_feasibility: bool = True) -> ExactComplex:
+    """Tree message passing when the graph is acyclic, brute force otherwise.
+
+    The graph is traversed once: z_tree meets a cycle before any other check
+    and the call falls back to z_brute, whose cap error precedes its pinning
+    error.
+    """
+    try:
+        return z_tree(g, p, params, check_feasibility=check_feasibility)[0]
+    except NotATreeError:
+        return z_brute(g, p, params, check_feasibility=check_feasibility)
+
+
+def z_pair(g: Graph, p: Pinning, u: int, su: str, v: int, sv: str,
+           params: Params) -> ExactComplex:
+    """Partition value with p extended by {u -> su, v -> sv}.
+
+    The base pinning must be feasible; an extension that violates a hard
+    constraint yields the value zero, so the four pair values always sum to
+    the unextended partition value.
+    """
+    if u == v:
+        raise ValueError("z_pair needs two distinct vertices")
+    _check_feasible(g, p, params)
+    extended = p.with_pin(u, su).with_pin(v, sv)
+    return z_auto(g, extended, params, check_feasibility=False)
 
 
 def z_naive_qspin(g, p, qp):

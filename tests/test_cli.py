@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from pathlib import Path
 
@@ -82,6 +83,21 @@ class TestExitCodes:
         assert err.startswith("error: ZeroPartitionError: ")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_decay_gap_below_float_range_exits_0(self, capsys):
+        # from k = 815 on the exact gap is nonzero but its float is 0.0, so
+        # log_gap comes from the exact value (it was math.log(0.0), exit 2)
+        code, out, err = run_cli(["decay", "--mode", "ssm", "--beta", "3/2", "--gamma", "3/2",
+                                  "--lambda=-1/2", "--kmin", "814", "--kmax", "900"], capsys)
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[-1] == "decay pass=87 fail=0 seed=0"
+        rows = [json.loads(line) for line in lines[:-2]]
+        assert [r["k"] for r in rows] == list(range(814, 901))
+        first, *underflowed = rows
+        assert first["gap"] > 0 and first["log_gap"] == math.log(first["gap"])
+        assert all(r["gap"] == 0.0 and math.isfinite(r["log_gap"]) for r in underflowed)
+        assert all(b["log_gap"] < a["log_gap"] for a, b in zip(rows, rows[1:]))
 
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()
@@ -450,6 +466,20 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert any(line.startswith(f"spinmix {argv[0]}: error: ") and flag in line
                    for line in err.splitlines())
+        assert list(tmp_path.iterdir()) == [k2]
+
+
+    @pytest.mark.parametrize("argv", [["decay", "--kmax", "4"],
+                                      ["roots", "--graph", "K2", "--beta", "2/1"]],
+                             ids=["decay", "roots"])
+    def test_max_vertices_is_not_a_flag_of(self, argv, k2, tmp_path, capsys, monkeypatch):
+        # neither command builds a corpus, so neither has a vertex bound to read
+        monkeypatch.chdir(tmp_path)
+        argv = [str(k2) if a == "K2" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--max-vertices", "5"])
+        assert exc.value.code == 2
+        assert "error: unrecognized arguments: --max-vertices 5" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [k2]
 
 

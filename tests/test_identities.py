@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import scalar, z_naive, z_naive_qspin
+from conftest import scalar, z_naive, z_naive_qspin, z_pair
 from spinmix import cli, identities, partition
 from spinmix.corpus import (PARAM_MODES, rand_feasible_pinning, rand_params,
                             rand_qspin_params, rand_qspin_pinning, rand_tree,
@@ -17,7 +17,7 @@ from spinmix.identities import (cd_equivalent_forms, cd_sides,
                                 qspin_det_sides)
 from spinmix.numerics import ExactComplex
 from spinmix.partition import (Params, QSpinParams, hardcore_params,
-                               two_spin_embedding, z_pair, z_tree)
+                               two_spin_embedding, z_tree)
 
 EDGE = Graph(2, ((0, 1),))
 PATH3 = Graph(3, ((0, 1), (1, 2)))
@@ -398,40 +398,131 @@ class TestPairFactorizations:
 
 
 class TestPassCounts:
-    """The pair matrix is read from root messages: one tree pass per spin of
-    v, plus the one unpinned pass of the right side."""
+    """Every pinned value is read from a root message. The pair matrix takes
+    one pass rooted at u per spin of v, and the right side the unpinned pass
+    rooted at u; cd_sides adds one unpinned pass rooted at v for Z+-_v."""
 
     STAR = Graph(5, ((0, 1), (1, 2), (1, 3), (3, 4)))
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {}
+        """The root of every tree pass, per pass function."""
+        roots = {}
 
         def counted(name):
             real = getattr(partition, name)
 
             def wrapped(*args, **kwargs):
-                counts[name] = counts.get(name, 0) + 1
+                roots.setdefault(name, []).append(kwargs.get("root"))
                 return real(*args, **kwargs)
             for module in (partition, identities):
                 monkeypatch.setattr(module, name, wrapped)
 
-        for name in ("z_tree", "z_qspin_tree", "z_pair"):
+        for name in ("z_tree", "z_qspin_tree"):
             counted(name)
-        return counts
+        return roots
 
-    def test_cd_sides_three_passes(self, calls):
+    def test_cd_sides_four_passes(self, calls):
         params = Params(Fraction(5, 3), Fraction(-2, 7), Fraction(3, 4))
         rep = cd_sides(self.STAR, Pinning.of({4: MINUS}), 0, 2, params)
-        assert rep.equal and not rep.path_hits_pinning
-        assert calls == {"z_tree": 3}
+        assert rep.equal and rep.forms_equal and not rep.path_hits_pinning
+        assert calls == {"z_tree": [0, 0, 0, 2]}
+
+    def test_cd_sides_four_passes_when_the_path_meets_a_pin(self, calls):
+        params = Params(Fraction(5, 3), Fraction(-2, 7), Fraction(3, 4))
+        rep = cd_sides(self.STAR, Pinning.of({1: PLUS}), 0, 2, params)
+        assert rep.equal and rep.forms_equal and rep.path_hits_pinning
+        assert calls == {"z_tree": [0, 0, 0, 2]}
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_qspin_det_sides_q_plus_one_passes(self, calls, q):
         qp = rand_qspin_params(random.Random(q), q)
         rep = qspin_det_sides(self.STAR, Pinning.of({4: q}), 0, 2, qp)
         assert rep.equal and not rep.path_hits_pinning
-        assert calls == {"z_qspin_tree": q + 1}
+        assert rep.forms_equal is None
+        assert calls == {"z_qspin_tree": [0] * (q + 1)}
+
+    def test_gutman_sides_four_passes_rooted_at_u(self, calls):
+        rep = gutman_sides(self.STAR, 2, 4, Fraction(3, 4))
+        assert rep.equal and rep.forms_equal is None
+        assert calls == {"z_tree": [2] * 4}
+
+
+def cd_by_separate_passes(t, p, u, v, params):
+    """(lhs, rhs, equal, forms_equal) with every partition value from a pass
+    of its own, as cd-check took them when one instance made 12 passes: the
+    four pair values through z_pair, Z, Z+-_u and Z+-_v through z_tree at
+    the default roots, and the right side as the product of its factors over
+    the hanging subtrees, each evaluated on its own."""
+    zpp = z_pair(t, p, u, PLUS, v, PLUS, params)
+    zmm = z_pair(t, p, u, MINUS, v, MINUS, params)
+    zpm = z_pair(t, p, u, PLUS, v, MINUS, params)
+    zmp = z_pair(t, p, u, MINUS, v, PLUS, params)
+    lhs = zpp * zmm - zpm * zmp
+    path = t.tree_path(u, v)
+    if any(w in p for w in path):
+        rhs = ExactComplex(0)
+    else:
+        lams = params.field_vector(t.n)
+        beta, gamma = params.beta, params.gamma
+        rhs = (beta * gamma - ExactComplex(1)) ** (len(path) - 1)
+        for w in path:
+            rhs = rhs * lams[w]
+        for sub, remap, attach in hanging_subtrees(t, path):
+            sub_params = Params(beta, gamma, tuple(lams[old] for old in sorted(remap)))
+            _, msgs = z_tree(sub, p.restricted(remap).remapped(remap), sub_params,
+                             root=remap[attach])
+            zp, zm = msgs.at(remap[attach])
+            rhs = rhs * (beta * zp + zm) * (zp + gamma * zm)
+
+    def z(pins):
+        return z_tree(t, pins, params, check_feasibility=False)[0]
+    zp_u, zm_u = z(p.with_pin(u, PLUS)), z(p.with_pin(u, MINUS))
+    zp_v, zm_v = z(p.with_pin(v, PLUS)), z(p.with_pin(v, MINUS))
+    forms = (z(p) * zpp - zp_u * zp_v == lhs and z(p) * zmm - zm_u * zm_v == lhs)
+    return lhs, rhs, lhs == rhs, forms
+
+
+def test_shared_passes_equal_the_separate_pass_route():
+    rng = random.Random(8128)
+    hits = 0
+    for trial in range(240):
+        n = rng.randint(2, 12)
+        t = rand_tree(rng, n)
+        params = rand_params(rng, PARAM_MODES[trial % len(PARAM_MODES)], n)
+        u, v = rand_unpinned_pair(rng, t, Pinning())
+        pins = rand_feasible_pinning(rng, t, params.beta_is_zero, params.gamma_is_zero,
+                                     exclude=(u, v), pin_prob=(0.3, 0.6)[trial % 2])
+        rep = cd_sides(t, pins, u, v, params)
+        assert (rep.lhs, rep.rhs, rep.equal, rep.forms_equal) \
+            == cd_by_separate_passes(t, pins, u, v, params), (t, pins, u, v, params)
+        assert cd_equivalent_forms(t, pins, u, v, params) == rep.forms_equal
+        hits += rep.path_hits_pinning
+    assert hits >= 40
+
+
+@pytest.mark.parametrize("entry", [0, 1], ids=["plus", "minus"])
+def test_perturbed_v_rooted_value_fails_the_forms_check(entry, monkeypatch):
+    """Z+-_v comes from its own pass rooted at v, not from the pair matrix's
+    column sums, so a wrong value there fails the forms check."""
+    star = TestPassCounts.STAR
+    params = Params(Fraction(5, 3), Fraction(-2, 7), Fraction(3, 4))
+    pins, u, v = Pinning.of({4: MINUS}), 0, 2
+    assert cd_sides(star, pins, u, v, params).forms_equal
+    real = identities.z_tree
+
+    def perturbed(*args, **kwargs):
+        z, msgs = real(*args, **kwargs)
+        if kwargs.get("root") == v:
+            at = msgs.at
+            msgs.at = lambda w: tuple(x + ExactComplex(1) if i == entry else x
+                                      for i, x in enumerate(at(w)))
+        return z, msgs
+
+    monkeypatch.setattr(identities, "z_tree", perturbed)
+    rep = cd_sides(star, pins, u, v, params)
+    assert rep.equal and rep.forms_equal is False
+    assert cd_equivalent_forms(star, pins, u, v, params) is False
 
 
 @pytest.mark.parametrize("u,v", [(0, 3), (3, 0), (0, -1), (-1, 0), (0, 99)])
@@ -487,9 +578,9 @@ def test_gutman_report_digest(tmp_path, capsys):
 
 
 def test_eval_cd_builds_each_forest_order_once(monkeypatch):
-    """One cd-check instance runs 12 tree passes on one parsed graph, 3 rooted
-    at u (2 when the u-v path meets a pin) and 9 at the default roots. Each
-    (graph, root) order is built once."""
+    """One cd-check instance runs 4 tree passes on one parsed graph, 3 rooted
+    at u and 1 at v, also when the u-v path meets a pin. Each (graph, root)
+    order is built once."""
     calls, alive = [], []
     real = partition._forest_order
 
@@ -504,12 +595,16 @@ def test_eval_cd_builds_each_forest_order_once(monkeypatch):
     monkeypatch.setattr(partition, "_forest_order", counted)
     rng = random.Random(5)
     cfg = cli._build_parser().parse_args(["cd-check"])
+    hits = 0
     for trial in range(12):
         inst = cli._gen_cd(cfg, rng, trial)
         calls.clear()
         ok, row = cli.eval_cd(inst)
         assert ok
-        assert len(calls) == 12 - row["path_hits_pinning"]
+        assert len(calls) == 4
+        assert [root for _, root, _ in calls].count(inst["u"]) == 3
         built = set(calls)
         assert len(built) == len({key[:2] for key in built}) == 2
-        assert {root for _, root, _ in built} == {inst["u"], None}
+        assert {root for _, root, _ in built} == {inst["u"], inst["v"]}
+        hits += row["path_hits_pinning"]
+    assert hits > 0

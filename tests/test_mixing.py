@@ -99,6 +99,12 @@ class TestMarginalOneEvaluation:
             / z_naive(path4, Pinning.of({3: MINUS}), Params(2, 3, 1))
         assert calls == [path4]
 
+    def test_cyclic_graph_falls_back_to_enumeration(self):
+        params = Params(Fraction(1, 2), 3, 2)
+        pins = Pinning.of({1: MINUS})
+        assert marginal(K3, pins, 0, params) == \
+            z_naive(K3, pins.with_pin(0, PLUS), params) / z_naive(K3, pins, params)
+
     @pytest.mark.parametrize("evaluate", [
         lambda g, p: marginal(g, p, 0, Params(Fraction(1, 2), 3, 2)),
         lambda g, p: marginal_series_lambda(g, p, 0, Fraction(1, 2), 3),

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_graph, scalar, z_naive, z_naive_qspin
+from conftest import random_graph, scalar, z_naive, z_naive_qspin, z_pair
 from spinmix import partition
 from spinmix.corpus import (rand_feasible_pinning, rand_params,
                             rand_qspin_params, rand_qspin_pinning, rand_tree)
@@ -14,8 +14,8 @@ from spinmix.mixing import marginal, marginal_series_beta, marginal_series_lambd
 from spinmix.numerics import ExactComplex
 from spinmix.partition import (Params, QSpinParams, _edge_activity_series,
                                _monomial_counts, eliminate_pins, hardcore_params,
-                               spin_reversal, two_spin_embedding, z_auto, z_brute,
-                               z_pair, z_poly_lambda, z_qspin, z_qspin_tree, z_tree)
+                               spin_reversal, two_spin_embedding, z_brute,
+                               z_poly_lambda, z_qspin, z_qspin_tree, z_tree)
 
 EDGE = Graph(2, ((0, 1),))
 PATH3 = Graph(3, ((0, 1), (1, 2)))
@@ -68,6 +68,18 @@ class TestZBrute:
     def test_infeasible_pinning(self):
         with pytest.raises(PinningError):
             z_brute(EDGE, Pinning.of({0: PLUS, 1: PLUS}), hardcore_params(1))
+
+    def test_cap_error_precedes_pinning_error_on_cyclic_input(self):
+        # z_tree meets the cycle first, and marginal's fallback enumeration
+        # then reports the cap, not the infeasible pinning
+        cycle = Graph(25, tuple((i, (i + 1) % 25) for i in range(25)))
+        infeasible = Pinning.of({0: PLUS, 1: PLUS})
+        with pytest.raises(NotATreeError):
+            z_tree(cycle, infeasible, hardcore_params(1))
+        with pytest.raises(CapExceededError):
+            z_brute(cycle, infeasible, hardcore_params(1))
+        with pytest.raises(CapExceededError):
+            marginal(cycle, infeasible, 12, hardcore_params(1))
 
 
 class TestZTree:
@@ -124,11 +136,44 @@ class TestZTree:
         g = Graph(3, ((0, 1), (1, 2), (0, 2)))
         with pytest.raises(NotATreeError):
             z_tree(g, Pinning(), Params(1, 1, 1))
-        # before any pinning check, so z_auto and marginal can fall back to
-        # enumeration on the same arguments
+        # before any pinning check, so marginal can fall back to enumeration
+        # on the same arguments
         for bad in (Pinning.of({0: PLUS, 1: PLUS}), Pinning.of({5: PLUS})):
             with pytest.raises(NotATreeError):
                 z_tree(g, bad, hardcore_params(1))
+
+    def test_forest_traversed_once(self, monkeypatch):
+        # the cycle check is part of the one BFS that builds the forest order,
+        # so neither z_tree nor marginal, which tries it first, runs another
+        components, orders = [], []
+        real_components, real_order = Graph.components, partition._forest_order
+
+        def counted_components(self):
+            components.append(self)
+            return real_components(self)
+
+        def counted_order(g, root):
+            orders.append(g)
+            return real_order(g, root)
+
+        monkeypatch.setattr(Graph, "components", counted_components)
+        monkeypatch.setattr(partition, "_forest_order", counted_order)
+        rng = random.Random(83)
+        trees = [rand_tree(rng, rng.randint(1, 8)) for _ in range(10)]
+        for t in trees:
+            params = rand_params(rng, "generic", t.n)
+            z = z_naive(t, Pinning(), params)
+            assert z_tree(t, Pinning(), params)[0] == z
+            assert marginal(t, Pinning(), 0, params) == \
+                z_naive(t, Pinning.of({0: PLUS}), params) / z
+        assert components == [] and orders == [t for t in trees for _ in range(2)]
+
+    def test_infeasible_pinning_rejected(self):
+        infeasible = Pinning.of({0: PLUS, 1: PLUS})
+        with pytest.raises(PinningError):
+            z_tree(PATH3, infeasible, hardcore_params(1))
+        with pytest.raises(PinningError):
+            z_brute(Graph(3, ((0, 1), (0, 2), (1, 2))), infeasible, hardcore_params(1))
 
 
 class TestZPair:
@@ -537,9 +582,10 @@ class TestProbePair:
         # the tree pass would ignore such a pin, so z_tree rejects it too and
         # forest and cyclic inputs agree
         k3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
-        for g, outside in ((EDGE, vertex), (k3, vertex + 1 if vertex > 0 else vertex)):
+        for g, outside, evaluate in ((EDGE, vertex, z_tree),
+                                     (k3, vertex + 1 if vertex > 0 else vertex, z_brute)):
             with pytest.raises(PinningError):
-                z_auto(g, Pinning.of({outside: PLUS}), Params(2, 3, 5))
+                evaluate(g, Pinning.of({outside: PLUS}), Params(2, 3, 5))
             with pytest.raises(PinningError):
                 marginal(g, Pinning.of({outside: PLUS}), 0, Params(2, 3, 5))
         with pytest.raises(PinningError):
@@ -552,48 +598,6 @@ class TestProbePair:
     def test_probe_must_be_free(self, probe):
         with pytest.raises(PinningError):
             z_brute(EDGE, Pinning.of({0: PLUS}), Params(2, 3, 1), probe=probe)
-
-
-class TestZAuto:
-    def test_forest_traversed_once(self, monkeypatch):
-        components, orders = [], []
-        real_components, real_order = Graph.components, partition._forest_order
-
-        def counted_components(self):
-            components.append(self)
-            return real_components(self)
-
-        def counted_order(g, root):
-            orders.append(g)
-            return real_order(g, root)
-
-        monkeypatch.setattr(Graph, "components", counted_components)
-        monkeypatch.setattr(partition, "_forest_order", counted_order)
-        rng = random.Random(83)
-        trees = [rand_tree(rng, rng.randint(1, 8)) for _ in range(10)]
-        for t in trees:
-            params = rand_params(rng, "generic", t.n)
-            assert z_auto(t, Pinning(), params) == z_naive(t, Pinning(), params)
-        assert components == [] and orders == trees
-
-    def test_cyclic_graph_falls_back_to_enumeration(self):
-        params = Params(Fraction(1, 2), 3, 2)
-        k3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
-        assert z_auto(k3, Pinning.of({1: MINUS}), params) == \
-            z_naive(k3, Pinning.of({1: MINUS}), params)
-
-    def test_cap_error_precedes_pinning_error_on_cyclic_input(self):
-        cycle = Graph(25, tuple((i, (i + 1) % 25) for i in range(25)))
-        infeasible = Pinning.of({0: PLUS, 1: PLUS})
-        with pytest.raises(CapExceededError):
-            z_auto(cycle, infeasible, hardcore_params(1))
-
-    def test_infeasible_pinning_rejected(self):
-        infeasible = Pinning.of({0: PLUS, 1: PLUS})
-        with pytest.raises(PinningError):
-            z_auto(PATH3, infeasible, hardcore_params(1))
-        with pytest.raises(PinningError):
-            z_auto(Graph(3, ((0, 1), (0, 2), (1, 2))), infeasible, hardcore_params(1))
 
 
 def distinct_denominator_scalar(rng: random.Random, den: int) -> ExactComplex:
