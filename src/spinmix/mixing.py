@@ -9,6 +9,7 @@ so coefficient comparisons are bit-exact.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -156,6 +157,7 @@ def ldc_report(g: Graph, s: Pinning, t: Pinning, v: int, beta, gamma,
     The coefficients must agree on indices 0..d-1 where d is the distance
     from v to the set on which the pinnings disagree.
     """
+    order = _default_order(g) if order is None else order
     a = marginal_series_lambda(g, s, v, beta, gamma, order)
     b = marginal_series_lambda(g, t, v, beta, gamma, order)
     d = disagreement_distance(g, v, s, t)
@@ -204,6 +206,7 @@ def marginal_series_beta(g: Graph, p: Pinning, v: int, gamma, lam,
 def ldc_report_beta(g: Graph, s: Pinning, t: Pinning, v: int, gamma, lam,
                     center, order: int | None = None) -> LdcReport:
     """Edge-activity analogue of ldc_report at the given center."""
+    order = _default_order(g) if order is None else order
     a = marginal_series_beta(g, s, v, gamma, lam, center, order)
     b = marginal_series_beta(g, t, v, gamma, lam, center, order)
     d = disagreement_distance(g, v, s, t)
@@ -282,7 +285,7 @@ def decay_profile(instances: Iterable[DecayInstance], params: Params) -> DecayPr
     """Evaluate |P^a - P^b| for every instance and fit the decay rate.
 
     Marginals are computed exactly and only the gap is floated (its log is
-    taken from the exact value when the float underflows to 0.0); exact zero
+    taken from the exact value when the float is subnormal or 0.0); exact zero
     gaps are recorded with an empty log column and excluded from the fit.
     Raises ZeroPartitionError (tagged with k) when either boundary makes
     the partition value vanish.
@@ -298,7 +301,7 @@ def decay_profile(instances: Iterable[DecayInstance], params: Params) -> DecayPr
         gap = abs(diff.to_complex())
         if diff.is_zero():
             log_gap = None
-        elif gap:
+        elif gap >= sys.float_info.min:
             log_gap = math.log(gap)
         else:
             sq = diff.abs2()

@@ -1,14 +1,17 @@
 """Exact Gaussian-rational scalars, truncated power series, polynomials, roots.
 
-All identity verification in this package runs on :class:`ExactComplex`,
+Every value this package compares or reports is an :class:`ExactComplex`,
 a Gaussian rational (a + b*i)/d held as three arbitrary-precision integers
-in lowest terms, so equalities are bit-exact.
+in lowest terms, so equalities are bit-exact. The tree pass, the enumeration
+folds and ``series_div`` run on Gaussian-integer numerators over one
+denominator instead, and reduce each value once, when it is read.
 Floating point appears only in root finding and decay fitting.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 from math import gcd
@@ -230,6 +233,11 @@ def _reduced(a: int, b: int, d: int) -> ExactComplex:
     return _exact(a, b, d)
 
 
+def _gmul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """The product of two Gaussian integers (re, im)."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
 ZERO = ExactComplex(0)
 ONE = ExactComplex(1)
 
@@ -311,17 +319,7 @@ class PowerSeries:
 
 def series_invert(s: PowerSeries) -> PowerSeries:
     """Multiplicative inverse of a series with nonzero constant term."""
-    if s.order == 0 or s.coefficients[0].is_zero():
-        raise SeriesDivisionError("series has zero constant term")
-    c0 = s.coefficients[0]
-    inv0 = ONE / c0
-    out = [inv0]
-    for k in range(1, s.order):
-        acc = ZERO
-        for i in range(1, k + 1):
-            acc = acc + s.coefficients[i] * out[k - i]
-        out.append(-acc / c0)
-    return PowerSeries(out)
+    return series_div(PowerSeries((ONE,) + (ZERO,) * (s.order - 1)), s)
 
 
 def series_div(num: PowerSeries, den: PowerSeries) -> PowerSeries:
@@ -330,6 +328,8 @@ def series_div(num: PowerSeries, den: PowerSeries) -> PowerSeries:
     The result order shrinks by the cancelled valuation. Raises
     SeriesDivisionError when den vanishes through its order or when num has
     a smaller valuation than den (the quotient would not be a power series).
+    Fraction-free: R_i = q_i d_0^(i+1) on Gaussian-integer numerators (their
+    common denominator cancels); q_i = R_i conj(d_0)^(i+1) / |d_0|^(2(i+1)).
     """
     k = den.valuation()
     if k is None:
@@ -341,7 +341,25 @@ def series_div(num: PowerSeries, den: PowerSeries) -> PowerSeries:
                 f"valuation mismatch: numerator x^{vn} vs denominator x^{k}")
         num = num.shifted_down(k) if vn is not None else PowerSeries(num.coefficients[k:])
         den = den.shifted_down(k)
-    return num * series_invert(den)
+    size = min(num.order, den.order)
+    # over the lcm of all denominators; den's constant term even when num is empty
+    coeffs = [c._abd for c in num.coefficients[:size] + den.coefficients[:max(size, 1)]]
+    common = math.lcm(*[d for _, _, d in coeffs])
+    ns = [(a * (common // d), b * (common // d)) for a, b, d in coeffs]
+    ns, ds = ns[:size], ns[size:]
+    # d_0^i, and e_j = d_j d_0^(j-1): R_i = n_i d_0^i - sum_{j>=1} e_j R_{i-j}
+    pw = list(itertools.accumulate([ds[0]] * size, _gmul, initial=(1, 0)))
+    es = list(map(_gmul, ds[1:], pw))
+    norm = ds[0][0] ** 2 + ds[0][1] ** 2
+    rs, out = [], []
+    for i in range(size):
+        re, im = _gmul(ns[i], pw[i])
+        for (er, ei), (xr, xi) in zip(es, reversed(rs)):
+            re, im = re - er * xr + ei * xi, im - er * xi - ei * xr
+        rs.append((re, im))
+        pr, pi = pw[i + 1]
+        out.append(_reduced(re * pr + im * pi, im * pr - re * pi, norm ** (i + 1)))
+    return PowerSeries(out)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ denominator per call and reduces a value only when it is read.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -18,7 +19,7 @@ from typing import Sequence
 
 from .errors import CapExceededError, NotATreeError, PinningError
 from .graphs import Graph, MINUS, PLUS, Pinning, is_feasible
-from .numerics import ONE, ZERO, ExactComplex, Polynomial, _reduced
+from .numerics import ONE, ZERO, ExactComplex, Polynomial, _gmul, _reduced
 
 ENUMERATION_CAP = 24
 
@@ -137,10 +138,12 @@ def two_spin_embedding(params: Params) -> QSpinParams:
                        (params.field, ONE))
 
 
-def _powers(x: ExactComplex, n: int) -> list[ExactComplex]:
-    out = [ONE]
+def _powers(x: ExactComplex, n: int) -> list[tuple[int, int]]:
+    """x^0..x^n as Gaussian-integer numerators over d ** n, d that of x."""
+    a, b, d = x._abd
+    out = [(d ** n, 0)]
     for _ in range(n):
-        out.append(out[-1] * x)
+        out.append(tuple(c // d for c in _gmul(out[-1], (a, b))))
     return out
 
 
@@ -176,13 +179,15 @@ def _check_qspin_pins(g: Graph, p: Pinning, q: int):
 def _monomial_counts(g: Graph, p: Pinning,
                      weights: Sequence[ExactComplex] | None = None,
                      probe: int | None = None
-                     ) -> list[dict[tuple[int, int, int], int | ExactComplex]]:
+                     ) -> list[dict[tuple[int, int, int], tuple[int, int]]]:
     """Coefficients of Z(beta, gamma, lambda) over the extensions of p.
 
     Each table maps (m+, m-, #+) to the number of extensions of p with m+
-    (+,+) edges, m- (-,-) edges and #+ plus vertices, pins included. With
-    ``weights``, each extension contributes the product of weights[v] over its
-    + vertices instead of 1. Returns [table]; with a free ``probe`` vertex,
+    (+,+) edges, m- (-,-) edges and #+ plus vertices, pins included, as a
+    Gaussian integer (re, im). With ``weights`` (numerators over dw, the lcm
+    of their denominators), each extension contributes the product of
+    weights[v] over its + vertices instead of 1, which lies over dw ** #+.
+    Returns [table]; with a free ``probe`` vertex,
     [table of the extensions with probe -, table of those with probe +].
     This is the one 2-spin enumeration, and it enforces the enumeration cap.
 
@@ -219,7 +224,7 @@ def _monomial_counts(g: Graph, p: Pinning,
             nbrs |= 1 << w
         flips.append((1 << v, nbrs, g.degree(v)))
     split = 1 << (len(free) - 1) if probe is not None else 0
-    table: dict[tuple[int, int, int], int | ExactComplex] = {}
+    table: dict = {}
     tables = [table]
     if weights is not None:
         # one product per extension: of the + weights among the low half of the
@@ -227,12 +232,11 @@ def _monomial_counts(g: Graph, p: Pinning,
         # and indexed by the Gray code of the step
         half = len(free) // 2
         low_mask = (1 << half) - 1
-        plus_pins = ONE
-        for v, s in p.items():
-            if s == PLUS:
-                plus_pins = plus_pins * weights[v]
-        low = _subset_products([weights[v] for v in free[:half]], plus_pins)
-        high = _subset_products([weights[v] for v in free[half:]], ONE)
+        dw = math.lcm(*[w._abd[2] for w in weights])
+        nums = [(a * (dw // d), b * (dw // d)) for a, b, d in (w._abd for w in weights)]
+        plus = functools.reduce(_gmul, [nums[v] for v, s in p.items() if s == PLUS], (1, 0))
+        low = _subset_products([nums[v] for v in free[:half]], plus)
+        high = _subset_products([nums[v] for v in free[half:]], (1, 0))
     gray = 0
     for i in range(1 << len(free)):
         if i:
@@ -256,50 +260,73 @@ def _monomial_counts(g: Graph, p: Pinning,
         if weights is None:
             table[key] = table.get(key, 0) + 1
         else:
-            w = low[gray & low_mask] * high[gray >> half]
-            table[key] = table.get(key, ZERO) + w
+            (ar, ai), (br, bi) = low[gray & low_mask], high[gray >> half]
+            re, im = table.get(key, (0, 0))
+            table[key] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
+    if weights is None:
+        return [{key: (c, 0) for key, c in t.items()} for t in tables]
     return tables
 
 
-def _subset_products(ws: list[ExactComplex], start: ExactComplex
-                     ) -> list[ExactComplex]:
+def _subset_products(ws: list[tuple[int, int]], start: tuple[int, int]) -> list:
     """start times the product of ws[i] over the set bits i of each index."""
     out = [start]
     for w in ws:
-        out += [x * w for x in out]
+        out += [_gmul(x, w) for x in out]
     return out
 
 
 def _fold(g: Graph, p: Pinning, weights: Sequence[ExactComplex] | None,
-          probe: int | None, size: int, term) -> list[list[ExactComplex]]:
-    """The sweep's tables folded into vectors of ``size`` coefficients, each
-    entry adding term(m+, m-, #+, count) = (index, value). Returns [Z's]; with
-    a probe, [Z's, Z+_probe's], Z's being the sum of the probe's two halves."""
+          probe: int | None, size: int, term) -> list[list[tuple[int, int]]]:
+    """The sweep's tables folded into vectors of ``size`` Gaussian integers, each
+    entry adding its value times x, term(m+, m-, #+) = (index, x). Returns [Z's];
+    with a probe, [Z's, Z+_probe's], Z's being the sum of the probe's halves."""
     vectors = []
     for table in _monomial_counts(g, p, weights, probe):
-        vec = [ZERO] * size
-        for (mp, mm, k), c in table.items():
-            i, x = term(mp, mm, k, c)
-            vec[i] = vec[i] + x
-        vectors.append(vec)
+        re, im = [0] * size, [0] * size
+        for (mp, mm, k), (cr, ci) in table.items():
+            i, (xr, xi) = term(mp, mm, k)
+            re[i] += cr * xr - ci * xi
+            im[i] += cr * xi + ci * xr
+        vectors.append(list(zip(re, im)))
     if probe is not None:
         minus, plus = vectors
-        vectors = [[a + b for a, b in zip(minus, plus)], plus]
+        vectors = [[(a + c, b + d) for (a, b), (c, d) in zip(minus, plus)], plus]
     return vectors
 
 
-def _lambda_polynomial(g: Graph, p: Pinning, beta: ExactComplex,
-                       gamma: ExactComplex,
-                       weights: Sequence[ExactComplex] | None,
-                       probe: int | None) -> list[Polynomial]:
-    """Z as a polynomial in lambda at (beta, gamma): [Z], or with a probe
-    [Z, Z+_probe] from the same sweep."""
-    pow_b = _powers(beta, len(g.edges))
-    pow_g = _powers(gamma, len(g.edges))
+def _lambda_fold(g: Graph, p: Pinning, beta: ExactComplex, gamma: ExactComplex,
+                 weights: Sequence[ExactComplex] | None, probe: int | None):
+    """The numerators of Z's lambda^k coefficients at (beta, gamma), as _fold
+    returns them, with den and dw: coefficient k lies over den * dw ** k."""
+    m = len(g.edges)
+    pow_b, pow_g = _powers(beta, m), _powers(gamma, m)
 
-    def term(mp, mm, k, c):
-        return k, c * (pow_b[mp] * pow_g[mm])
-    return [Polynomial(c) for c in _fold(g, p, weights, probe, g.n + 1, term)]
+    def term(mp, mm, k):
+        return k, _gmul(pow_b[mp], pow_g[mm])
+    dw = 1 if weights is None else math.lcm(*[w._abd[2] for w in weights])
+    return _fold(g, p, weights, probe, g.n + 1, term), (beta._abd[2] * gamma._abd[2]) ** m, dw
+
+
+def _taylor(vec: list[tuple[int, int]], den: int, center: ExactComplex,
+            order: int) -> list[ExactComplex]:
+    """First ``order`` coefficients in t of sum_k vec[k] (center + t)^k / den.
+
+    With center = C / cd and s = cd t, den cd^m times the sum is
+    sum_k vec[k] cd^(m-k) (C + s)^k: Horner's rule in C + s from the top
+    exponent, on integers; the coefficient of t^i is that of s^i times cd^i.
+    """
+    cr, ci, cd = center._abd
+    re, im = [0] * order, [0] * order
+    for j, (wr, wi) in enumerate(reversed(vec)):
+        # after j steps only the first j coefficients can be nonzero
+        for i in range(min(j, order - 1), 0, -1):
+            re[i], im[i] = (re[i] * cr - im[i] * ci + re[i - 1],
+                            re[i] * ci + im[i] * cr + im[i - 1])
+        re[0], im[0] = (re[0] * cr - im[0] * ci + wr * cd ** j,
+                        re[0] * ci + im[0] * cr + wi * cd ** j)
+    return [_reduced(re[i] * cd ** i, im[i] * cd ** i, den * cd ** (len(vec) - 1))
+            for i in range(order)]
 
 
 def _edge_activity_series(g: Graph, p: Pinning, gamma: ExactComplex | None,
@@ -311,29 +338,16 @@ def _edge_activity_series(g: Graph, p: Pinning, gamma: ExactComplex | None,
 
     With ``gamma`` given, only the (+,+) activity varies; with gamma None
     the instance is Ising and both activities are tied to center + t. The
-    table is folded into the weight of each activity exponent; Horner's rule
-    in (center + t) then keeps ``order`` terms.
+    table is folded into the weight of each activity exponent (numerators
+    over den); Horner's rule in (center + t) then keeps ``order`` terms.
     """
     m = len(g.edges)
-    pow_l = _powers(lam, g.n)
-    if gamma is None:
-        def term(mp, mm, k, c):
-            return mp + mm, c * pow_l[k]
-    else:
-        pow_g = _powers(gamma, m)
+    pow_l, pow_g = _powers(lam, g.n), _powers(ONE if gamma is None else gamma, m)
+    den = lam._abd[2] ** g.n * (1 if gamma is None else gamma._abd[2] ** m)
 
-        def term(mp, mm, k, c):
-            return mp, c * (pow_g[mm] * pow_l[k])
-    series = []
-    for weights in _fold(g, p, None, probe, m + 1, term):
-        # Z = sum_k weights[k] (center + t)^k, by Horner from the top exponent;
-        # after j steps only the first j coefficients can be nonzero
-        coeffs = [ZERO] * order
-        for j, w in enumerate(reversed(weights)):
-            for i in range(min(j, order - 1), 0, -1):
-                coeffs[i] = coeffs[i] * center + coeffs[i - 1]
-            coeffs[0] = coeffs[0] * center + w
-        series.append(coeffs)
+    def term(mp, mm, k):
+        return (mp + mm if gamma is None else mp), _gmul(pow_g[mm], pow_l[k])
+    series = [_taylor(w, den, center, order) for w in _fold(g, p, None, probe, m + 1, term)]
     return series[0] if probe is None else tuple(series)
 
 
@@ -353,11 +367,11 @@ def z_brute(g: Graph, p: Pinning, params: Params,
     _check_cap(g)
     if check_feasibility:
         _check_feasible(g, p, params)
-    lams = params.field_vector(g.n)
-    # a per-vertex field goes into the table, which is then evaluated at lambda = 1
-    lam = params.field if params.uniform else ONE
-    values = [z.evaluate(lam) for z in _lambda_polynomial(
-        g, p, params.beta, params.gamma, None if params.uniform else lams, probe)]
+    vectors, den, dw = _lambda_fold(g, p, params.beta, params.gamma, None if params.uniform
+                                    else params.field_vector(g.n), probe)
+    # the sum at lambda / dw, lambda = 1 when a per-vertex field is in the table
+    lam = params.field if params.uniform else _reduced(1, 0, dw)
+    values = [_taylor(vec, den, lam, 1)[0] for vec in vectors]
     return values[0] if probe is None else tuple(values)
 
 
@@ -566,7 +580,8 @@ def z_poly_lambda(g: Graph, p: Pinning, beta, gamma,
     gamma = ExactComplex._coerce(gamma)
     if scale is not None and len(scale) != g.n:
         raise ValueError("scale vector length must equal vertex count")
-    polys = _lambda_polynomial(g, p, beta, gamma, scale, probe)
+    vectors, den, dw = _lambda_fold(g, p, beta, gamma, scale, probe)
+    polys = [Polynomial(_reduced(*c, den * dw ** k) for k, c in enumerate(v)) for v in vectors]
     return polys[0] if probe is None else tuple(polys)
 
 

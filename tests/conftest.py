@@ -5,7 +5,9 @@ assignments with itertools and recomputes every weight from scratch, sharing
 no code with the library's bitmask enumeration or tree recursion.
 ``z_auto`` and ``z_pair`` are the one-value-per-pass routes the tree
 identities took before they read pinned values from root messages; tests
-keep them as references.
+keep them as references. ``series_div_naive`` is the series division the
+library ran before it went fraction-free: an ExactComplex inverse series
+times the numerator, each coefficient reduced after every operation.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from spinmix.errors import NotATreeError
+from spinmix.errors import NotATreeError, SeriesDivisionError
 from spinmix.graphs import Graph, MINUS, PLUS, Pinning
-from spinmix.numerics import ExactComplex
+from spinmix.numerics import ExactComplex, PowerSeries
 from spinmix.partition import Params, _check_feasible, z_brute, z_tree
 
 
@@ -66,6 +68,25 @@ def z_pair(g: Graph, p: Pinning, u: int, su: str, v: int, sv: str,
     _check_feasible(g, p, params)
     extended = p.with_pin(u, su).with_pin(v, sv)
     return z_auto(g, extended, params, check_feasibility=False)
+
+
+def series_div_naive(num: PowerSeries, den: PowerSeries) -> PowerSeries:
+    """num/den after cancelling den's valuation, with the library's two
+    SeriesDivisionError cases."""
+    k = den.valuation()
+    if k is None:
+        raise SeriesDivisionError("denominator is zero through the truncation order")
+    vn = num.valuation()
+    if vn is not None and vn < k:
+        raise SeriesDivisionError("valuation mismatch")
+    n, d = num.coefficients[k:], den.coefficients[k:]
+    inv = [ExactComplex(1) / d[0]]
+    for i in range(1, len(d)):
+        acc = ExactComplex(0)
+        for j in range(1, i + 1):
+            acc = acc + d[j] * inv[i - j]
+        inv.append(-acc / d[0])
+    return PowerSeries(n) * PowerSeries(inv)
 
 
 def z_naive_qspin(g, p, qp):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from spinmix import cli, corpus, mixing
 from spinmix.errors import DrawLimitError, ZeroPartitionError
 from spinmix.numerics import ExactComplex
+from spinmix.partition import Params
 
 
 @pytest.fixture
@@ -95,7 +97,15 @@ class TestExitCodes:
         rows = [json.loads(line) for line in lines[:-2]]
         assert [r["k"] for r in rows] == list(range(814, 901))
         first, *underflowed = rows
-        assert first["gap"] > 0 and first["log_gap"] == math.log(first["gap"])
+        # k = 814 is subnormal (5e-324, one significant bit): its log_gap is
+        # the exact one, not math.log(gap) = -744.44
+        (inst,) = mixing.path_decay_instances(814, "ssm", k_min=814)
+        params = Params(Fraction(3, 2), Fraction(3, 2), Fraction(-1, 2))
+        sq = (mixing.marginal(inst.graph, inst.boundary_a, 0, params)
+              - mixing.marginal(inst.graph, inst.boundary_b, 0, params)).abs2()
+        exact = (math.log(sq.numerator) - math.log(sq.denominator)) / 2
+        assert first["gap"] == 5e-324 and first["log_gap"] == exact
+        assert abs(exact + 744.859) < 1e-3
         assert all(r["gap"] == 0.0 and math.isfinite(r["log_gap"]) for r in underflowed)
         assert all(b["log_gap"] < a["log_gap"] for a, b in zip(rows, rows[1:]))
 
@@ -229,6 +239,22 @@ REDRAW_CORPORA = [
      "6b24012bcc477b7862d31ee2d860678b7c4cb68515bc996a8288f55196a11576"),
 ]
 REDRAW_IDS = ["saw-check-7", "weitz-7", "weitz-depth-4", "ldc-beta"]
+# seeded locality reports: ldc seed 1 draws a complex beta in 7 of its trials
+LOCALITY_CORPORA = [
+    ("ldc", 1, "76134c5689d473802e5685435a21c50e569670ad65465233ad053137020990d7"),
+    ("ldc-beta", 3, "a4aad1e758b156f11ea4759c9a83fcb914618a4fcee91e11a9748e8234f6c277"),
+]
+
+
+@pytest.mark.parametrize("command,seed,digest", LOCALITY_CORPORA,
+                         ids=[c for c, _, _ in LOCALITY_CORPORA])
+def test_locality_report_digest(command, seed, digest, tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    code, out, _ = run_cli([command, "--trials", "40", "--seed", str(seed),
+                            "--out", str(report)], capsys)
+    assert code == 0
+    assert out.strip().endswith(f"{command} pass=40 fail=0 seed={seed}")
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
 class TestRedrawCorpora:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import series_div_naive
 from spinmix.errors import SeriesDivisionError
 from spinmix.numerics import (ExactComplex, Polynomial, PowerSeries,
                               match_roots, parse_scalar, poly_roots,
@@ -13,6 +14,18 @@ from spinmix.numerics import (ExactComplex, Polynomial, PowerSeries,
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=10)
 exacts = st.builds(ExactComplex, rationals, rationals)
 nonzero_exacts = exacts.filter(lambda x: not x.is_zero())
+
+
+@st.composite
+def series_pairs(draw):
+    """(num, den) with valuations 0-2 and a complex, non-unit leading
+    coefficient of den; a series may be zero through its order."""
+    def series(lead):
+        order = draw(st.integers(0, 6))
+        coeffs = [0] * draw(st.integers(0, 2)) + [lead] + draw(st.lists(exacts, max_size=6))
+        return PowerSeries(coeffs[:order] + [0] * (order - len(coeffs)))
+    d0 = draw(exacts.filter(lambda x: not x.is_real() and x.abs2() != 1))
+    return series(draw(st.one_of(nonzero_exacts, st.just(0)))), series(d0)
 
 
 class TestExactComplex:
@@ -231,6 +244,18 @@ class TestPowerSeries:
         n = min(len(a), len(b))
         sa, sb = PowerSeries(a[:n]), PowerSeries(b[:n])
         assert series_div(sa * sb, sb) == sa
+
+    @given(series_pairs())
+    @settings(max_examples=100)
+    def test_div_matches_naive_reference(self, pair):
+        num, den = pair
+        try:
+            want = series_div_naive(num, den)
+        except SeriesDivisionError:
+            with pytest.raises(SeriesDivisionError):
+                series_div(num, den)
+        else:
+            assert series_div(num, den) == want
 
     def test_evaluate(self):
         s = PowerSeries([1, 2, 3])
