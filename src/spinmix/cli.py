@@ -10,10 +10,11 @@ dumped as JSON for `replay`), 2 on usage errors (argparse rejects a
 malformed --beta, --gamma or --lambda, or roots without --beta), on
 configuration errors, on arithmetic that cannot finish (a vanishing
 partition value, an undefined series division, a root iteration that does
-not converge) and on a draw loop that reaches its bound. The saw-check,
-weitz and ldc-beta corpora leave out instances whose partition value
-vanishes: the driver draws such a candidate again, at most
-corpus.DRAW_LIMIT times a trial.
+not converge) and on a draw loop that reaches its bound; 141 (128 +
+SIGPIPE), with nothing on stderr, when the reader of stdout closes it
+early, as `| head` does. The saw-check, weitz and ldc-beta corpora leave
+out instances whose partition value vanishes: the driver draws such a
+candidate again, at most corpus.DRAW_LIMIT times a trial.
 """
 
 from __future__ import annotations
@@ -22,14 +23,15 @@ import argparse
 import functools
 import json
 import math
+import os
 import random
 import sys
 from pathlib import Path
 
 from . import corpus
 from .errors import DrawLimitError, RootConvergenceError, ZeroPartitionError
-from .graphs import (Graph, MINUS, PLUS, Pinning, build_saw_tree,
-                     is_proper, parse_graph, parse_pinning)
+from .graphs import (Graph, MINUS, PLUS, Pinning, is_proper, parse_graph,
+                     parse_pinning, saw_shape)
 from .identities import cd_sides, gutman_sides, qspin_det_sides
 from .mixing import (decay_profile, ldc_report, ldc_report_beta, marginal,
                      path_decay_instances, verify_saw_marginal,
@@ -97,17 +99,10 @@ def eval_saw(inst: dict) -> tuple[bool, dict]:
     params = Params.from_json(inst["params"])
     v = inst["v"]
     equal = verify_saw_marginal(g, p, v, params)
-    bare = build_saw_tree(g, v, Pinning())
-    degree_ok = bare.tree.max_degree() == g.max_degree()
-    dist_g = g.distances_from(v)
-    dist_t = bare.tree.distances_from(bare.root)
-    distances_ok = True
-    for w in range(g.n):
-        copies = bare.copies_of(w)
-        d_t = min((dist_t[x] for x in copies), default=math.inf)
-        if d_t != dist_g[w]:
-            distances_ok = False
-            break
+    # the structure of the bare SAW tree (no pins), from a walk with no arithmetic
+    degree, depths = saw_shape(g, v)
+    degree_ok = degree == g.max_degree()
+    distances_ok = depths == g.distances_from(v)
     ok = equal and degree_ok and distances_ok
     row = {"n": g.n, "v": v, "marginal_equal": equal, "degree_ok": degree_ok,
            "distances_ok": distances_ok, "pass": ok}
@@ -500,18 +495,31 @@ def _run_region(cfg: argparse.Namespace) -> int:
     return 0
 
 
+# 128 + SIGPIPE, the status a shell reports for a command stopped by a closed pipe
+EXIT_BROKEN_PIPE = 141
+
+
 def run(cfg: argparse.Namespace) -> int:
     """Execute one parsed command; returns the process exit code."""
     try:
         if "max_vertices" in cfg and cfg.max_vertices < 2:
             raise ValueError(f"--max-vertices must be at least 2, got {cfg.max_vertices}")
         if cfg.command == "decay":
-            return _run_decay(cfg)
-        if cfg.command == "region":
-            return _run_region(cfg)
-        if getattr(cfg, "graph", None) is not None:
-            return _run_single_file_command(cfg)
-        return _run_corpus_command(cfg)
+            code = _run_decay(cfg)
+        elif cfg.command == "region":
+            code = _run_region(cfg)
+        elif getattr(cfg, "graph", None) is not None:
+            code = _run_single_file_command(cfg)
+        else:
+            code = _run_corpus_command(cfg)
+        # a closed pipe surfaces here, not in the flush at shutdown
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout left (`| head`): point stdout at devnull so
+        # that the flush at shutdown does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -397,7 +397,9 @@ def build_saw_tree_truncated(g: Graph, root: int, p: Pinning, depth: int,
     return _build_saw(g, root, p, beta_is_zero, gamma_is_zero, max_depth=depth)
 
 
-def _build_saw(g, root, p, beta_is_zero, gamma_is_zero, max_depth):
+def _check_saw_root(g: Graph, root: int, p: Pinning, beta_is_zero: bool,
+                    gamma_is_zero: bool):
+    """The checks of every SAW-tree route: root in range, unpinned, p feasible."""
     if not (0 <= root < g.n):
         raise GraphFormatError(f"root {root} out of range")
     if root in p:
@@ -405,6 +407,9 @@ def _build_saw(g, root, p, beta_is_zero, gamma_is_zero, max_depth):
     if not is_feasible(g, p, beta_is_zero, gamma_is_zero):
         raise PinningError("infeasible pinning")
 
+
+def _build_saw(g, root, p, beta_is_zero, gamma_is_zero, max_depth):
+    _check_saw_root(g, root, p, beta_is_zero, gamma_is_zero)
     origin = [root]
     tree_edges: list[tuple[int, int]] = []
     pins: list[tuple[int, str]] = []
@@ -437,3 +442,46 @@ def _build_saw(g, root, p, beta_is_zero, gamma_is_zero, max_depth):
     tree = Graph(len(origin), tuple(tree_edges))
     saw = SawTree(tree=tree, root=0, origin=tuple(origin), pinning=Pinning(tuple(pins)))
     return saw, tuple(cuts)
+
+
+def saw_shape(g: Graph, root: int) -> tuple[int, list[int | float]]:
+    """The largest vertex degree of the SAW tree of g at ``root`` (no pins),
+    and for each vertex of g the smallest depth of a copy (math.inf when there
+    is none), from one depth-first walk over g with no tree built.
+
+    A walk vertex w has a child for each neighbour besides its parent and an
+    edge to that parent, so its degree is g.degree(w). A cycle-closing leaf
+    has degree 1, below that of its parent, which has two neighbours or more.
+    """
+    adj = g._adj
+    depth = [math.inf] * g.n
+    depth[root] = 0
+    largest = len(adj[root])
+    on_walk = [False] * g.n
+    on_walk[root] = True
+    # the walk and, per walk vertex, the index of its next neighbour
+    walk, nexts = [root], [0]
+    while walk:
+        w, i, d = walk[-1], nexts[-1], len(walk)
+        nbrs = adj[w]
+        parent = walk[-2] if d > 1 else -1
+        while i < len(nbrs):
+            y = nbrs[i]
+            i += 1
+            if y == parent:
+                continue
+            if d < depth[y]:
+                depth[y] = d
+            if on_walk[y]:
+                continue
+            largest = max(largest, len(adj[y]))
+            nexts[-1] = i
+            on_walk[y] = True
+            walk.append(y)
+            nexts.append(0)
+            break
+        else:
+            on_walk[w] = False
+            walk.pop()
+            nexts.pop()
+    return largest, depth

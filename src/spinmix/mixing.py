@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import NotATreeError, PinningError, ZeroPartitionError
-from .graphs import (Graph, MINUS, PLUS, Pinning, SawTree, build_saw_tree,
-                     build_saw_tree_truncated, disagreement_distance, is_proper)
+from .graphs import (Graph, MINUS, PLUS, Pinning, _check_saw_root,
+                     disagreement_distance, is_proper)
 from .numerics import (ONE, ZERO, ExactComplex, PowerSeries,
                        series_div)
-from .partition import (Params, _edge_activity_series, z_brute, z_poly_lambda,
-                        z_tree)
+from .partition import (Params, _edge_activity_series, _walk_pass, z_brute,
+                        z_poly_lambda, z_tree)
 
 
 @dataclass(frozen=True)
@@ -75,23 +75,20 @@ def marginal(g: Graph, p: Pinning, v: int, params: Params) -> ExactComplex:
 
 def saw_tree_marginal(g: Graph, p: Pinning, v: int, params: Params
                       ) -> ExactComplex:
-    """Marginal of v computed on the SAW tree of g rooted at v."""
-    st = build_saw_tree(g, v, p, params.beta_is_zero, params.gamma_is_zero)
-    return _root_marginal(g, st, st.pinning, params, "SAW tree")
+    """Marginal of v at the root of the SAW tree of g rooted at v, from one
+    walk over g (partition._walk_pass); no tree is built."""
+    _check_saw_root(g, v, p, params.beta_is_zero, params.gamma_is_zero)
+    return _walk_marginal(g, p, v, params, None, "SAW tree")[0]
 
 
-def _root_marginal(g: Graph, st: SawTree, pins: Pinning, params: Params,
-                   what: str) -> ExactComplex:
-    """Z+ / Z at the root of st under pins, with g's fields mapped via st.origin."""
-    lams = params.field_vector(g.n)
-    tree_params = Params(params.beta, params.gamma,
-                         tuple(lams[o] for o in st.origin))
-    _, msgs = z_tree(st.tree, pins, tree_params, root=st.root)
-    zp, zm = msgs.at(st.root)
+def _walk_marginal(g: Graph, p: Pinning, v: int, params: Params,
+                   depth: int | None, what: str) -> tuple[ExactComplex, bool]:
+    """Z+ / Z at the root of the (depth-cut) SAW tree, and whether a walk was cut."""
+    (zp, zm), cut = _walk_pass(g, p, params, v, depth)
     z = zp + zm
     if z.is_zero():
         raise ZeroPartitionError(f"{what} partition value is zero")
-    return zp / z
+    return zp / z, cut
 
 
 def verify_saw_marginal(g: Graph, p: Pinning, v: int, params: Params) -> bool:
@@ -355,8 +352,6 @@ def weitz_approx_marginal(g: Graph, v: int, p: Pinning, params: Params,
     bz, gz = params.beta_is_zero, params.gamma_is_zero
     if not is_proper(g, p, v, bz, gz):
         raise PinningError(f"vertex {v} is not proper to the pinning")
-    st, cuts = build_saw_tree_truncated(g, v, p, depth, bz, gz)
-    pins = st.pinning
-    for x in cuts:
-        pins = pins.with_pin(x, MINUS)
-    return _root_marginal(g, st, pins, params, "truncated tree"), not cuts
+    _check_saw_root(g, v, p, bz, gz)
+    value, cut = _walk_marginal(g, p, v, params, depth, "truncated tree")
+    return value, not cut

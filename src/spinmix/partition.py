@@ -485,28 +485,45 @@ def _absorb(matrix, vec, child):
     return out
 
 
+def _numerators(matrix, weights) -> tuple[int, list, list]:
+    """D, the lcm of the matrix and weight denominators, with the matrix and
+    each vertex's weight tuple as Gaussian-integer numerators over D.
+
+    Fraction-free, as in Bareiss elimination: the message passes run on these
+    numerators and reduce a value only when it is read. A weight tuple shared
+    by several vertices (a uniform field) is converted once.
+    """
+    distinct = {id(w): w for w in weights}
+    denom = math.lcm(*[x._abd[2] for xs in (*matrix, *distinct.values()) for x in xs])
+
+    def over(xs):
+        return [(a * k, b * k) for x in xs for a, b, d in [x._abd] for k in [denom // d]]
+    start = {i: over(w) for i, w in distinct.items()}
+    return denom, [over(row) for row in matrix], [start[id(w)] for w in weights]
+
+
+def _two_spin(params: Params, n: int):
+    """The 2-spin system on n vertices as a pass input: the q = 2 matrix
+    [[beta, 1], [1, gamma]] and the weights (lambda_v, 1)."""
+    return (((params.beta, ONE), (ONE, params.gamma)),
+            [(params.field, ONE)] * n if params.uniform
+            else [(lam, ONE) for lam in params.field_vector(n)])
+
+
 def _tree_pass(pins: dict[int, int], matrix, weights, forest
                ) -> tuple[ExactComplex, TreeMessages]:
     """Leaves-first messages over ``forest`` (a _forest_order) for a q x q
     edge matrix: weights[x] absorbs each child's message and keeps only
     entry pins[x] when x is pinned. Z is the product of the root sums.
 
-    Fraction-free, as in Bareiss elimination: the pass runs on numerators
-    over D, the lcm of the matrix and weight denominators. x's message lies
-    over D ** e_x, e_x = 1 + sum over its children (e_c + 1).
+    The pass runs on _numerators over D. x's message lies over D ** e_x,
+    e_x = 1 + sum over its children (e_c + 1).
     """
     roots, order, children = forest
-    # a uniform field is one shared weight tuple, converted once
-    distinct = {id(w): w for w in weights}
-    denom = math.lcm(*[x._abd[2] for xs in (*matrix, *distinct.values()) for x in xs])
-
-    def over(xs):
-        return [(a * k, b * k) for x in xs for a, b, d in [x._abd] for k in [denom // d]]
-    mat = [over(row) for row in matrix]
-    start = {i: over(w) for i, w in distinct.items()}
+    denom, mat, start = _numerators(matrix, weights)
     msgs: dict[int, tuple[list[tuple[int, int]], int]] = {}
     for x in reversed(order):
-        vec, e = start[id(weights[x])], 1
+        vec, e = start[x], 1
         for y in children[x]:
             child, ey = msgs[y]
             vec = _absorb(mat, vec, child)
@@ -522,6 +539,64 @@ def _tree_pass(pins: dict[int, int], matrix, weights, forest
         re, im = re * sr - im * si, re * si + im * sr
         e += er
     return _reduced(re, im, denom ** e), TreeMessages(msgs, denom, mat, roots)
+
+
+def _walk_pass(g: Graph, p: Pinning, params: Params, root: int,
+               max_depth: int | None = None) -> tuple[tuple[ExactComplex, ...], bool]:
+    """(Z+, Z-) at the root of the SAW tree of g at ``root`` (Weitz's
+    recursion) from one depth-first walk over g, with no tree built; also
+    whether the depth bound cut a walk.
+
+    The children of a walk vertex w are its neighbours y but its parent, in
+    ascending order. A pinned y is a leaf at its pin. A y on the walk closes
+    a cycle: a leaf at + iff w exceeds the vertex after y on the walk. A y at
+    depth ``max_depth`` with a neighbour besides w is cut: a leaf at -. Any
+    other y is walked next. Messages are those of _tree_pass, on the same
+    _numerators; frames live on a list, so no recursion limit applies.
+    """
+    matrix, weights = _two_spin(params, g.n)
+    denom, mat, start = _numerators(matrix, weights)
+    pins = {v: 0 if s == PLUS else 1 for v, s in p.items()}
+    # each vertex's weight masked to + (entry 0) and to - (entry 1)
+    leaf = [[[a, (0, 0)], [(0, 0), b]] for a, b in start]
+    walk, pos = [root], [-1] * g.n
+    pos[root] = 0
+    cut = False
+    # per walk vertex: [vertex, index of its next neighbour, message, exponent]
+    frames = [[root, 0, start[root], 1]]
+    while True:
+        frame = frames[-1]
+        w, i, vec, e = frame
+        nbrs = g.neighbors(w)
+        parent = walk[-2] if len(walk) > 1 else -1
+        while i < len(nbrs):
+            y = nbrs[i]
+            i += 1
+            if y == parent:
+                continue
+            k = pins.get(y)
+            if k is None:
+                if pos[y] >= 0:
+                    k = 0 if w > walk[pos[y] + 1] else 1
+                elif len(walk) == max_depth and g.degree(y) > 1:
+                    k, cut = 1, True
+            if k is not None:
+                vec = _absorb(mat, vec, leaf[y][k])
+                e += 2
+                continue
+            frame[1:] = i, vec, e
+            pos[y] = len(walk)
+            walk.append(y)
+            frames.append([y, 0, start[y], 1])
+            break
+        else:
+            frames.pop()
+            pos[walk.pop()] = -1
+            if not frames:
+                return tuple(_reduced(re, im, denom ** e) for re, im in vec), cut
+            up = frames[-1]
+            up[2] = _absorb(mat, up[2], vec)
+            up[3] += e + 1
 
 
 def z_tree(t: Graph, p: Pinning, params: Params,
@@ -542,9 +617,7 @@ def z_tree(t: Graph, p: Pinning, params: Params,
     if check_feasibility:
         _check_feasible(t, p, params)
     return _tree_pass({v: 0 if s == PLUS else 1 for v, s in p.items()},
-                      ((params.beta, ONE), (ONE, params.gamma)),
-                      [(params.field, ONE)] * t.n if params.uniform
-                      else [(lam, ONE) for lam in params.field_vector(t.n)], forest)
+                      *_two_spin(params, t.n), forest)
 
 
 def z_qspin_tree(t: Graph, p: Pinning, qp: QSpinParams,

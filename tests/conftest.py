@@ -8,6 +8,9 @@ identities took before they read pinned values from root messages; tests
 keep them as references. ``series_div_naive`` is the series division the
 library ran before it went fraction-free: an ExactComplex inverse series
 times the numerator, each coefficient reduced after every operation.
+``saw_marginal_tree`` and ``weitz_marginal_tree`` are the explicit SAW-tree
+route the library took before it walked g instead: build the tree, pin the
+cut vertices, run z_tree on the tree and read Z+/Z at its root.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ import itertools
 import random
 from fractions import Fraction
 
-from spinmix.errors import NotATreeError, SeriesDivisionError
-from spinmix.graphs import Graph, MINUS, PLUS, Pinning
+from spinmix.errors import (NotATreeError, PinningError, SeriesDivisionError,
+                            ZeroPartitionError)
+from spinmix.graphs import (Graph, MINUS, PLUS, Pinning, SawTree, build_saw_tree,
+                            build_saw_tree_truncated, is_proper)
 from spinmix.numerics import ExactComplex, PowerSeries
 from spinmix.partition import Params, _check_feasible, z_brute, z_tree
 
@@ -68,6 +73,42 @@ def z_pair(g: Graph, p: Pinning, u: int, su: str, v: int, sv: str,
     _check_feasible(g, p, params)
     extended = p.with_pin(u, su).with_pin(v, sv)
     return z_auto(g, extended, params, check_feasibility=False)
+
+
+def _tree_root_marginal(g: Graph, st: SawTree, pins: Pinning, params: Params,
+                       what: str) -> ExactComplex:
+    """Z+ / Z at the root of st under pins, with g's fields mapped via st.origin."""
+    lams = params.field_vector(g.n)
+    tree_params = Params(params.beta, params.gamma,
+                         tuple(lams[o] for o in st.origin))
+    _, msgs = z_tree(st.tree, pins, tree_params, root=st.root)
+    zp, zm = msgs.at(st.root)
+    z = zp + zm
+    if z.is_zero():
+        raise ZeroPartitionError(f"{what} partition value is zero")
+    return zp / z
+
+
+def saw_marginal_tree(g: Graph, p: Pinning, v: int, params: Params) -> ExactComplex:
+    """saw_tree_marginal by the explicit route: build_saw_tree, then z_tree."""
+    st = build_saw_tree(g, v, p, params.beta_is_zero, params.gamma_is_zero)
+    return _tree_root_marginal(g, st, st.pinning, params, "SAW tree")
+
+
+def weitz_marginal_tree(g: Graph, v: int, p: Pinning, params: Params,
+                        depth: int) -> tuple[ExactComplex, bool]:
+    """weitz_approx_marginal by the explicit route: build_saw_tree_truncated,
+    the cut vertices pinned -, then z_tree."""
+    if depth < 1:
+        raise ValueError(f"weitz depth must be at least 1, got {depth}")
+    bz, gz = params.beta_is_zero, params.gamma_is_zero
+    if not is_proper(g, p, v, bz, gz):
+        raise PinningError(f"vertex {v} is not proper to the pinning")
+    st, cuts = build_saw_tree_truncated(g, v, p, depth, bz, gz)
+    pins = st.pinning
+    for x in cuts:
+        pins = pins.with_pin(x, MINUS)
+    return _tree_root_marginal(g, st, pins, params, "truncated tree"), not cuts
 
 
 def series_div_naive(num: PowerSeries, den: PowerSeries) -> PowerSeries:

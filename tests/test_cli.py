@@ -113,6 +113,56 @@ class TestExitCodes:
         assert cli._build_parser() is cli._build_parser()
 
 
+def test_broken_pipe_is_no_config_error(tmp_path, capsys, monkeypatch):
+    """A reader that closes stdout early (`| head`) ends the run with
+    EXIT_BROKEN_PIPE and nothing on stderr; stdout then points at devnull."""
+    target = open(tmp_path / "stdout", "w")
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return target.fileno()
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    code = cli.main(["decay", "--kmax", "3"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_BROKEN_PIPE == 141
+    assert err == ""
+    target.write("not kept")
+    target.close()
+    assert (tmp_path / "stdout").read_text() == ""
+
+
+def test_saw_and_weitz_build_only_the_instance_graph(monkeypatch):
+    """One saw-check or weitz instance builds one Graph, the parsed instance
+    graph: the SAW-tree values and structure come from walks over it."""
+    built = []
+    real = cli.Graph.__post_init__
+
+    def counted(self):
+        real(self)
+        built.append(self)
+
+    monkeypatch.setattr(cli.Graph, "__post_init__", counted)
+    rng = random.Random(3)
+    for command, trials in (("saw-check", 10), ("weitz", 6)):
+        cfg = cli._build_parser().parse_args([command])
+        for trial in range(trials):
+            inst = cli.GENERATORS[command](cfg, rng, trial)
+            built.clear()
+            try:
+                ok, _ = cli.EVALUATORS[command](inst)
+            except ZeroPartitionError:
+                continue
+            assert ok
+            assert len(built) == 1 and built[0].to_json() == inst["graph"]
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

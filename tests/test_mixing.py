@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_graph, scalar, series_div_naive, z_naive
+from conftest import (random_graph, saw_marginal_tree, scalar, series_div_naive,
+                      weitz_marginal_tree, z_naive)
 from spinmix import mixing, partition
 from spinmix.corpus import rand_feasible_pinning, rand_params, rand_pinning_pair
 from spinmix.errors import PinningError, SeriesDivisionError, ZeroPartitionError
-from spinmix.graphs import Graph, MINUS, PLUS, Pinning, is_proper
+from spinmix.graphs import (Graph, MINUS, PLUS, Pinning, build_saw_tree, is_proper,
+                            saw_shape)
 from spinmix.mixing import (DecayInstance, DecayRow, decay_profile, fit_decay,
                             ldc_report, ldc_report_beta, marginal,
                             marginal_series_beta, marginal_series_lambda,
@@ -156,6 +158,91 @@ class TestSawMarginalEquality:
             except ZeroPartitionError:
                 continue
             done += 1
+
+
+def _connected_graphs(max_n):
+    """Every connected labelled graph on 1..max_n vertices."""
+    for n in range(1, max_n + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1))
+            if g.is_connected():
+                yield g
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+
+
+SAW_MODES = ("generic", "beta0", "gamma0", "complex", "fields")
+
+
+class TestWalkEqualsTree:
+    """The walk over g against the explicit route: build the SAW tree (cut at
+    the depth bound, cut vertices pinned -), run z_tree on it, read Z+/Z."""
+
+    def test_every_small_graph_root_and_depth(self):
+        rng = random.Random(1313)
+        count = 0
+        for g in _connected_graphs(5):
+            for v in range(g.n):
+                params = rand_params(rng, SAW_MODES[count % len(SAW_MODES)], g.n)
+                count += 1
+                pins = rand_feasible_pinning(rng, g, params.beta_is_zero,
+                                             params.gamma_is_zero, exclude=(v,))
+                assert _outcome(saw_tree_marginal, g, pins, v, params) \
+                    == _outcome(saw_marginal_tree, g, pins, v, params), (g, pins, v)
+                for depth in range(1, g.n + 1):
+                    assert _outcome(weitz_approx_marginal, g, v, pins, params, depth) \
+                        == _outcome(weitz_marginal_tree, g, v, pins, params, depth), \
+                        (g, pins, v, depth)
+        assert count == 1 + 2 + 3 * 4 + 4 * 38 + 5 * 728
+
+    def test_shape_matches_the_bare_tree(self):
+        for g in _connected_graphs(5):
+            for v in range(g.n):
+                bare = build_saw_tree(g, v, Pinning())
+                dist = bare.tree.distances_from(bare.root)
+                copies = [min((dist[x] for x in bare.copies_of(w)), default=math.inf)
+                          for w in range(g.n)]
+                assert saw_shape(g, v) == (bare.tree.max_degree(), copies), (g, v)
+
+    def test_shape_of_a_disconnected_graph(self):
+        g = Graph(5, ((0, 1), (1, 2), (0, 2), (3, 4)))
+        assert saw_shape(g, 0) == (2, [0, 1, 1, math.inf, math.inf])
+        assert saw_shape(Graph(1, ()), 0) == (0, [0])
+
+    @pytest.mark.parametrize("g, pins, v, params", [
+        (K3, Pinning.of({0: PLUS}), 0, hardcore_params(1)),   # pinned root
+        (K3, Pinning.of({1: PLUS, 2: PLUS}), 0, hardcore_params(1)),   # infeasible
+        (Graph(4, ((0, 1), (1, 2), (2, 3))), Pinning.of({2: PLUS, 3: PLUS}), 0,
+         hardcore_params(1)),   # infeasible away from a proper root
+        (K3, Pinning(), 3, hardcore_params(1)),   # vertex out of range
+        (K3, Pinning(), -1, hardcore_params(1)),
+        (EDGE, Pinning(), 0, Params(1, 1, -1)),   # Z+ + Z- = 0 at the root
+        (K3, Pinning(), 0, Params(1, 1, (1, 2))),   # field vector too short
+    ], ids=["pinned-root", "infeasible", "infeasible-far", "out-of-range", "negative",
+            "vanishing", "field-length"])
+    def test_errors_match(self, g, pins, v, params):
+        for depth in range(-1, g.n + 2):
+            walk = _outcome(weitz_approx_marginal, g, v, pins, params, depth)
+            assert isinstance(walk[0], type)   # raised
+            assert walk == _outcome(weitz_marginal_tree, g, v, pins, params, depth)
+        walk = _outcome(saw_tree_marginal, g, pins, v, params)
+        assert isinstance(walk[0], type)
+        assert walk == _outcome(saw_marginal_tree, g, pins, v, params)
+
+    def test_long_path_needs_no_recursion(self):
+        n = 3000
+        path = Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+        params = Params(Fraction(3, 2), Fraction(2, 3), Fraction(1, 5))
+        pins = Pinning.of({n - 1: PLUS})
+        value, exact = weitz_approx_marginal(path, 0, pins, params, n)
+        assert exact and value == marginal(path, pins, 0, params)
 
 
 class TestMarginalSeriesLambda:
