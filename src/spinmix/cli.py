@@ -4,7 +4,10 @@ The parsed arguments are the run configuration: each flag and its default
 is declared once, in _build_parser, and the drivers, generators and
 handlers read the argparse.Namespace directly. Every randomized command
 derives its whole corpus from --seed, and report files are byte-identical
-across runs with the same configuration. Exit codes: 0 when every contract
+across runs with the same configuration. Generators hand evaluators typed
+instances (Graph, Pinning, Params, ExactComplex values); JSON is only the
+dump/replay wire format, written when an instance fails and decoded by
+`replay` through the one table WIRE. Exit codes: 0 when every contract
 assertion passed, 1 on a contract failure (the first failing instance is
 dumped as JSON for `replay`), 2 on usage errors (argparse rejects a
 malformed --beta, --gamma or --lambda, or roots without --beta), on
@@ -29,7 +32,7 @@ import sys
 from pathlib import Path
 
 from . import corpus
-from .errors import DrawLimitError, RootConvergenceError, ZeroPartitionError
+from .errors import DrawLimitError, PinningError, RootConvergenceError, ZeroPartitionError
 from .graphs import (Graph, MINUS, PLUS, Pinning, is_proper, parse_graph,
                      parse_pinning, saw_shape)
 from .identities import cd_sides, gutman_sides, qspin_det_sides
@@ -42,27 +45,52 @@ from .zerofree import lambda_root_scan, pinned_annulus_check, region_min_modulus
 
 
 # ---------------------------------------------------------------------------
-# Serialization helpers (also the replay wire format)
+# The dump/replay wire format
 # ---------------------------------------------------------------------------
 
 
-def _pins_from_json(doc: dict) -> Pinning:
+def _pins(doc: dict, two_spin: bool = True) -> Pinning:
+    """A pinning from {"pins": {"<vertex>": spin}}: a 2-spin spin must be
+    "+" or "-"; q-spin spins are ints, checked against 1..q by the q-spin passes."""
     pins = {}
     for k, s in doc.get("pins", {}).items():
+        if two_spin and s not in (PLUS, MINUS):
+            raise PinningError(f"bad spin {s!r} at vertex {k}")
         pins[int(k)] = s if isinstance(s, str) else int(s)
     return Pinning.of(pins)
 
 
+# The decoder of each instance key's JSON value. Other keys (u, v, depth,
+# degree_bound, mode, order) and a null (ldc-beta's Ising gamma) pass as they
+# are; a (command, key) entry overrides a key's decoder for that command.
+WIRE = {"graph": parse_graph, "pins": _pins, "pins_a": _pins, "pins_b": _pins,
+        ("qspin-check", "pins"): functools.partial(_pins, two_spin=False),
+        "params": Params.from_json, "qparams": QSpinParams.from_json,
+        **dict.fromkeys(("lambda", "beta", "gamma", "center"), ExactComplex.from_json)}
+
+
+def _encode(inst: dict) -> dict:
+    """The JSON form of a typed instance."""
+    return {k: v.to_json() if k in WIRE else v for k, v in inst.items()}
+
+
+def _decode(command: str, doc: dict) -> dict:
+    """The typed instance of a command from its JSON form."""
+    inst = {}
+    for k, v in doc.items():
+        decode = WIRE.get((command, k), WIRE.get(k))
+        inst[k] = v if decode is None or v is None else decode(v)
+    return inst
+
+
 # ---------------------------------------------------------------------------
-# Single-instance evaluators (shared by corpus runs and replay)
+# Single-instance evaluators of typed instances (corpus, --graph and replay)
 # ---------------------------------------------------------------------------
 
 
 def eval_cd(inst: dict) -> tuple[bool, dict]:
-    g = parse_graph(inst["graph"])
-    p = _pins_from_json(inst["pins"])
-    params = Params.from_json(inst["params"])
-    rep = cd_sides(g, p, inst["u"], inst["v"], params)
+    g = inst["graph"]
+    rep = cd_sides(g, inst["pins"], inst["u"], inst["v"], inst["params"])
     ok = rep.equal and rep.forms_equal
     row = {"n": g.n, "u": inst["u"], "v": inst["v"], "distance": rep.distance,
            "path_hits_pinning": rep.path_hits_pinning,
@@ -72,9 +100,8 @@ def eval_cd(inst: dict) -> tuple[bool, dict]:
 
 
 def eval_gutman(inst: dict) -> tuple[bool, dict]:
-    g = parse_graph(inst["graph"])
-    lam = ExactComplex.from_json(inst["lambda"])
-    rep = gutman_sides(g, inst["u"], inst["v"], lam)
+    g = inst["graph"]
+    rep = gutman_sides(g, inst["u"], inst["v"], inst["lambda"])
     row = {"n": g.n, "u": inst["u"], "v": inst["v"], "distance": rep.distance,
            "lhs": str(rep.lhs), "rhs": str(rep.rhs),
            "equal": rep.equal, "pass": rep.equal}
@@ -82,10 +109,8 @@ def eval_gutman(inst: dict) -> tuple[bool, dict]:
 
 
 def eval_qspin(inst: dict) -> tuple[bool, dict]:
-    g = parse_graph(inst["graph"])
-    p = _pins_from_json(inst["pins"])
-    qp = QSpinParams.from_json(inst["qparams"])
-    rep = qspin_det_sides(g, p, inst["u"], inst["v"], qp)
+    g, qp = inst["graph"], inst["qparams"]
+    rep = qspin_det_sides(g, inst["pins"], inst["u"], inst["v"], qp)
     row = {"n": g.n, "q": qp.q, "u": inst["u"], "v": inst["v"],
            "distance": rep.distance, "path_hits_pinning": rep.path_hits_pinning,
            "lhs": str(rep.lhs), "rhs": str(rep.rhs),
@@ -94,11 +119,8 @@ def eval_qspin(inst: dict) -> tuple[bool, dict]:
 
 
 def eval_saw(inst: dict) -> tuple[bool, dict]:
-    g = parse_graph(inst["graph"])
-    p = _pins_from_json(inst["pins"])
-    params = Params.from_json(inst["params"])
-    v = inst["v"]
-    equal = verify_saw_marginal(g, p, v, params)
+    g, v = inst["graph"], inst["v"]
+    equal = verify_saw_marginal(g, inst["pins"], v, inst["params"])
     # the structure of the bare SAW tree (no pins), from a walk with no arithmetic
     degree, depths = saw_shape(g, v)
     degree_ok = degree == g.max_degree()
@@ -110,24 +132,16 @@ def eval_saw(inst: dict) -> tuple[bool, dict]:
 
 
 def eval_ldc(inst: dict) -> tuple[bool, dict]:
-    g = parse_graph(inst["graph"])
-    a = _pins_from_json(inst["pins_a"])
-    b = _pins_from_json(inst["pins_b"])
-    beta = ExactComplex.from_json(inst["beta"])
-    gamma = ExactComplex.from_json(inst["gamma"])
-    return _ldc_row(g, inst["v"], ldc_report(g, a, b, inst["v"], beta, gamma,
-                                             inst.get("order")))
+    g, v = inst["graph"], inst["v"]
+    return _ldc_row(g, v, ldc_report(g, inst["pins_a"], inst["pins_b"], v,
+                                     inst["beta"], inst["gamma"], inst.get("order")))
 
 
 def eval_ldc_beta(inst: dict) -> tuple[bool, dict]:
-    g = parse_graph(inst["graph"])
-    a = _pins_from_json(inst["pins_a"])
-    b = _pins_from_json(inst["pins_b"])
-    gamma = None if inst["gamma"] is None else ExactComplex.from_json(inst["gamma"])
-    lam = ExactComplex.from_json(inst["lambda"])
-    center = ExactComplex.from_json(inst["center"])
-    return _ldc_row(g, inst["v"], ldc_report_beta(g, a, b, inst["v"], gamma, lam,
-                                                  center, inst.get("order")))
+    g, v = inst["graph"], inst["v"]
+    return _ldc_row(g, v, ldc_report_beta(g, inst["pins_a"], inst["pins_b"], v,
+                                          inst["gamma"], inst["lambda"], inst["center"],
+                                          inst.get("order")))
 
 
 def _ldc_row(g: Graph, v: int, rep) -> tuple[bool, dict]:
@@ -140,9 +154,7 @@ def _ldc_row(g: Graph, v: int, rep) -> tuple[bool, dict]:
 
 
 def eval_weitz(inst: dict) -> tuple[bool, dict]:
-    g = parse_graph(inst["graph"])
-    p = _pins_from_json(inst["pins"])
-    params = Params.from_json(inst["params"])
+    g, p, params = inst["graph"], inst["pins"], inst["params"]
     v, depth = inst["v"], inst["depth"]
     value, exact = weitz_approx_marginal(g, v, p, params, depth)
     ok = True
@@ -157,10 +169,8 @@ def eval_weitz(inst: dict) -> tuple[bool, dict]:
 
 
 def eval_annulus(inst: dict) -> tuple[bool, dict]:
-    g = parse_graph(inst["graph"])
-    p = _pins_from_json(inst["pins"])
-    beta = ExactComplex.from_json(inst["beta"])
-    rep = pinned_annulus_check(g, p, beta, inst.get("degree_bound"))
+    g = inst["graph"]
+    rep = pinned_annulus_check(g, inst["pins"], inst["beta"], inst.get("degree_bound"))
     ok = rep.annulus_violations == 0 and (rep.cross_check_mismatch or 0.0) < 1e-9
     row = {"n": g.n, "degree_bound": inst.get("degree_bound"),
            "violations": rep.annulus_violations,
@@ -195,8 +205,7 @@ def _gen_cd(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict:
     u, v = corpus.rand_unpinned_pair(rng, t, Pinning())
     pins = corpus.rand_feasible_pinning(rng, t, params.beta_is_zero,
                                         params.gamma_is_zero, exclude=(u, v))
-    return {"graph": t.to_json(), "pins": pins.to_json(),
-            "params": params.to_json(), "u": u, "v": v, "mode": mode}
+    return {"graph": t, "pins": pins, "params": params, "u": u, "v": v, "mode": mode}
 
 
 def _gen_gutman(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict:
@@ -204,7 +213,7 @@ def _gen_gutman(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict
     t = corpus.rand_tree(rng, n)
     u, v = rng.sample(range(n), 2)
     lam = corpus.rand_scalar(rng, nonzero=True, complex_prob=0.25)
-    return {"graph": t.to_json(), "u": u, "v": v, "lambda": lam.to_json()}
+    return {"graph": t, "u": u, "v": v, "lambda": lam}
 
 
 def _gen_qspin(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict:
@@ -214,8 +223,7 @@ def _gen_qspin(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict:
     qp = corpus.rand_qspin_params(rng, q)
     u, v = rng.sample(range(n), 2)
     pins = corpus.rand_qspin_pinning(rng, t, q, exclude=(u, v))
-    return {"graph": t.to_json(), "pins": pins.to_json(),
-            "qparams": qp.to_json(), "u": u, "v": v}
+    return {"graph": t, "pins": pins, "qparams": qp, "u": u, "v": v}
 
 
 def _draw_proper(cfg: argparse.Namespace, rng: random.Random,
@@ -232,8 +240,8 @@ def _draw_proper(cfg: argparse.Namespace, rng: random.Random,
         proper = [v for v in range(n)
                   if is_proper(g, pins, v, params.beta_is_zero, params.gamma_is_zero)]
         if proper:
-            return n, {"graph": g.to_json(), "pins": pins.to_json(),
-                       "params": params.to_json(), "v": rng.choice(proper)}
+            return n, {"graph": g, "pins": pins, "params": params,
+                       "v": rng.choice(proper)}
     raise DrawLimitError(f"no vertex proper to the pinning in {corpus.DRAW_LIMIT} draws")
 
 
@@ -253,9 +261,7 @@ def _gen_ldc(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict:
     bz = beta.is_zero()
     v = rng.randrange(n)
     a, b = corpus.rand_pinning_pair(rng, g, bz, False, exclude=(v,))
-    return {"graph": g.to_json(), "pins_a": a.to_json(),
-            "pins_b": b.to_json(), "beta": beta.to_json(),
-            "gamma": gamma.to_json(), "v": v}
+    return {"graph": g, "pins_a": a, "pins_b": b, "beta": beta, "gamma": gamma, "v": v}
 
 
 def _gen_ldc_beta(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict:
@@ -266,9 +272,8 @@ def _gen_ldc_beta(cfg: argparse.Namespace, rng: random.Random, trial: int) -> di
     center = ONE / gamma
     v = rng.randrange(n)
     a, b = corpus.rand_pinning_pair(rng, g, False, False, exclude=(v,))
-    return {"graph": g.to_json(), "pins_a": a.to_json(),
-            "pins_b": b.to_json(), "gamma": gamma.to_json(),
-            "lambda": lam.to_json(), "center": center.to_json(), "v": v}
+    return {"graph": g, "pins_a": a, "pins_b": b, "gamma": gamma, "lambda": lam,
+            "center": center, "v": v}
 
 
 def _gen_weitz(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dict:
@@ -282,8 +287,7 @@ def _gen_annulus(cfg: argparse.Namespace, rng: random.Random, trial: int) -> dic
     # keep one vertex unpinned so the field polynomial has degree >= 1
     free = rng.randrange(n)
     pins = corpus.rand_feasible_pinning(rng, g, False, False, exclude=(free,))
-    return {"graph": g.to_json(), "pins": pins.to_json(),
-            "beta": cfg.beta.to_json(), "degree_bound": cfg.degree_bound}
+    return {"graph": g, "pins": pins, "beta": cfg.beta, "degree_bound": cfg.degree_bound}
 
 
 GENERATORS = {
@@ -340,7 +344,7 @@ def _dump_failure(cfg: argparse.Namespace, trial: int, inst: dict, row: dict) ->
     base = Path(cfg.out).parent if cfg.out else Path(".")
     path = base / name
     doc = {"command": cfg.command, "seed": cfg.seed, "trial": trial,
-           "instance": inst, "row": row}
+           "instance": _encode(inst), "row": row}
     path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
     return str(path)
 
@@ -415,8 +419,7 @@ def _run_single_file_command(cfg: argparse.Namespace) -> int:
         return 0
 
     if cfg.command == "annulus":
-        inst = {"graph": g.to_json(), "pins": pins.to_json(),
-                "beta": cfg.beta.to_json(), "degree_bound": cfg.degree_bound}
+        inst = {"graph": g, "pins": pins, "beta": cfg.beta, "degree_bound": cfg.degree_bound}
         ok, row = eval_annulus(inst)
         return _finish(cfg, [row], [] if ok else [(0, inst, row)])
 
@@ -428,10 +431,8 @@ def _run_single_file_command(cfg: argparse.Namespace) -> int:
                 if u == v or u in pins or v in pins:
                     continue
                 for spin in (PLUS, MINUS):
-                    inst = {"graph": g.to_json(), "pins_a": pins.to_json(),
-                            "pins_b": pins.with_pin(u, spin).to_json(),
-                            "beta": cfg.beta.to_json(), "gamma": cfg.gamma.to_json(),
-                            "v": v}
+                    inst = {"graph": g, "pins_a": pins, "pins_b": pins.with_pin(u, spin),
+                            "beta": cfg.beta, "gamma": cfg.gamma, "v": v}
                     ok, row = eval_ldc(inst)
                     row = {"v": v, "u": u, "pin": spin, **row}
                     rows.append(row)
@@ -446,9 +447,8 @@ def _run_single_file_command(cfg: argparse.Namespace) -> int:
         field = g.fields
     else:
         raise ValueError("--lambda conflicts with per-vertex fields in the graph file")
-    inst = {"graph": g.to_json(), "pins": pins.to_json(),
-            "params": Params(cfg.beta, cfg.gamma, field).to_json(), "v": cfg.vertex,
-            "depth": g.n if cfg.depth is None else cfg.depth}
+    inst = {"graph": g, "pins": pins, "params": Params(cfg.beta, cfg.gamma, field),
+            "v": cfg.vertex, "depth": g.n if cfg.depth is None else cfg.depth}
     ok, row = eval_weitz(inst)
     return _finish(cfg, [row], [] if ok else [(0, inst, row)], echo=True)
 
@@ -541,7 +541,7 @@ def replay(dump_path: str) -> int:
         print(f"malformed dump: {exc}", file=sys.stderr)
         return 2
     try:
-        ok, row = evaluate(inst)
+        ok, row = evaluate(_decode(command, inst))
     except KeyError as exc:
         print(f"malformed dump: instance lacks {exc}", file=sys.stderr)
         return 2

@@ -139,8 +139,9 @@ def test_broken_pipe_is_no_config_error(tmp_path, capsys, monkeypatch):
 
 
 def test_saw_and_weitz_build_only_the_instance_graph(monkeypatch):
-    """One saw-check or weitz instance builds one Graph, the parsed instance
-    graph: the SAW-tree values and structure come from walks over it."""
+    """Evaluating one saw-check or weitz instance builds no Graph: the
+    instance graph is the generator's, and the SAW-tree values and structure
+    come from walks over it."""
     built = []
     real = cli.Graph.__post_init__
 
@@ -160,7 +161,7 @@ def test_saw_and_weitz_build_only_the_instance_graph(monkeypatch):
             except ZeroPartitionError:
                 continue
             assert ok
-            assert len(built) == 1 and built[0].to_json() == inst["graph"]
+            assert built == []
 
 
 class TestDeterminism:
@@ -272,6 +273,93 @@ def test_replay_with_edited_params_recomputes(tmp_path, capsys):
     edited = json.loads(out.splitlines()[0])["row"]
     assert edited["pass"] and edited["lhs"] != first
     assert edited["lhs"] == "1/8"
+
+
+def _outcome(evaluate, inst):
+    """(ok, row) of one evaluation, or the type and message of what it raised."""
+    try:
+        return evaluate(inst)
+    except ZeroPartitionError as exc:
+        return type(exc), str(exc)
+
+
+# 2-spin dumps on a path of 3 vertices; the cd-check one is the CI smoke dump,
+# and ldc-beta's null gamma ties the edge activities
+PATH3 = {"n": 3, "edges": [[0, 1], [1, 2]]}
+DUMPS = {
+    "cd-check": {"graph": PATH3, "pins": {"pins": {"2": "+"}},
+                 "params": {"beta": "2", "gamma": "1/3", "field": "3/2"}, "u": 0, "v": 1},
+    "annulus": {"graph": PATH3, "pins": {"pins": {"2": "-"}},
+                "beta": {"re": "3/2", "im": "0"}, "degree_bound": 3},
+    "ldc": {"graph": PATH3, "pins_a": {"pins": {}}, "pins_b": {"pins": {"2": "+"}},
+            "beta": "2", "gamma": "1/3", "v": 0},
+    "ldc-beta": {"graph": PATH3, "pins_a": {"pins": {}}, "pins_b": {"pins": {"2": "+"}},
+                 "gamma": None, "lambda": "2", "center": "1", "v": 0},
+}
+
+
+class TestWireFormat:
+    """Generators hand evaluators typed instances; JSON is the dump/replay
+    wire format, and a dumped instance replays to the row the run recorded."""
+
+    @pytest.mark.parametrize("command", sorted(cli.GENERATORS))
+    def test_round_trip(self, command):
+        cfg = cli._build_parser().parse_args([command, "--max-vertices", "6"])
+        rng = random.Random(11)
+        evaluate = cli.EVALUATORS[command]
+        for trial in range(8):
+            inst = cli.GENERATORS[command](cfg, rng, trial)
+            wire = json.loads(json.dumps(cli._encode(inst)))
+            decoded = cli._decode(command, wire)
+            assert decoded.keys() == inst.keys()
+            for key in inst:
+                assert decoded[key] == inst[key], key
+                assert type(decoded[key]) is type(inst[key]), key
+            assert _outcome(evaluate, decoded) == _outcome(evaluate, inst)
+
+    def _replay(self, command, inst, tmp_path, capsys):
+        path = tmp_path / "dump.json"
+        path.write_text(json.dumps({"command": command, "instance": inst}))
+        return run_cli(["replay", str(path)], capsys)
+
+    @pytest.mark.parametrize("command", sorted(DUMPS))
+    def test_dumps_replay(self, command, tmp_path, capsys):
+        code, out, err = self._replay(command, DUMPS[command], tmp_path, capsys)
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1] == f"replay {command} pass=1 fail=0"
+
+    @pytest.mark.parametrize("spin", ["x", 1, "+-"], ids=["x", "int", "plus-minus"])
+    @pytest.mark.parametrize("command,key", [("cd-check", "pins"), ("annulus", "pins"),
+                                             ("ldc", "pins_a"), ("ldc", "pins_b")])
+    def test_bad_2spin_spin_exits_2(self, command, key, spin, tmp_path, capsys):
+        inst = {**DUMPS[command], key: {"pins": {"2": spin}}}
+        code, out, err = self._replay(command, inst, tmp_path, capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: PinningError: bad spin {spin!r} at vertex 2\n"
+
+    def test_self_loop_graph_exits_2(self, tmp_path, capsys):
+        inst = {**DUMPS["cd-check"], "graph": {"n": 3, "edges": [[0, 1], [1, 1]]}}
+        code, out, err = self._replay("cd-check", inst, tmp_path, capsys)
+        assert code == 2 and out == ""
+        assert err == "error: GraphFormatError: self-loop at vertex 1\n"
+
+    def test_corpus_path_builds_no_json(self, tmp_path, capsys, monkeypatch):
+        # a passing corpus run neither encodes nor decodes an instance
+        monkeypatch.chdir(tmp_path)
+
+        def refused(*args):
+            raise AssertionError("wire format used on the corpus path")
+
+        for name in ("_encode", "_decode", "_pins", "parse_graph"):
+            monkeypatch.setattr(cli, name, refused)
+        for name in ("to_json", "from_json"):
+            for cls in (cli.Graph, cli.Pinning, cli.Params, cli.QSpinParams, ExactComplex):
+                if hasattr(cls, name):
+                    monkeypatch.setattr(cls, name, refused)
+        for command in sorted(cli.GENERATORS):
+            code, _, _ = run_cli([command, "--trials", "6", "--max-vertices", "6",
+                                  "--seed", "2"], capsys)
+            assert code == 0, command
 
 
 # Reports recorded when the generators still ran the evaluator as a rejection

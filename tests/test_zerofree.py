@@ -10,7 +10,7 @@ from spinmix import cli, numerics, zerofree
 from spinmix.corpus import rand_bounded_degree_graph, rand_feasible_pinning
 from spinmix.errors import PinningError
 from spinmix.graphs import Graph, MINUS, PLUS, Pinning
-from spinmix.numerics import match_roots
+from spinmix.numerics import ExactComplex, match_roots
 from spinmix.partition import z_poly_lambda
 from spinmix.zerofree import (lambda_root_scan, pinned_annulus_check,
                               region_min_modulus, single_pin_check)
@@ -140,9 +140,9 @@ class TestAnnulusCrossCheck:
         rep = pinned_annulus_check(self.P4, self.PINS, Fraction(3, 2))
         assert calls == {"poly_roots": 2, "square_free_factors": 2, "match_roots": 1}
         assert rep.cross_check_mismatch > 1e-9
-        ok, row = cli.eval_annulus({"graph": self.P4.to_json(),
-                                    "pins": self.PINS.to_json(),
-                                    "beta": "3/2", "degree_bound": 3})
+        ok, row = cli.eval_annulus({"graph": self.P4, "pins": self.PINS,
+                                    "beta": ExactComplex(Fraction(3, 2)),
+                                    "degree_bound": 3})
         assert not ok and not row["pass"]
         assert row["cross_check_mismatch"] > 1e-9
 
