@@ -541,7 +541,13 @@ def replay(dump_path: str) -> int:
         print(f"malformed dump: {exc}", file=sys.stderr)
         return 2
     try:
-        ok, row = evaluate(_decode(command, inst))
+        try:
+            inst = _decode(command, inst)
+        except (TypeError, AttributeError) as exc:
+            # a value of the wrong JSON type, such as "instance": 5
+            print(f"malformed dump: {exc}", file=sys.stderr)
+            return 2
+        ok, row = evaluate(inst)
     except KeyError as exc:
         print(f"malformed dump: instance lacks {exc}", file=sys.stderr)
         return 2

@@ -3,14 +3,16 @@
 Every value this package compares or reports is an :class:`ExactComplex`,
 a Gaussian rational (a + b*i)/d held as three arbitrary-precision integers
 in lowest terms, so equalities are bit-exact. The tree pass, the enumeration
-folds and ``series_div`` run on Gaussian-integer numerators over one
-denominator instead, and reduce each value once, when it is read.
+folds, ``series_div`` and the square-free split run on Gaussian-integer
+numerators over one denominator instead, and reduce each value once, when it
+is read.
 Floating point appears only in root finding and decay fitting.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -238,6 +240,12 @@ def _gmul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
+def _common_numerators(coeffs: Sequence[ExactComplex]) -> list[tuple[int, int]]:
+    """The coefficients as Gaussian integers over the lcm of their denominators."""
+    den = math.lcm(*[c._abd[2] for c in coeffs])
+    return [(a * (den // d), b * (den // d)) for a, b, d in (c._abd for c in coeffs)]
+
+
 ZERO = ExactComplex(0)
 ONE = ExactComplex(1)
 
@@ -343,9 +351,7 @@ def series_div(num: PowerSeries, den: PowerSeries) -> PowerSeries:
         den = den.shifted_down(k)
     size = min(num.order, den.order)
     # over the lcm of all denominators; den's constant term even when num is empty
-    coeffs = [c._abd for c in num.coefficients[:size] + den.coefficients[:max(size, 1)]]
-    common = math.lcm(*[d for _, _, d in coeffs])
-    ns = [(a * (common // d), b * (common // d)) for a, b, d in coeffs]
+    ns = _common_numerators(num.coefficients[:size] + den.coefficients[:max(size, 1)])
     ns, ds = ns[:size], ns[size:]
     # d_0^i, and e_j = d_j d_0^(j-1): R_i = n_i d_0^i - sum_{j>=1} e_j R_{i-j}
     pw = list(itertools.accumulate([ds[0]] * size, _gmul, initial=(1, 0)))
@@ -422,85 +428,109 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Exact polynomial algebra for the square-free step
+# Square-free split on Gaussian-integer coefficient vectors
 # ---------------------------------------------------------------------------
 
 
-def _poly_trim(c: list[ExactComplex]) -> list[ExactComplex]:
-    while c and c[-1].is_zero():
-        c.pop()
-    return c
+def _gdiv(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """x / y for Gaussian integers with y | x."""
+    (a, b), (c, d) = x, y
+    n = c * c + d * d
+    return (a * c + b * d) // n, (b * c - a * d) // n
 
 
-def _poly_divmod(a: list[ExactComplex], b: list[ExactComplex]
-                 ) -> tuple[list[ExactComplex], list[ExactComplex]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    dq = len(a) - len(b)
-    if dq < 0:
-        return [], _poly_trim(rem)
-    quot = [ZERO] * (dq + 1)
-    lead = b[-1]
-    for k in range(dq, -1, -1):
-        coef = rem[k + len(b) - 1] / lead
-        quot[k] = coef
-        if not coef.is_zero():
-            for i in range(len(b)):
-                rem[k + i] = rem[k + i] - coef * b[i]
-    return _poly_trim(quot), _poly_trim(rem[: len(b) - 1])
-
-
-def _poly_gcd(a: list[ExactComplex], b: list[ExactComplex]) -> list[ExactComplex]:
-    a, b = list(a), list(b)
+def _gcd(a: list, b: list) -> list:
+    """A Gaussian-integer multiple of gcd(a, b), a != 0, by the subresultant
+    remainder sequence (Collins 1967; Brown and Traub 1971): each step's
+    pseudo-remainder, delta + 1 rounds r = lc(b) r - t x^k b with t the top of
+    r, divides exactly by g h^delta, and h becomes h^(1-delta) g^delta."""
+    if len(a) < len(b):
+        a, b = b, a
+    g = h = (1, 0)
     while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
+        delta = len(a) - len(b)
+        (lr, li), low, r = b[-1], b[:-1], a
+        for k in range(delta, -1, -1):
+            tr, ti = r[-1]
+            r = [(lr * xr - li * xi - tr * br + ti * bi, lr * xi + li * xr - tr * bi - ti * br)
+                 for (xr, xi), (br, bi) in zip(r[:-1], [(0, 0)] * k + low)]
+        while r and r[-1] == (0, 0):
+            r.pop()
+        if len(r) <= 1:
+            return r or b
+        hd = functools.reduce(_gmul, [h] * delta, (1, 0))
+        dr, di = d = _gmul(g, hd)
+        if d != (1, 0):
+            n = dr * dr + di * di
+            r = [((x * dr + y * di) // n, (y * dr - x * di) // n) for x, y in r]
+        a, b, g = b, r, b[-1]
+        h = g if delta == 1 else _gdiv(functools.reduce(_gmul, [g] * delta, h), hd)
     return a
 
 
-def _poly_derivative(a: list[ExactComplex]) -> list[ExactComplex]:
-    return _poly_trim([ExactComplex(i) * c for i, c in enumerate(a)][1:])
+def _quo(a: list, b: list, s: int) -> list:
+    """s a / b, for b with a positive integer lead and s with b | s a."""
+    r, q, lead = [(s * x, s * y) for x, y in a], [], b[-1][0]
+    for k in range(len(a) - len(b), -1, -1):
+        xr, xi = r.pop()
+        tr, ti = t = xr // lead, xi // lead
+        q.append(t)
+        for j, (br, bi) in enumerate(b[:-1], k):
+            xr, xi = r[j]
+            r[j] = (xr - tr * br + ti * bi, xi - tr * bi - ti * br)
+    return q[::-1]
 
 
-def _poly_sub(a: list[ExactComplex], b: list[ExactComplex]) -> list[ExactComplex]:
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else ZERO) - (b[i] if i < len(b) else ZERO)
-           for i in range(n)]
-    return _poly_trim(out)
+def _primitive(a: list) -> list:
+    """a over its integer content, times conj(lc(a)): a positive integer lead."""
+    lr, li = a[-1]
+    a = [(x * lr + y * li, y * lr - x * li) for x, y in a]
+    c = gcd(*itertools.chain.from_iterable(a))
+    return [(x // c, y // c) for x, y in a]
+
+
+def _derivative(a: list) -> list:
+    return [(k * x, k * y) for k, (x, y) in enumerate(a)][1:]
+
+
+def _monic(a: list) -> Polynomial:
+    """a / lc(a) for an a with a positive integer lead."""
+    lead = a[-1][0]
+    return Polynomial([_reduced(x, y, lead) for x, y in a])
 
 
 def square_free_factors(p: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Yun decomposition p = prod f_i^i with each monic f_i square-free.
+    """Yun decomposition p = c prod f_i^i with each monic f_i square-free.
 
-    Exact over the Gaussian rationals, so multiplicities are certain.
+    Exact: it runs on p's Gaussian-integer numerators over one denominator,
+    with subresultant gcds and exact divisions, so multiplicities are
+    certain. Each gcd a gets a positive integer lead L, and Yun's pair (w, z)
+    is divided by it at once, both times L^k to keep the quotients integral
+    and then over their joint integer content, so the ratio stays the same.
     """
-    coeffs = list(p.coefficients)
-    if len(coeffs) <= 1:
+    if p.degree < 1:
         return []
-    lead = coeffs[-1]
-    coeffs = [c / lead for c in coeffs]
-    deriv = _poly_derivative(coeffs)
-    g = _poly_gcd(coeffs, deriv)
-    if len(g) <= 1:
-        return [(Polynomial(coeffs), 1)]
-    w, _ = _poly_divmod(coeffs, g)
-    y, _ = _poly_divmod(deriv, g)
-    z = _poly_sub(y, _poly_derivative(w))
-    out = []
-    i = 1
-    while len(w) > 1:
-        f = _poly_gcd(w, z)
-        if len(f) > 1:
-            out.append((Polynomial(f), i))
-        w, _ = _poly_divmod(w, f)
-        y, _ = _poly_divmod(z, f)
-        z = _poly_sub(y, _poly_derivative(w))
+    w = _primitive(_common_numerators(p.coefficients))
+    z = _derivative(w)
+    a = _primitive(_gcd(w, z))
+    if len(a) == 1:
+        return [(_monic(w), 1)]
+    out, i = [], 0
+    while True:
+        s = a[-1][0] ** (len(w) - len(a) + 1)
+        w, y = _quo(w, a, s), _quo(z, a, s)
+        c = gcd(*itertools.chain.from_iterable(w + y))
+        w = [(x // c, v // c) for x, v in w]
         i += 1
-    return out
+        if len(w) == 1:
+            return out
+        z = [(x // c - u, v // c - t) for (x, v), (u, t)
+             in itertools.zip_longest(y, _derivative(w), fillvalue=(0, 0))]
+        while z and z[-1] == (0, 0):
+            z.pop()
+        a = _primitive(_gcd(w, z))
+        if len(a) > 1:
+            out.append((_monic(a), i))
 
 
 # ---------------------------------------------------------------------------
@@ -565,16 +595,13 @@ def _aberth_simple(p: Polynomial, tol: float) -> list[complex]:
     if deg == 1:
         return [-coeffs[0] / coeffs[1]]
 
-    radius = 1.0 + max(abs(c) for c in coeffs) / abs(lead)
     biggest = max(abs(c) for c in coeffs)
+    radius = 1.0 + biggest / abs(lead)
     coeffs = [c / biggest for c in coeffs]
-    lead = coeffs[-1]
+    rev = coeffs[::-1]
+    alead = abs(coeffs[-1])
     z = [radius * cmath.exp(1j * (2.0 * math.pi * k / deg + _START_ANGLE))
          for k in range(deg)]
-    alead = abs(lead)
-
-    def residual(zi: complex, pz: complex) -> float:
-        return abs(pz) / (1.0 + alead * abs(zi) ** deg)
 
     polish_left = 25
     converged = False
@@ -582,30 +609,34 @@ def _aberth_simple(p: Polynomial, tol: float) -> list[complex]:
         done = True
         max_step = 0.0
         for i in range(deg):
-            pz, dpz = _horner_with_derivative(coeffs, z[i])
-            if residual(z[i], pz) >= tol:
+            zi = z[i]
+            pz = dpz = 0j
+            for c in rev:
+                dpz = dpz * zi + pz
+                pz = pz * zi + c
+            if abs(pz) / (1.0 + alead * abs(zi) ** deg) >= tol:
                 done = False
             if pz == 0:
                 continue
             if dpz == 0:
                 # nudge off the critical point, deterministically
-                z[i] *= 1.0 + 1e-8
-                pz, dpz = _horner_with_derivative(coeffs, z[i])
+                z[i] = zi = zi * (1.0 + 1e-8)
+                pz, dpz = _horner_with_derivative(coeffs, zi)
                 if dpz == 0:
-                    z[i] += 1e-8
+                    z[i] = zi + 1e-8
                     continue
             newton = pz / dpz
             s = 0j
-            for j in range(deg):
+            for j, zj in enumerate(z):
                 if j != i:
-                    d = z[i] - z[j]
+                    d = zi - zj
                     if d == 0:
                         d = 1e-14
                     s += 1.0 / d
             denom = 1.0 - newton * s
             step = newton if denom == 0 else newton / denom
-            z[i] -= step
-            rel = abs(step) / (1.0 + abs(z[i]))
+            z[i] = zi = zi - step
+            rel = abs(step) / (1.0 + abs(zi))
             if rel > max_step:
                 max_step = rel
         if done:
@@ -618,7 +649,8 @@ def _aberth_simple(p: Polynomial, tol: float) -> list[complex]:
             polish_left -= 1
     if converged:
         return z
-    worst = max(residual(zi, _horner_with_derivative(coeffs, zi)[0]) for zi in z)
+    worst = max(abs(_horner_with_derivative(coeffs, zi)[0]) / (1.0 + alead * abs(zi) ** deg)
+                for zi in z)
     raise RootConvergenceError(
         f"root iteration did not reach tol={tol} after {_MAX_SWEEPS} sweeps "
         f"(worst residual {worst:.3e})")

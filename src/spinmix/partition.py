@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .errors import CapExceededError, NotATreeError, PinningError
 from .graphs import Graph, MINUS, PLUS, Pinning, is_feasible
-from .numerics import ONE, ZERO, ExactComplex, Polynomial, _gmul, _reduced
+from .numerics import ONE, ZERO, ExactComplex, Polynomial, _gmul, _common_numerators, _reduced
 
 ENUMERATION_CAP = 24
 
@@ -232,8 +232,7 @@ def _monomial_counts(g: Graph, p: Pinning,
         # and indexed by the Gray code of the step
         half = len(free) // 2
         low_mask = (1 << half) - 1
-        dw = math.lcm(*[w._abd[2] for w in weights])
-        nums = [(a * (dw // d), b * (dw // d)) for a, b, d in (w._abd for w in weights)]
+        nums = _common_numerators(weights)
         plus = functools.reduce(_gmul, [nums[v] for v, s in p.items() if s == PLUS], (1, 0))
         low = _subset_products([nums[v] for v in free[:half]], plus)
         high = _subset_products([nums[v] for v in free[half:]], (1, 0))
@@ -300,7 +299,8 @@ def _lambda_fold(g: Graph, p: Pinning, beta: ExactComplex, gamma: ExactComplex,
     """The numerators of Z's lambda^k coefficients at (beta, gamma), as _fold
     returns them, with den and dw: coefficient k lies over den * dw ** k."""
     m = len(g.edges)
-    pow_b, pow_g = _powers(beta, m), _powers(gamma, m)
+    pow_b = _powers(beta, m)
+    pow_g = pow_b if gamma == beta else _powers(gamma, m)
 
     def term(mp, mm, k):
         return k, _gmul(pow_b[mp], pow_g[mm])
@@ -706,7 +706,11 @@ def eliminate_pins(g: Graph, p: Pinning, beta,
             prefactor = prefactor * fields[v]
     reduced, remap = g.delete_vertices(assigned)
     keep = sorted(remap, key=remap.get)
-    new_fields = tuple(fields[v] * beta ** shift[v] for v in keep)
+    # beta^lo .. beta^hi, one product each
+    lo = min(shift, default=0)
+    powers = list(itertools.accumulate([beta] * (max(shift, default=0) - lo),
+                                       ExactComplex.__mul__, initial=beta ** lo))
+    new_fields = tuple(fields[v] * powers[shift[v] - lo] for v in keep)
     return reduced, new_fields, prefactor
 
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 from .errors import PinningError
 from .graphs import Graph, MINUS, PLUS, Pinning
-from .numerics import ExactComplex, ONE, Polynomial, match_roots, poly_roots
+from .numerics import (ExactComplex, ONE, Polynomial, _common_numerators, _gmul, match_roots,
+                       poly_roots)
 from .partition import eliminate_pins, z_poly_lambda
 
 MODULUS_TOL = 1e-9
@@ -67,9 +68,11 @@ def _report(roots: list[complex], band: tuple[float, float] | None = None,
                       cross_check_mismatch=cross_check_mismatch)
 
 
-def _monic(poly: Polynomial) -> Polynomial:
-    lead = poly.coefficients[-1]
-    return Polynomial([c / lead for c in poly.coefficients])
+def _proportional(a: Polynomial, b: Polynomial) -> bool:
+    """Whether a is a constant multiple of b, exactly: a_i b_n == b_i a_n on
+    their Gaussian-integer numerators, n the common degree."""
+    x, y = _common_numerators(a.coefficients), _common_numerators(b.coefficients)
+    return len(x) == len(y) and all(_gmul(u, y[-1]) == _gmul(v, x[-1]) for u, v in zip(x, y))
 
 
 def _poly_root_multiset(poly: Polynomial, tol: float) -> list[complex]:
@@ -99,9 +102,9 @@ def pinned_annulus_check(g: Graph, p: Pinning, beta, d: int | None = None,
     nonzero root of the pinned field polynomial must have modulus inside
     [beta^-d, beta^d]. The polynomial is recomputed through the
     pin-elimination route and compared exactly: one zero root per + pin,
-    times the eliminated polynomial up to a constant factor. Since the
-    roots depend only on the monic coefficients, equal routes share one
-    root solve; only when they differ are the eliminated polynomial's
+    times the eliminated polynomial up to a constant factor. Proportional
+    polynomials have the same roots, so agreeing routes share one root
+    solve; only when they differ are the eliminated polynomial's
     roots found separately and matched in floats. The report records the
     violation count and the worst cross-check mismatch.
     """
@@ -120,7 +123,7 @@ def pinned_annulus_check(g: Graph, p: Pinning, beta, d: int | None = None,
     plus_pins = sum(1 for _, s in p.items() if s == PLUS)
     reduced_poly = z_poly_lambda(reduced, Pinning(), beta, beta, scale=rescaled)
     if (poly.valuation() == plus_pins
-            and _monic(poly.shifted_down(plus_pins)) == _monic(reduced_poly)):
+            and _proportional(poly.shifted_down(plus_pins), reduced_poly)):
         via_elimination = direct
     else:
         via_elimination = [0j] * plus_pins

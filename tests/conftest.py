@@ -11,6 +11,9 @@ times the numerator, each coefficient reduced after every operation.
 ``saw_marginal_tree`` and ``weitz_marginal_tree`` are the explicit SAW-tree
 route the library took before it walked g instead: build the tree, pin the
 cut vertices, run z_tree on the tree and read Z+/Z at its root.
+``square_free_reference`` is the square-free split the library ran before it
+went to integer coefficient vectors: Yun's algorithm with Euclidean gcds and
+long division over ExactComplex, every gcd made monic.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from spinmix.errors import (NotATreeError, PinningError, SeriesDivisionError,
                             ZeroPartitionError)
 from spinmix.graphs import (Graph, MINUS, PLUS, Pinning, SawTree, build_saw_tree,
                             build_saw_tree_truncated, is_proper)
-from spinmix.numerics import ExactComplex, PowerSeries
+from spinmix.numerics import ExactComplex, Polynomial, PowerSeries
 from spinmix.partition import Params, _check_feasible, z_brute, z_tree
 
 
@@ -128,6 +131,82 @@ def series_div_naive(num: PowerSeries, den: PowerSeries) -> PowerSeries:
             acc = acc + d[j] * inv[i - j]
         inv.append(-acc / d[0])
     return PowerSeries(n) * PowerSeries(inv)
+
+
+def _poly_trim(c: list[ExactComplex]) -> list[ExactComplex]:
+    while c and c[-1].is_zero():
+        c.pop()
+    return c
+
+
+def _poly_divmod(a: list[ExactComplex], b: list[ExactComplex]
+                 ) -> tuple[list[ExactComplex], list[ExactComplex]]:
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a)
+    dq = len(a) - len(b)
+    if dq < 0:
+        return [], _poly_trim(rem)
+    quot = [ExactComplex(0)] * (dq + 1)
+    lead = b[-1]
+    for k in range(dq, -1, -1):
+        coef = rem[k + len(b) - 1] / lead
+        quot[k] = coef
+        if not coef.is_zero():
+            for i in range(len(b)):
+                rem[k + i] = rem[k + i] - coef * b[i]
+    return _poly_trim(quot), _poly_trim(rem[: len(b) - 1])
+
+
+def _poly_gcd(a: list[ExactComplex], b: list[ExactComplex]) -> list[ExactComplex]:
+    a, b = list(a), list(b)
+    while b:
+        _, r = _poly_divmod(a, b)
+        a, b = b, r
+    if a:
+        lead = a[-1]
+        a = [c / lead for c in a]
+    return a
+
+
+def _poly_derivative(a: list[ExactComplex]) -> list[ExactComplex]:
+    return _poly_trim([ExactComplex(i) * c for i, c in enumerate(a)][1:])
+
+
+def _poly_sub(a: list[ExactComplex], b: list[ExactComplex]) -> list[ExactComplex]:
+    n = max(len(a), len(b))
+    zero = ExactComplex(0)
+    out = [(a[i] if i < len(a) else zero) - (b[i] if i < len(b) else zero)
+           for i in range(n)]
+    return _poly_trim(out)
+
+
+def square_free_reference(p: Polynomial) -> list[tuple[Polynomial, int]]:
+    """Yun decomposition p = prod f_i^i, each f_i monic and square-free,
+    over the Gaussian rationals."""
+    coeffs = list(p.coefficients)
+    if len(coeffs) <= 1:
+        return []
+    lead = coeffs[-1]
+    coeffs = [c / lead for c in coeffs]
+    deriv = _poly_derivative(coeffs)
+    g = _poly_gcd(coeffs, deriv)
+    if len(g) <= 1:
+        return [(Polynomial(coeffs), 1)]
+    w, _ = _poly_divmod(coeffs, g)
+    y, _ = _poly_divmod(deriv, g)
+    z = _poly_sub(y, _poly_derivative(w))
+    out = []
+    i = 1
+    while len(w) > 1:
+        f = _poly_gcd(w, z)
+        if len(f) > 1:
+            out.append((Polynomial(f), i))
+        w, _ = _poly_divmod(w, f)
+        y, _ = _poly_divmod(z, f)
+        z = _poly_sub(y, _poly_derivative(w))
+        i += 1
+    return out
 
 
 def z_naive_qspin(g, p, qp):

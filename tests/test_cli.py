@@ -337,6 +337,25 @@ class TestWireFormat:
         assert code == 2 and out == ""
         assert err == f"error: PinningError: bad spin {spin!r} at vertex 2\n"
 
+    @pytest.mark.parametrize("command,inst", [
+        ("cd-check", 5),
+        ("ldc-beta", {**DUMPS["ldc-beta"], "lambda": [1]}),
+        ("cd-check", {**DUMPS["cd-check"], "pins": {"pins": []}}),
+        ("annulus", {**DUMPS["annulus"], "beta": [1]}),
+    ], ids=["instance-int", "lambda-list", "pins-list", "beta-list"])
+    def test_wrong_json_type_is_malformed_dump(self, command, inst, tmp_path, capsys):
+        code, out, err = self._replay(command, inst, tmp_path, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("malformed dump: ") and err.count("\n") == 1
+
+    def test_evaluator_type_error_is_not_a_malformed_dump(self, tmp_path, capsys,
+                                                          monkeypatch):
+        def broken(inst):
+            raise TypeError("evaluator bug")
+        monkeypatch.setitem(cli.EVALUATORS, "cd-check", broken)
+        with pytest.raises(TypeError, match="evaluator bug"):
+            self._replay("cd-check", DUMPS["cd-check"], tmp_path, capsys)
+
     def test_self_loop_graph_exits_2(self, tmp_path, capsys):
         inst = {**DUMPS["cd-check"], "graph": {"n": 3, "edges": [[0, 1], [1, 1]]}}
         code, out, err = self._replay("cd-check", inst, tmp_path, capsys)

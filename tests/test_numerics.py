@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import series_div_naive
+from conftest import _poly_gcd, series_div_naive, square_free_reference
 from spinmix.errors import SeriesDivisionError
-from spinmix.numerics import (ExactComplex, Polynomial, PowerSeries,
+from spinmix.graphs import Graph, Pinning
+from spinmix.numerics import (ExactComplex, Polynomial, PowerSeries, _common_numerators, _gcd,
                               match_roots, parse_scalar, poly_roots,
                               series_div, series_invert, square_free_factors)
+from spinmix.partition import z_poly_lambda
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=10)
 exacts = st.builds(ExactComplex, rationals, rationals)
@@ -281,6 +283,102 @@ class TestPolynomial:
         assert factors[1] == Polynomial([2, 1])
         assert factors[2] == Polynomial([-1, 1])
 
+    def test_square_free_k2_double_root(self):
+        # Z of K2 at beta = 2, gamma = 1/2 is 2 (lambda + 1/2)^2
+        p = z_poly_lambda(Graph(2, ((0, 1),)), Pinning(), 2, Fraction(1, 2))
+        assert p == Polynomial([Fraction(1, 2), 2, 2])
+        assert square_free_factors(p) == [(Polynomial([Fraction(1, 2), 1]), 2)]
+        assert square_free_factors(p) == square_free_reference(p)
+
+    def test_subresultant_gcd_matches_euclid(self):
+        # Knuth's example: a remainder sequence of degrees 8, 6, 4, 2, 1, 0
+        a = [-5, 2, 8, -3, -3, 0, 1, 0, 1]
+        b = [21, -9, -4, 0, 5, 0, 3]
+        assert len(_gcd([(c, 0) for c in a], [(c, 0) for c in b])) == 1
+        # sparse Gaussian pairs with a shared factor, of equal degree or with
+        # degree gaps in the remainder sequence
+        rng = random.Random(7)
+
+        def sparse(degree):
+            out = [ExactComplex(rng.randint(-3, 3), rng.randint(-3, 3))
+                   if rng.random() < 0.5 else ExactComplex(0) for _ in range(degree)]
+            return out + [ExactComplex(rng.randint(1, 3), rng.randint(-3, 3))]
+
+        for _ in range(200):
+            shared = sparse(rng.randint(0, 3))
+            a = _mul(shared, sparse(rng.randint(0, 6)))
+            b = _mul(shared, sparse(rng.randint(0, 6)))
+            g = _gcd(_common_numerators(a), _common_numerators(b))
+            lead = ExactComplex(*g[-1])
+            monic = [ExactComplex(*c) / lead for c in g]
+            assert monic == _poly_gcd(a, b)
+
+    def test_square_free_matches_reference(self):
+        # the integer split against the ExactComplex Yun it replaced: 400
+        # seeded polynomials of degree <= 12, real or Gaussian rational, half
+        # of them products with forced repeated factors
+        rng = random.Random(16)
+
+        def coefficient(gaussian):
+            re = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            im = Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if gaussian else 0
+            return ExactComplex(re, im)
+
+        repeated = 0
+        for trial in range(400):
+            gaussian = trial % 4 >= 2
+            if trial % 2 == 0:
+                coeffs = [coefficient(gaussian) for _ in range(rng.randint(1, 13))]
+            else:
+                coeffs = [coefficient(gaussian) or ExactComplex(1)]
+                while True:
+                    factor = [coefficient(gaussian) for _ in range(rng.randint(2, 4))]
+                    factor[-1] = factor[-1] or ExactComplex(1)
+                    power = rng.randint(2, 4) if len(coeffs) == 1 else rng.randint(1, 4)
+                    if len(coeffs) + power * (len(factor) - 1) > 13:
+                        break
+                    for _ in range(power):
+                        coeffs = _mul(coeffs, factor)
+            p = Polynomial(coeffs)
+            factors = square_free_factors(p)
+            assert factors == square_free_reference(p), p
+            repeated += any(m > 1 for _, m in factors)
+        assert repeated >= 150
+
+
+def _mul(a: list[ExactComplex], b: list[ExactComplex]) -> list[ExactComplex]:
+    out = [ExactComplex(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def planted_polynomials() -> list[tuple[list[ExactComplex], list[ExactComplex]]]:
+    """Ten seeded (roots, monic coefficients) pairs: degree 2 to 12, distinct
+    complex rational roots of modulus in (0.1, 10)."""
+    rng = random.Random(20240229)
+    out = []
+    for _ in range(10):
+        deg = rng.randint(2, 12)
+        planted = []
+        while len(planted) < deg:
+            r = ExactComplex(Fraction(rng.randint(-40, 40), rng.randint(4, 10)),
+                             Fraction(rng.randint(-40, 40), rng.randint(4, 10)))
+            m2 = float(r.abs2())
+            if 0.1 ** 2 < m2 < 10 ** 2 and all(
+                    float((r - s).abs2()) > 1e-4 for s in planted):
+                planted.append(r)
+        coeffs = [ExactComplex(1)]
+        for r in planted:
+            nxt = [ExactComplex(0)] * (len(coeffs) + 1)
+            for i, c in enumerate(coeffs):
+                nxt[i] = nxt[i] - c * r
+                nxt[i + 1] = nxt[i + 1] + c
+            coeffs = nxt
+        out.append((planted, coeffs))
+    return out
+
 
 class TestPolyRoots:
     def test_quadratic(self):
@@ -306,24 +404,7 @@ class TestPolyRoots:
     def test_planted_roots_recovered(self):
         # monic degree <= 12, root moduli in [0.1, 10], recovery to 1e-9
         # after matching
-        rng = random.Random(20240229)
-        for _ in range(10):
-            deg = rng.randint(2, 12)
-            planted = []
-            while len(planted) < deg:
-                r = ExactComplex(Fraction(rng.randint(-40, 40), rng.randint(4, 10)),
-                                 Fraction(rng.randint(-40, 40), rng.randint(4, 10)))
-                m2 = float(r.abs2())
-                if 0.1 ** 2 < m2 < 10 ** 2 and all(
-                        float((r - s).abs2()) > 1e-4 for s in planted):
-                    planted.append(r)
-            coeffs = [ExactComplex(1)]
-            for r in planted:
-                nxt = [ExactComplex(0)] * (len(coeffs) + 1)
-                for i, c in enumerate(coeffs):
-                    nxt[i] = nxt[i] - c * r
-                    nxt[i + 1] = nxt[i + 1] + c
-                coeffs = nxt
+        for planted, coeffs in planted_polynomials():
             found = poly_roots(Polynomial(coeffs), 1e-12)
             assert match_roots(found, [r.to_complex() for r in planted]) < 1e-9
 
@@ -389,3 +470,194 @@ class TestMatchRoots:
                             for _ in range(n)]
             assert match_roots(found, expected) == _match_roots_by_dp(found, expected)
             assert match_roots(found, expected) > 0.0
+
+
+def _golden_cases() -> dict[str, list]:
+    def x(re, im=0):
+        return ExactComplex(Fraction(re), Fraction(im))
+    repeated = _mul(_mul([-1, 1], [-1, 1]), [2, 1])
+    for _ in range(3):
+        repeated = _mul(repeated, [1, 1, 1])
+    cases = {
+        "degree1": [3, 2],
+        "degree1_complex": [x("1/2", 3), x(0, "-2/3")],
+        "complex": [x(1, 2), x(-3, "1/2"), 1, x(0, 1)],
+        # (x - 1)^2 (x + 2) (x^2 + x + 1)^3
+        "repeated": repeated,
+        "degree12": [5, -3, 0, 7, 1, -2, 0, 0, 4, -1, 3, 0, 2],
+        "quadratic": [-1, 0, 1],
+        "unit_circle_pair": [2, 2, 2],
+        "triple_root": [0, 0, 0, 1],
+        "deterministic": [3, -2, 0, 5, 1],
+        # Z of K2 at beta = 2, gamma = 1/2: 2 (lambda + 1/2)^2
+        "k2_beta2_gamma_half": [Fraction(1, 2), 2, 2],
+    }
+    for i, (_, coeffs) in enumerate(planted_polynomials()):
+        cases[f"planted{i}"] = coeffs
+    return cases
+
+
+# float.hex of every (re, im) poly_roots returned for the cases above, as the
+# Aberth sweep computed them before its loop was inlined; a rewrite of the
+# sweep must keep every float operation and its order
+GOLDEN_ROOTS = {
+    'degree1': [
+        ('-0x1.8000000000000p+0', '0x0.0p+0'),
+    ],
+    'degree1_complex': [
+        ('0x1.2000000000000p+2', '-0x1.8000000000000p-1'),
+    ],
+    'complex': [
+        ('-0x1.2e1b781f9c84cp+0', '0x1.8e721eba5058dp+0'),
+        ('0x1.47173c07cddd9p-3', '0x1.623b6b555f097p-1'),
+        ('0x1.0538909ea2c91p+0', '-0x1.3f8fd464ffdd9p+0'),
+    ],
+    'repeated': [
+        ('-0x1.0000000000000p+1', '0x0.0p+0'),
+        ('-0x1.0000000000000p-1', '-0x1.bb67ae8584cabp-1'),
+        ('-0x1.0000000000000p-1', '-0x1.bb67ae8584cabp-1'),
+        ('-0x1.0000000000000p-1', '-0x1.bb67ae8584cabp-1'),
+        ('-0x1.0000000000000p-1', '0x1.bb67ae8584cabp-1'),
+        ('-0x1.0000000000000p-1', '0x1.bb67ae8584cabp-1'),
+        ('-0x1.0000000000000p-1', '0x1.bb67ae8584cabp-1'),
+        ('0x1.0000000000000p+0', '-0x0.0p+0'),
+        ('0x1.0000000000000p+0', '-0x0.0p+0'),
+    ],
+    'degree12': [
+        ('-0x1.c88a526e086edp-1', '-0x1.1ca49fcdef063p-2'),
+        ('-0x1.c88a526e086edp-1', '0x1.1ca49fcdef063p-2'),
+        ('-0x1.898d337517299p-1', '-0x1.eebd4454a28d5p-1'),
+        ('-0x1.898d337517299p-1', '0x1.eebd4454a28d4p-1'),
+        ('-0x1.6b7c70cced899p-2', '0x1.488c6394d78afp+0'),
+        ('-0x1.6b7c70cced898p-2', '-0x1.488c6394d78afp+0'),
+        ('0x1.e129144b3cdc8p-2', '0x1.4744c37544badp-1'),
+        ('0x1.e129144b3cdc9p-2', '-0x1.4744c37544baep-1'),
+        ('0x1.3732276ec31f6p-1', '-0x1.1f573df0e0e5ap+0'),
+        ('0x1.3732276ec31f6p-1', '0x1.1f573df0e0e5ap+0'),
+        ('0x1.e00f0cb534cf7p-1', '-0x1.92dc8e193628cp-2'),
+        ('0x1.e00f0cb534cf7p-1', '0x1.92dc8e193628cp-2'),
+    ],
+    'quadratic': [
+        ('-0x1.0000000000000p+0', '0x0.0p+0'),
+        ('0x1.0000000000000p+0', '0x0.0p+0'),
+    ],
+    'unit_circle_pair': [
+        ('-0x1.0000000000000p-1', '-0x1.bb67ae8584cabp-1'),
+        ('-0x1.0000000000000p-1', '0x1.bb67ae8584cabp-1'),
+    ],
+    'triple_root': [
+        ('-0x0.0p+0', '0x0.0p+0'),
+        ('-0x0.0p+0', '0x0.0p+0'),
+        ('-0x0.0p+0', '0x0.0p+0'),
+    ],
+    'deterministic': [
+        ('-0x1.3901e68a8d004p+2', '-0x1.2713300000000p-158'),
+        ('-0x1.19d0a5e778ddcp+0', '0x0.0p+0'),
+        ('0x1.fbb0802359bd7p-2', '-0x1.1db7246f2b958p-1'),
+        ('0x1.fbb0802359bd7p-2', '0x1.1db7246f2b958p-1'),
+    ],
+    'k2_beta2_gamma_half': [
+        ('-0x1.0000000000000p-1', '0x0.0p+0'),
+        ('-0x1.0000000000000p-1', '0x0.0p+0'),
+    ],
+    'planted0': [
+        ('-0x1.3333333333333p+1', '0x1.a000000000000p+0'),
+        ('-0x1.9fffffffffffdp+0', '0x1.0ccccccccccccp+1'),
+        ('0x1.9ffffffffffe0p+1', '-0x1.38e38e38e3902p+0'),
+        ('0x1.aaaaaaaaaaac8p+1', '-0x1.8e38e38e38de7p+0'),
+        ('0x1.e38e38e38e38fp+1', '-0x1.ffffffffffff8p+1'),
+        ('0x1.0000000000001p+2', '0x1.db6db6db6db69p+0'),
+        ('0x1.7fffffffffff7p+2', '-0x1.4924924924921p+2'),
+    ],
+    'planted1': [
+        ('-0x1.b6db6db6db6d0p-1', '-0x1.4000000000002p+2'),
+        ('0x1.6666666666666p-1', '-0x1.eaaaaaaaaaaaap+1'),
+        ('0x1.999999999999ap+0', '0x1.8000000000000p+2'),
+    ],
+    'planted2': [
+        ('-0x1.3ffffffffffffp+1', '-0x1.6492492492491p+2'),
+        ('-0x1.c71c71c71c6f0p-3', '-0x1.a000000000002p+2'),
+        ('0x1.b8e38e38e38e4p+1', '0x1.4000000000000p+2'),
+    ],
+    'planted3': [
+        ('-0x1.1555555555555p+2', '0x1.4000000000000p+2'),
+        ('-0x1.e666666666666p+0', '-0x1.3555555555556p+2'),
+        ('0x1.9999999999987p-2', '-0x1.8000000000001p+1'),
+        ('0x1.999999999998cp-1', '-0x1.aaaaaaaaaaaa9p+2'),
+        ('0x1.dffffffffffffp+0', '0x1.1000000000000p+3'),
+        ('0x1.0000000000000p+1', '0x1.b6db6db6db6dep-2'),
+        ('0x1.a666666666667p+2', '-0x1.8000000000000p+1'),
+    ],
+    'planted4': [
+        ('-0x1.e000000000001p+2', '0x1.a000000000002p+1'),
+        ('-0x1.199999999999ap+2', '-0x1.4000000000000p+2'),
+        ('-0x1.c71c71c71c735p+1', '0x1.1000000000002p+2'),
+        ('-0x1.2492492492493p+1', '-0x1.4000000000000p+1'),
+        ('-0x1.c71c71c71daa0p-3', '0x1.f333333333118p+1'),
+        ('0x1.0000000001138p-2', '0x1.9c71c71c71bd5p+1'),
+        ('0x1.7ffffffffef27p-1', '0x1.00000000000e0p+2'),
+        ('0x1.cccccccccccb1p-1', '0x1.4924924924a9dp+1'),
+        ('0x1.2ffffffffff77p+1', '0x1.b6db6db6db7ecp+0'),
+        ('0x1.3fffffffffff6p+1', '0x1.ccccccccccc8fp-1'),
+        ('0x1.fffffffffff6dp+1', '0x1.2aaaaaaaaaa79p+2'),
+        ('0x1.dfffffffffffep+2', '0x1.400000000001ep+1'),
+    ],
+    'planted5': [
+        ('-0x1.8aaaaaaaaaaabp+2', '0x1.1c71c71c71c70p+0'),
+        ('-0x1.f000000000009p+1', '-0x1.3333333333332p+1'),
+        ('-0x1.e666666666651p+1', '-0x1.8000000000000p+1'),
+        ('-0x1.5b6db6db6db6dp+1', '0x1.999999999998ep-4'),
+        ('-0x1.3333333333331p+0', '-0x1.cfffffffffffep+1'),
+        ('0x1.9999999999997p+1', '0x1.249249249248fp-1'),
+        ('0x1.bfffffffffffep+1', '-0x1.e66666666666cp+0'),
+        ('0x1.c000000000000p+1', '0x1.8000000000001p+1'),
+        ('0x1.1999999999999p+2', '-0x1.638e38e38e38dp+1'),
+        ('0x1.8000000000000p+2', '0x1.8000000000000p+1'),
+    ],
+    'planted6': [
+        ('-0x1.b333333333334p+2', '0x1.6aaaaaaaaaaa8p+1'),
+        ('-0x1.5555555555541p-2', '0x1.4000000000000p+2'),
+        ('0x1.199999999999bp+2', '0x1.4000000000003p+0'),
+        ('0x1.1ffffffffffffp+2', '0x1.17fffffffffffp+3'),
+    ],
+    'planted7': [
+        ('-0x1.2800000000000p+3', '0x1.b6db6db6db6dep-1'),
+        ('-0x1.4aaaaaaaaaaabp+2', '-0x1.6000000000000p+2'),
+        ('-0x1.0000000000007p+2', '0x1.f000000000000p+2'),
+        ('-0x1.6aaaaaaaaaa90p+1', '0x1.3000000000004p+2'),
+        ('-0x1.4924924924953p+0', '0x1.6fffffffffff4p+1'),
+        ('-0x1.1fffffffffff5p+0', '0x1.8000000000003p+0'),
+        ('-0x1.4000000000001p-1', '-0x1.b000000000000p+2'),
+        ('0x1.6666666666665p+0', '0x1.0fffffffffffep+2'),
+        ('0x1.8000000000000p+0', '0x1.9999999999997p-1'),
+        ('0x1.0aaaaaaaaaaaap+2', '0x1.1555555555555p+2'),
+        ('0x1.6000000000000p+2', '-0x1.3ffffffffffffp-1'),
+    ],
+    'planted8': [
+        ('-0x1.1249249249249p+2', '-0x1.fffffffffffffp-1'),
+        ('-0x1.38e38e38e38e4p+0', '-0x1.0000000000000p-1'),
+        ('0x1.0000000000001p-1', '-0x1.4000000000000p+2'),
+        ('0x1.c000000000002p-1', '0x1.cccccccccccccp+1'),
+        ('0x1.e38e38e38e390p+1', '0x1.3333333333333p+0'),
+        ('0x1.1999999999999p+2', '0x1.0000000000003p+2'),
+        ('0x1.5b6db6db6db6ep+2', '0x1.cccccccccccbcp-1'),
+    ],
+    'planted9': [
+        ('-0x1.999999999999ap+2', '-0x1.4000000000000p+2'),
+        ('-0x1.ccccccccccccap+1', '0x1.c71c71c71c71fp-2'),
+        ('-0x1.b6db6db6db6dbp+1', '-0x1.36db6db6db6dcp+1'),
+        ('-0x1.2aaaaaaaaaaabp+1', '0x1.2492492492493p+0'),
+        ('-0x1.2492492492490p-3', '-0x1.9999999999999p-2'),
+        ('0x1.333333333334cp+0', '-0x1.3ffffffffffffp+2'),
+        ('0x1.1555555555552p+1', '-0x1.8000000000007p+2'),
+        ('0x1.a49249249249dp+1', '-0x1.1555555555559p+2'),
+        ('0x1.0800000000005p+2', '0x1.c71c71c71c722p-1'),
+        ('0x1.17fffffffffffp+2', '0x1.ffffffffffff0p-1'),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ROOTS))
+def test_poly_roots_golden_bits(name):
+    roots = poly_roots(Polynomial(_golden_cases()[name]))
+    assert [(r.real.hex(), r.imag.hex()) for r in roots] == GOLDEN_ROOTS[name]
