@@ -60,18 +60,30 @@ def _pins(doc: dict, two_spin: bool = True) -> Pinning:
     return Pinning.of(pins)
 
 
-# The decoder of each instance key's JSON value. Other keys (u, v, depth,
-# degree_bound, mode, order) and a null (ldc-beta's Ising gamma) pass as they
+def _int(x, nullable: bool = False) -> int | None:
+    """A JSON integer (or a null, where it means the default); true, 1.0 and
+    "1" have the wrong type."""
+    if type(x) is not int and not (nullable and x is None):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
+# The decoder of each instance key's JSON value; it raises TypeError or
+# AttributeError on a value of the wrong type. Other keys (mode) pass as they
 # are; a (command, key) entry overrides a key's decoder for that command.
 WIRE = {"graph": parse_graph, "pins": _pins, "pins_a": _pins, "pins_b": _pins,
         ("qspin-check", "pins"): functools.partial(_pins, two_spin=False),
         "params": Params.from_json, "qparams": QSpinParams.from_json,
-        **dict.fromkeys(("lambda", "beta", "gamma", "center"), ExactComplex.from_json)}
+        **dict.fromkeys(("lambda", "beta", "gamma", "center"), ExactComplex.from_json),
+        # a null gamma ties ldc-beta's edge activities (Ising)
+        ("ldc-beta", "gamma"): lambda x: None if x is None else ExactComplex.from_json(x),
+        **dict.fromkeys(("u", "v", "depth"), _int),
+        **dict.fromkeys(("order", "degree_bound"), functools.partial(_int, nullable=True))}
 
 
 def _encode(inst: dict) -> dict:
     """The JSON form of a typed instance."""
-    return {k: v.to_json() if k in WIRE else v for k, v in inst.items()}
+    return {k: v.to_json() if hasattr(v, "to_json") else v for k, v in inst.items()}
 
 
 def _decode(command: str, doc: dict) -> dict:
@@ -79,7 +91,7 @@ def _decode(command: str, doc: dict) -> dict:
     inst = {}
     for k, v in doc.items():
         decode = WIRE.get((command, k), WIRE.get(k))
-        inst[k] = v if decode is None or v is None else decode(v)
+        inst[k] = v if decode is None else decode(v)
     return inst
 
 

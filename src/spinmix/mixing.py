@@ -2,8 +2,9 @@
 
 The marginal ratio P = Z+_v / Z is computed exactly; its truncated Taylor
 series in the field variable (around 0) or in the edge activity (around a
-chosen center) are built from exact polynomials and formal series division,
-so coefficient comparisons are bit-exact.
+chosen center) are built from exact polynomials and formal series division.
+A locality verdict divides none: two series P = N / D first differ where the
+integer numerators' N_s D_t - N_t D_s first has a nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -13,13 +14,12 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import NotATreeError, PinningError, ZeroPartitionError
+from .errors import NotATreeError, PinningError, SeriesDivisionError, ZeroPartitionError
 from .graphs import (Graph, MINUS, PLUS, Pinning, _check_saw_root,
                      disagreement_distance, is_proper)
-from .numerics import (ONE, ZERO, ExactComplex, PowerSeries,
-                       series_div)
-from .partition import (Params, _edge_activity_series, _walk_pass, z_brute,
-                        z_poly_lambda, z_tree)
+from .numerics import ONE, ZERO, ExactComplex, PowerSeries, _gmul, _reduced, series_div
+from .partition import (Params, _activity_term, _fold, _horner, _lambda_tables,
+                        _walk_pass, z_brute, z_tree)
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class LdcReport:
     """Coefficientwise comparison of two marginal series.
 
     ``first_difference`` is the first index where the coefficients differ,
-    or ``order`` when they agree throughout. The locality contract asks for
+    or ``order`` when they agree throughout (the valuation of P^s - P^t). The locality contract asks for
     agreement on indices 0..d-1, i.e. first_difference >= min(d, order).
     """
 
@@ -105,6 +105,53 @@ def _default_order(g: Graph) -> int:
     return g.diameter() + 2
 
 
+def _lambda_vectors(g: Graph, ps: Sequence[Pinning], v: int, beta, gamma,
+                    order: int | None, scale: Sequence[ExactComplex] | None = None):
+    """Per pinning of ps, in turn: Z+_v's and Z's lambda-coefficient numerators
+    from Z's valuation k on, ``order`` of each, and each index's denominator.
+    Raises as marginal_series_lambda, pinning by pinning; one power table."""
+    term = None
+    for p in ps:
+        if v in p:
+            raise PinningError(f"vertex {v} is pinned")
+        if term is None:
+            order = _default_order(g) if order is None else order
+            term, den, dw = _lambda_tables(g, beta, gamma, scale)
+        zs, zp = _fold(g, p, scale, v, g.n + 1, term)
+        k = next((i for i, c in enumerate(zs) if c != (0, 0)), None)
+        if k is None:
+            raise ZeroPartitionError("partition polynomial is identically zero")
+        if order < 1:
+            raise SeriesDivisionError("denominator is zero through the truncation order")
+        vn = next((i for i, c in enumerate(zp[:k]) if c != (0, 0)), None)
+        if vn is not None:
+            raise SeriesDivisionError(
+                f"valuation mismatch: numerator x^{vn} vs denominator x^{k}")
+        pad = [(0, 0)] * order
+        yield ((zp[k:] + pad)[:order], (zs[k:] + pad)[:order],
+               [den * dw ** (k + i) for i in range(order)])
+
+
+def _series(num, den, over) -> PowerSeries:
+    """num / den by series_div, each numerator reduced over its denominator."""
+    return series_div(*[PowerSeries(_reduced(re, im, d) for (re, im), d in zip(vec, over))
+                        for vec in (num, den)])
+
+
+def _report(a, b, distance: int | float) -> LdcReport:
+    """The LdcReport of marginals a = N_a / D_a and b as _lambda_vectors or
+    _beta_vectors give them: first_difference is the first index below the
+    order where N_a D_b and N_b D_a differ, as D_a(0) D_b(0) != 0."""
+    (na, da, _), (nb, db, _) = a, b
+
+    def conv(x, y, i):  # coefficient i of x y
+        return [sum(c) for c in zip(*map(_gmul, x[:i + 1], y[i::-1]))]
+    order = len(na)
+    first = next((i for i in range(order) if conv(na, db, i) != conv(nb, da, i)), order)
+    return LdcReport(first_difference=first, order=order, distance=distance,
+                     satisfied=first >= min(distance, order))
+
+
 def marginal_series_lambda(g: Graph, p: Pinning, v: int, beta, gamma,
                            order: int | None = None,
                            scale: Sequence[ExactComplex] | None = None
@@ -120,31 +167,9 @@ def marginal_series_lambda(g: Graph, p: Pinning, v: int, beta, gamma,
     # Properness of v is not required here: a hard constraint may zero the
     # numerator (e.g. v adjacent to a + pin at beta=0), and the coefficient
     # comparisons still need that identically-zero series.
-    if v in p:
-        raise PinningError(f"vertex {v} is pinned")
-    beta = ExactComplex._coerce(beta)
-    gamma = ExactComplex._coerce(gamma)
-    if order is None:
-        order = _default_order(g)
-    den, num = z_poly_lambda(g, p, beta, gamma, scale=scale, probe=v)
-    k = den.valuation()
-    if k is None:
-        raise ZeroPartitionError("partition polynomial is identically zero")
-    series = series_div(num.to_series(order + k), den.to_series(order + k))
-    return MarginalSeries(series=series, variable="lambda", center=ZERO, vertex=v)
-
-
-def _compare_series(a: PowerSeries, b: PowerSeries, distance: int | float
-                    ) -> LdcReport:
-    order = min(a.order, b.order)
-    first = order
-    for i in range(order):
-        if a.coefficients[i] != b.coefficients[i]:
-            first = i
-            break
-    required = min(distance, order)
-    return LdcReport(first_difference=first, order=order, distance=distance,
-                     satisfied=first >= required)
+    (vectors,) = _lambda_vectors(g, (p,), v, beta, gamma, order, scale)
+    return MarginalSeries(series=_series(*vectors), variable="lambda", center=ZERO,
+                          vertex=v)
 
 
 def ldc_report(g: Graph, s: Pinning, t: Pinning, v: int, beta, gamma,
@@ -152,18 +177,49 @@ def ldc_report(g: Graph, s: Pinning, t: Pinning, v: int, beta, gamma,
     """Compare the field-variable series of P under two pinnings.
 
     The coefficients must agree on indices 0..d-1 where d is the distance
-    from v to the set on which the pinnings disagree.
+    from v to the set on which the pinnings disagree; no series is built.
     """
-    order = _default_order(g) if order is None else order
-    a = marginal_series_lambda(g, s, v, beta, gamma, order)
-    b = marginal_series_lambda(g, t, v, beta, gamma, order)
-    d = disagreement_distance(g, v, s, t)
-    return _compare_series(a.series, b.series, d)
+    a, b = _lambda_vectors(g, (s, t), v, beta, gamma, order)
+    return _report(a, b, disagreement_distance(g, v, s, t))
 
 
 # ---------------------------------------------------------------------------
 # Series in the edge activity around a center
 # ---------------------------------------------------------------------------
+
+
+def _beta_vectors(g: Graph, ps: Sequence[Pinning], v: int, gamma, lam, center,
+                  order: int | None):
+    """Per pinning of ps, in turn: Z+_v's and Z's first ``order`` coefficient
+    numerators in t = beta - center, and each index's denominator. Raises as
+    marginal_series_beta, pinning by pinning; one power table."""
+    term = None
+    for p in ps:
+        if v in p:
+            raise PinningError(f"vertex {v} is pinned")
+        if term is None:
+            center, lam = ExactComplex._coerce(center), ExactComplex._coerce(lam)
+            if lam.is_zero():
+                raise ValueError("the field value must be nonzero")
+            if gamma is not None:
+                gamma = ExactComplex._coerce(gamma)
+                if gamma.is_zero():
+                    raise ValueError("gamma must be nonzero")
+                if center != ONE / gamma:
+                    raise ValueError("center must equal 1/gamma")
+            elif center != ONE and center != -ONE:
+                raise ValueError("tied (Ising) activities need center 1 or -1")
+            order = _default_order(g) if order is None else order
+            term, den = _activity_term(g, gamma, lam)
+            over = [den * center._abd[2] ** len(g.edges)] * order
+        # at least the constant term, so that Z at the center is always checked
+        zs, zp = [_horner(w, center, max(order, 1))
+                  for w in _fold(g, p, None, v, len(g.edges) + 1, term)]
+        if zs[0] == (0, 0):
+            raise ZeroPartitionError("partition value is zero at the expansion center")
+        if order < 1:
+            raise SeriesDivisionError("denominator is zero through the truncation order")
+        yield zp, zs, over
 
 
 def marginal_series_beta(g: Graph, p: Pinning, v: int, gamma, lam,
@@ -175,39 +231,16 @@ def marginal_series_beta(g: Graph, p: Pinning, v: int, gamma, lam,
     center must be 1 or -1. Raises ZeroPartitionError when Z vanishes at
     the center; such singular instances are surfaced, never skipped.
     """
-    if v in p:
-        raise PinningError(f"vertex {v} is pinned")
-    center = ExactComplex._coerce(center)
-    lam = ExactComplex._coerce(lam)
-    if lam.is_zero():
-        raise ValueError("the field value must be nonzero")
-    if gamma is not None:
-        gamma = ExactComplex._coerce(gamma)
-        if gamma.is_zero():
-            raise ValueError("gamma must be nonzero")
-        if center != ONE / gamma:
-            raise ValueError("center must equal 1/gamma")
-    elif center != ONE and center != -ONE:
-        raise ValueError("tied (Ising) activities need center 1 or -1")
-    if order is None:
-        order = _default_order(g)
-    # at least the constant term, so that Z at the center is always checked
-    kept = max(order, 1)
-    den, num = _edge_activity_series(g, p, gamma, lam, center, kept, probe=v)
-    if den[0].is_zero():
-        raise ZeroPartitionError("partition value is zero at the expansion center")
-    series = series_div(PowerSeries(num[:order]), PowerSeries(den[:order]))
-    return MarginalSeries(series=series, variable="beta", center=center, vertex=v)
+    (vectors,) = _beta_vectors(g, (p,), v, gamma, lam, center, order)
+    return MarginalSeries(series=_series(*vectors), variable="beta",
+                          center=ExactComplex._coerce(center), vertex=v)
 
 
 def ldc_report_beta(g: Graph, s: Pinning, t: Pinning, v: int, gamma, lam,
                     center, order: int | None = None) -> LdcReport:
     """Edge-activity analogue of ldc_report at the given center."""
-    order = _default_order(g) if order is None else order
-    a = marginal_series_beta(g, s, v, gamma, lam, center, order)
-    b = marginal_series_beta(g, t, v, gamma, lam, center, order)
-    d = disagreement_distance(g, v, s, t)
-    return _compare_series(a.series, b.series, d)
+    a, b = _beta_vectors(g, (s, t), v, gamma, lam, center, order)
+    return _report(a, b, disagreement_distance(g, v, s, t))
 
 
 # ---------------------------------------------------------------------------

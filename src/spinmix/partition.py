@@ -294,25 +294,46 @@ def _fold(g: Graph, p: Pinning, weights: Sequence[ExactComplex] | None,
     return vectors
 
 
-def _lambda_fold(g: Graph, p: Pinning, beta: ExactComplex, gamma: ExactComplex,
-                 weights: Sequence[ExactComplex] | None, probe: int | None):
-    """The numerators of Z's lambda^k coefficients at (beta, gamma), as _fold
-    returns them, with den and dw: coefficient k lies over den * dw ** k."""
+def _lambda_tables(g: Graph, beta, gamma,
+                   scale: Sequence[ExactComplex] | None = None):
+    """z_poly_lambda's argument checks, then the _fold term of Z's lambda^k
+    coefficients at (beta, gamma) with den and dw: coefficient k's numerator
+    lies over den * dw ** k. The power tables serve every pinning of g."""
+    # the cap error precedes the argument checks
+    _check_cap(g)
+    beta = ExactComplex._coerce(beta)
+    gamma = ExactComplex._coerce(gamma)
+    if scale is not None and len(scale) != g.n:
+        raise ValueError("scale vector length must equal vertex count")
     m = len(g.edges)
     pow_b = _powers(beta, m)
     pow_g = pow_b if gamma == beta else _powers(gamma, m)
 
     def term(mp, mm, k):
         return k, _gmul(pow_b[mp], pow_g[mm])
-    dw = 1 if weights is None else math.lcm(*[w._abd[2] for w in weights])
-    return _fold(g, p, weights, probe, g.n + 1, term), (beta._abd[2] * gamma._abd[2]) ** m, dw
+    dw = 1 if scale is None else math.lcm(*[w._abd[2] for w in scale])
+    return term, (beta._abd[2] * gamma._abd[2]) ** m, dw
 
 
-def _taylor(vec: list[tuple[int, int]], den: int, center: ExactComplex,
-            order: int) -> list[ExactComplex]:
-    """First ``order`` coefficients in t of sum_k vec[k] (center + t)^k / den.
+def _activity_term(g: Graph, gamma: ExactComplex | None, lam: ExactComplex):
+    """The _fold term of Z's coefficients in the (+,+) edge activity (both
+    activities, tied, with gamma None) at field lam, numerators over the
+    returned den; the power tables serve every pinning of g."""
+    m = len(g.edges)
+    pow_l, pow_g = _powers(lam, g.n), _powers(ONE if gamma is None else gamma, m)
 
-    With center = C / cd and s = cd t, den cd^m times the sum is
+    def term(mp, mm, k):
+        return (mp + mm if gamma is None else mp), _gmul(pow_g[mm], pow_l[k])
+    return term, lam._abd[2] ** g.n * (1 if gamma is None else gamma._abd[2] ** m)
+
+
+def _horner(vec: list[tuple[int, int]], center: ExactComplex,
+            order: int) -> list[tuple[int, int]]:
+    """Numerators of the first ``order`` coefficients in t of
+    sum_k vec[k] (center + t)^k, all over cd ** (len(vec) - 1), cd the
+    denominator of center.
+
+    With center = C / cd and s = cd t, cd^m times the sum is
     sum_k vec[k] cd^(m-k) (C + s)^k: Horner's rule in C + s from the top
     exponent, on integers; the coefficient of t^i is that of s^i times cd^i.
     """
@@ -325,30 +346,7 @@ def _taylor(vec: list[tuple[int, int]], den: int, center: ExactComplex,
                             re[i] * ci + im[i] * cr + im[i - 1])
         re[0], im[0] = (re[0] * cr - im[0] * ci + wr * cd ** j,
                         re[0] * ci + im[0] * cr + wi * cd ** j)
-    return [_reduced(re[i] * cd ** i, im[i] * cd ** i, den * cd ** (len(vec) - 1))
-            for i in range(order)]
-
-
-def _edge_activity_series(g: Graph, p: Pinning, gamma: ExactComplex | None,
-                          lam: ExactComplex, center: ExactComplex,
-                          order: int, probe: int | None = None
-                          ) -> list[ExactComplex] | tuple[list[ExactComplex], ...]:
-    """First ``order`` (>= 1) coefficients of Z in t, where the edge activity
-    is center + t; with a probe, the pair (Z's, Z+_probe's) from one sweep.
-
-    With ``gamma`` given, only the (+,+) activity varies; with gamma None
-    the instance is Ising and both activities are tied to center + t. The
-    table is folded into the weight of each activity exponent (numerators
-    over den); Horner's rule in (center + t) then keeps ``order`` terms.
-    """
-    m = len(g.edges)
-    pow_l, pow_g = _powers(lam, g.n), _powers(ONE if gamma is None else gamma, m)
-    den = lam._abd[2] ** g.n * (1 if gamma is None else gamma._abd[2] ** m)
-
-    def term(mp, mm, k):
-        return (mp + mm if gamma is None else mp), _gmul(pow_g[mm], pow_l[k])
-    series = [_taylor(w, den, center, order) for w in _fold(g, p, None, probe, m + 1, term)]
-    return series[0] if probe is None else tuple(series)
+    return [(re[i] * cd ** i, im[i] * cd ** i) for i in range(order)]
 
 
 def z_brute(g: Graph, p: Pinning, params: Params,
@@ -367,11 +365,13 @@ def z_brute(g: Graph, p: Pinning, params: Params,
     _check_cap(g)
     if check_feasibility:
         _check_feasible(g, p, params)
-    vectors, den, dw = _lambda_fold(g, p, params.beta, params.gamma, None if params.uniform
-                                    else params.field_vector(g.n), probe)
+    weights = None if params.uniform else params.field_vector(g.n)
+    term, den, dw = _lambda_tables(g, params.beta, params.gamma, weights)
+    vectors = _fold(g, p, weights, probe, g.n + 1, term)
     # the sum at lambda / dw, lambda = 1 when a per-vertex field is in the table
     lam = params.field if params.uniform else _reduced(1, 0, dw)
-    values = [_taylor(vec, den, lam, 1)[0] for vec in vectors]
+    over = den * lam._abd[2] ** g.n
+    values = [_reduced(*_horner(vec, lam, 1)[0], over) for vec in vectors]
     return values[0] if probe is None else tuple(values)
 
 
@@ -647,13 +647,8 @@ def z_poly_lambda(g: Graph, p: Pinning, beta, gamma,
     scan of non-uniform fields. With a free ``probe`` vertex v, returns the
     pair (Z, Z+_v) of polynomials from one enumeration.
     """
-    # as in z_brute, the cap error precedes the argument checks
-    _check_cap(g)
-    beta = ExactComplex._coerce(beta)
-    gamma = ExactComplex._coerce(gamma)
-    if scale is not None and len(scale) != g.n:
-        raise ValueError("scale vector length must equal vertex count")
-    vectors, den, dw = _lambda_fold(g, p, beta, gamma, scale, probe)
+    term, den, dw = _lambda_tables(g, beta, gamma, scale)
+    vectors = _fold(g, p, scale, probe, g.n + 1, term)
     polys = [Polynomial(_reduced(*c, den * dw ** k) for k, c in enumerate(v)) for v in vectors]
     return polys[0] if probe is None else tuple(polys)
 

@@ -14,6 +14,12 @@ cut vertices, run z_tree on the tree and read Z+/Z at its root.
 ``square_free_reference`` is the square-free split the library ran before it
 went to integer coefficient vectors: Yun's algorithm with Euclidean gcds and
 long division over ExactComplex, every gcd made monic.
+``ldc_reference`` is the locality route the library took before it read each
+verdict off cross-multiplied integer numerators: build both marginal series,
+reduced and divided by series_div, and compare them coefficient by
+coefficient. ``edge_activity_series`` is the reduced edge-activity series of
+Z that route divided: the library's fold and Horner pass, each coefficient
+reduced.
 """
 
 from __future__ import annotations
@@ -25,9 +31,11 @@ from fractions import Fraction
 from spinmix.errors import (NotATreeError, PinningError, SeriesDivisionError,
                             ZeroPartitionError)
 from spinmix.graphs import (Graph, MINUS, PLUS, Pinning, SawTree, build_saw_tree,
-                            build_saw_tree_truncated, is_proper)
-from spinmix.numerics import ExactComplex, Polynomial, PowerSeries
-from spinmix.partition import Params, _check_feasible, z_brute, z_tree
+                            build_saw_tree_truncated, disagreement_distance, is_proper)
+from spinmix.mixing import LdcReport
+from spinmix.numerics import ExactComplex, Polynomial, PowerSeries, _reduced
+from spinmix.partition import (Params, _activity_term, _check_feasible, _fold, _horner,
+                               z_brute, z_tree)
 
 
 def z_naive(g: Graph, p: Pinning, params: Params) -> ExactComplex:
@@ -131,6 +139,34 @@ def series_div_naive(num: PowerSeries, den: PowerSeries) -> PowerSeries:
             acc = acc + d[j] * inv[i - j]
         inv.append(-acc / d[0])
     return PowerSeries(n) * PowerSeries(inv)
+
+
+def ldc_reference(marginal_series, g: Graph, s: Pinning, t: Pinning, v: int,
+                  *args, order: int | None = None) -> LdcReport:
+    """ldc_report (marginal_series_lambda; args beta, gamma) or ldc_report_beta
+    (marginal_series_beta; args gamma, lam, center) by the division route."""
+    order = g.diameter() + 2 if order is None else order
+    a = marginal_series(g, s, v, *args, order).series
+    b = marginal_series(g, t, v, *args, order).series
+    d = disagreement_distance(g, v, s, t)
+    order = min(a.order, b.order)
+    first = next((i for i in range(order)
+                  if a.coefficients[i] != b.coefficients[i]), order)
+    return LdcReport(first_difference=first, order=order, distance=d,
+                     satisfied=first >= min(d, order))
+
+
+def edge_activity_series(g: Graph, p: Pinning, gamma: ExactComplex | None,
+                         lam: ExactComplex, center: ExactComplex, order: int,
+                         probe: int | None = None):
+    """First ``order`` (>= 1) coefficients of Z in t, where the (+,+) edge
+    activity (both, tied, with gamma None) is center + t; with a probe, the
+    pair (Z's, Z+_probe's) from one sweep."""
+    term, den = _activity_term(g, gamma, lam)
+    over = den * center._abd[2] ** len(g.edges)
+    series = [[_reduced(re, im, over) for re, im in _horner(w, center, order)]
+              for w in _fold(g, p, None, probe, len(g.edges) + 1, term)]
+    return series[0] if probe is None else tuple(series)
 
 
 def _poly_trim(c: list[ExactComplex]) -> list[ExactComplex]:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from spinmix import cli, corpus, mixing
+from spinmix import cli, corpus, mixing, numerics
 from spinmix.errors import DrawLimitError, ZeroPartitionError
 from spinmix.numerics import ExactComplex
 from spinmix.partition import Params
@@ -295,6 +295,8 @@ DUMPS = {
             "beta": "2", "gamma": "1/3", "v": 0},
     "ldc-beta": {"graph": PATH3, "pins_a": {"pins": {}}, "pins_b": {"pins": {"2": "+"}},
                  "gamma": None, "lambda": "2", "center": "1", "v": 0},
+    "weitz": {"graph": PATH3, "pins": {"pins": {}},
+              "params": {"beta": "2", "gamma": "1/3", "field": "3/2"}, "v": 0, "depth": 3},
 }
 
 
@@ -348,6 +350,36 @@ class TestWireFormat:
         assert code == 2 and out == ""
         assert err.startswith("malformed dump: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command,key,value", [
+        ("cd-check", "u", "1"), ("cd-check", "v", True), ("ldc", "order", "3"),
+        ("ldc", "v", None), ("ldc-beta", "order", 2.0), ("weitz", "depth", None),
+        ("weitz", "depth", 1.0), ("annulus", "degree_bound", "3"),
+    ], ids=["u-str", "v-bool", "order-str", "v-null", "order-float", "depth-null",
+            "depth-float", "degree-bound-str"])
+    def test_wrong_typed_integer_key_is_malformed_dump(self, command, key, value,
+                                                       tmp_path, capsys):
+        inst = {**DUMPS[command], key: value}
+        code, out, err = self._replay(command, inst, tmp_path, capsys)
+        assert code == 2 and out == ""
+        assert err == f"malformed dump: expected an integer, got {value!r}\n"
+
+    @pytest.mark.parametrize("command,key", [("ldc", "order"), ("ldc-beta", "order"),
+                                             ("annulus", "degree_bound")])
+    def test_null_integer_key_means_the_default(self, command, key, tmp_path, capsys):
+        inst = {k: v for k, v in DUMPS[command].items() if k != key}
+        default = self._replay(command, inst, tmp_path, capsys)
+        assert default[0] == 0
+        assert self._replay(command, {**inst, key: None}, tmp_path, capsys) == default
+
+    @pytest.mark.parametrize("order", [0, -1])
+    @pytest.mark.parametrize("command", ["ldc", "ldc-beta"])
+    def test_order_below_one_exits_2(self, command, order, tmp_path, capsys):
+        inst = {**DUMPS[command], "order": order}
+        code, out, err = self._replay(command, inst, tmp_path, capsys)
+        assert code == 2 and out == ""
+        assert err == ("error: SeriesDivisionError: denominator is zero through "
+                       "the truncation order\n")
+
     def test_evaluator_type_error_is_not_a_malformed_dump(self, tmp_path, capsys,
                                                           monkeypatch):
         def broken(inst):
@@ -379,6 +411,23 @@ class TestWireFormat:
             code, _, _ = run_cli([command, "--trials", "6", "--max-vertices", "6",
                                   "--seed", "2"], capsys)
             assert code == 0, command
+
+
+def test_locality_verdicts_divide_no_series(tmp_path, capsys, monkeypatch, k2):
+    # ldc and ldc-beta read each verdict off integer numerators: no series is
+    # built or divided, on the corpus path or on a --graph file
+    monkeypatch.chdir(tmp_path)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("series route used by a locality verdict")
+
+    for module in (mixing, numerics):
+        for name in ("series_div", "PowerSeries"):
+            monkeypatch.setattr(module, name, refused)
+    for argv in (["ldc", "--seed", "1"], ["ldc-beta", "--seed", "3"],
+                 ["ldc", "--graph", str(k2), "--beta", "3/2", "--gamma", "2/3"]):
+        code, out, _ = run_cli([*argv, "--trials", "40"], capsys)
+        assert code == 0 and " fail=0 " in out.splitlines()[-1], argv
 
 
 # Reports recorded when the generators still ran the evaluator as a rejection

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (random_graph, saw_marginal_tree, scalar, series_div_naive,
-                      weitz_marginal_tree, z_naive)
-from spinmix import mixing, partition
+from conftest import (ldc_reference, random_graph, saw_marginal_tree, scalar,
+                      series_div_naive, weitz_marginal_tree, z_naive)
+from spinmix import cli, mixing, partition
 from spinmix.corpus import rand_feasible_pinning, rand_params, rand_pinning_pair
 from spinmix.errors import PinningError, SeriesDivisionError, ZeroPartitionError
 from spinmix.graphs import (Graph, MINUS, PLUS, Pinning, build_saw_tree, is_proper,
@@ -544,6 +544,117 @@ class TestTruncatedEdgeActivitySeries:
         # tied Ising activities at center -1 with unit field: Z(-1) = 0
         with pytest.raises(ZeroPartitionError):
             marginal_series_beta(EDGE, Pinning(), 0, None, 1, -1, order=0)
+
+
+def _outcome(f, *args, **kwargs):
+    """f's value, or the type and message of what it raised."""
+    try:
+        return f(*args, **kwargs)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+PATH3 = Graph(3, ((0, 1), (1, 2)))
+STAR3 = Graph(3, ((0, 1), (0, 2)))
+PLUS2 = Pinning.of({2: PLUS})
+ZERO_Z = Pinning.of({1: PLUS, 2: PLUS})  # Z identically zero on PATH3 at beta = 0
+DIVISION_ZERO = (SeriesDivisionError, "denominator is zero through the truncation order")
+CENTER_ZERO = (ZeroPartitionError, "partition value is zero at the expansion center")
+POLY_ZERO = (ZeroPartitionError, "partition polynomial is identically zero")
+V0_PINNED = (PinningError, "vertex 0 is pinned")
+LAMBDA, BETA = marginal_series_lambda, marginal_series_beta
+
+
+def _reports(series, *args, order=None):
+    """The locality report of ldc_report (series LAMBDA) or ldc_report_beta
+    (BETA), and that of the division route, each as _outcome gives it."""
+    report = ldc_report if series is LAMBDA else ldc_report_beta
+    return (_outcome(report, *args, order=order),
+            _outcome(ldc_reference, series, *args, order=order))
+
+
+class TestLdcVerdict:
+    """ldc_report and ldc_report_beta read first_difference off the
+    cross-multiplied integer numerators N_s D_t - N_t D_s; the division route
+    (conftest.ldc_reference) builds both series and compares coefficients.
+    Both give the same report, or raise the same error in the same order."""
+
+    @pytest.mark.parametrize("command", ["ldc", "ldc-beta"])
+    def test_corpus_matches_reference(self, command):
+        cfg = cli._build_parser().parse_args([command])
+        results = set()
+        for seed in (1, 2):
+            rng = random.Random(seed)
+            for trial in range(120):
+                inst = cli.GENERATORS[command](cfg, rng, trial)
+                g, v = inst["graph"], inst["v"]
+                order = (None, 1, g.diameter() + 4)[trial % 3]
+                if command == "ldc":
+                    args = (LAMBDA, g, inst["pins_a"], inst["pins_b"], v,
+                            inst["beta"], inst["gamma"])
+                else:
+                    args = (BETA, g, inst["pins_a"], inst["pins_b"], v,
+                            inst["gamma"], inst["lambda"], inst["center"])
+                ours, ref = _reports(*args, order=order)
+                assert ours == ref, (seed, trial)
+                results.add(ours.first_difference if isinstance(ours, mixing.LdcReport)
+                            else ours[0])
+        # the corpus reaches several verdicts, not one
+        assert len(results) >= 3
+
+    @pytest.mark.parametrize("args,order,want", [
+        # beta = 0 with a + pin: Z has lambda-valuation k = 1 under both pinnings
+        ((LAMBDA, Graph(4, ((0, 1), (1, 2), (2, 3))), Pinning.of({3: PLUS}),
+          Pinning.of({2: MINUS, 3: PLUS}), 0, 0, Fraction(2, 3)), None, (5, 5, 2)),
+        # v next to a + pin at beta = 0: Z+_v is identically zero
+        ((LAMBDA, PATH3, Pinning.of({1: PLUS}), Pinning(), 0, 0, 3), None, (1, 4, 1)),
+        ((BETA, PATH3, Pinning(), PLUS2, 0, None, Fraction(1, 2), -1), None, (2, 4, 2)),
+        ((BETA, PATH3, Pinning(), PLUS2, 0, None, Fraction(1, 2), 1), None, (2, 4, 2)),
+        ((LAMBDA, PATH3, Pinning(), Pinning.of({1: PLUS}), 0, 2, 3), 1, (1, 1, 1)),
+        ((BETA, PATH3, Pinning(), PLUS2, 0, 3, 2, Fraction(1, 3)), 1, (1, 1, 2)),
+        ((LAMBDA, PATH3, Pinning(), PLUS2, 0, 2, 3), 9, (2, 9, 2)),
+        ((BETA, PATH3, Pinning(), PLUS2, 0, 3, 2, Fraction(1, 3)), 9, (2, 9, 2)),
+    ], ids=["beta0-shift", "beta0-zero-numerator", "ising-minus-one", "ising-one",
+            "lambda-order-1", "beta-order-1", "lambda-order-9", "beta-order-9"])
+    def test_hand_built_cases(self, args, order, want):
+        ours, ref = _reports(*args, order=order)
+        assert ours == ref
+        assert (ours.first_difference, ours.order, ours.distance) == want
+
+    @pytest.mark.parametrize("args,order,want", [
+        ((LAMBDA, PATH3, Pinning(), PLUS2, 0, 2, 3), 0, DIVISION_ZERO),
+        ((LAMBDA, PATH3, Pinning(), PLUS2, 0, 2, 3), -1, DIVISION_ZERO),
+        ((BETA, PATH3, Pinning(), PLUS2, 0, 3, 2, Fraction(1, 3)), 0, DIVISION_ZERO),
+        ((BETA, PATH3, Pinning(), PLUS2, 0, 3, 2, Fraction(1, 3)), -1, DIVISION_ZERO),
+        # Z = lambda^3 but Z+_0 = -lambda^2 + lambda^3 at (beta, gamma) = (-1, 0)
+        ((LAMBDA, STAR3, Pinning.of({1: PLUS}), Pinning(), 0, -1, 0), None,
+         (SeriesDivisionError, "valuation mismatch: numerator x^2 vs denominator x^3")),
+        ((LAMBDA, PATH3, ZERO_Z, Pinning(), 0, 0, 1), None, POLY_ZERO),
+        ((LAMBDA, PATH3, Pinning(), ZERO_Z, 0, 0, 1), None, POLY_ZERO),
+        ((LAMBDA, PATH3, ZERO_Z, Pinning(), 0, 0, 1), 0, POLY_ZERO),
+        # tied activities at center -1 with unit field: Z(-1) = 0 on an edge
+        ((BETA, EDGE, Pinning(), Pinning(), 0, None, 1, -1), None, CENTER_ZERO),
+        ((BETA, EDGE, Pinning(), Pinning(), 0, None, 1, -1), 0, CENTER_ZERO),
+        ((LAMBDA, PATH3, Pinning.of({0: MINUS}), Pinning(), 0, 2, 3), None, V0_PINNED),
+        ((BETA, PATH3, Pinning(), Pinning.of({0: PLUS}), 0, 3, 2, Fraction(1, 3)), None,
+         V0_PINNED),
+        # sigma's error comes first, then tau's
+        ((LAMBDA, PATH3, ZERO_Z, Pinning.of({0: MINUS}), 0, 0, 1), None, POLY_ZERO),
+        ((LAMBDA, PATH3, Pinning.of({0: MINUS}), ZERO_Z, 0, 0, 1), None, V0_PINNED),
+        ((LAMBDA, PATH3, Pinning(), Pinning.of({0: PLUS}), 0, 2, 3), 0, DIVISION_ZERO),
+        ((BETA, EDGE, Pinning(), Pinning.of({0: PLUS}), 0, None, 1, -1), None, CENTER_ZERO),
+        ((BETA, EDGE, Pinning.of({0: PLUS}), Pinning(), 0, None, 1, -1), None, V0_PINNED),
+        ((BETA, PATH3, Pinning.of({0: PLUS}), Pinning(), 0, 3, 2, 1), None, V0_PINNED),
+        ((BETA, PATH3, Pinning(), Pinning(), 0, 3, 2, 1), None,
+         (ValueError, "center must equal 1/gamma")),
+    ], ids=["lambda-order-0", "lambda-order-minus-1", "beta-order-0", "beta-order-minus-1",
+            "valuation-mismatch", "zero-polynomial-s", "zero-polynomial-t",
+            "zero-polynomial-before-order-0", "center-zero", "center-zero-before-order-0",
+            "lambda-pinned-v", "beta-pinned-v", "zero-polynomial-then-pinned",
+            "pinned-then-zero-polynomial", "order-0-then-pinned", "center-zero-then-pinned",
+            "pinned-then-center-zero", "pinned-then-bad-center", "bad-center"])
+    def test_errors_match_the_division_route(self, args, order, want):
+        assert _reports(*args, order=order) == (want, want)
 
 
 class TestDecay:

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_graph, scalar, z_naive, z_naive_qspin, z_pair
+from conftest import (edge_activity_series, random_graph, scalar, z_naive, z_naive_qspin,
+                      z_pair)
 from spinmix import partition
 from spinmix.corpus import (rand_feasible_pinning, rand_params,
                             rand_qspin_params, rand_qspin_pinning, rand_tree)
@@ -12,10 +13,9 @@ from spinmix.errors import (CapExceededError, NotATreeError, PinningError,
 from spinmix.graphs import Graph, MINUS, PLUS, Pinning
 from spinmix.mixing import marginal, marginal_series_beta, marginal_series_lambda
 from spinmix.numerics import ExactComplex
-from spinmix.partition import (Params, QSpinParams, _edge_activity_series,
-                               _monomial_counts, eliminate_pins, hardcore_params,
-                               spin_reversal, two_spin_embedding, z_brute,
-                               z_poly_lambda, z_qspin, z_qspin_tree, z_tree)
+from spinmix.partition import (Params, QSpinParams, _monomial_counts, eliminate_pins,
+                               hardcore_params, spin_reversal, two_spin_embedding,
+                               z_brute, z_poly_lambda, z_qspin, z_qspin_tree, z_tree)
 
 EDGE = Graph(2, ((0, 1),))
 PATH3 = Graph(3, ((0, 1), (1, 2)))
@@ -488,10 +488,10 @@ def test_table_folds_match_naive_oracle():
         if not params.uniform:
             continue
         assert z_poly_lambda(g, pins, beta, gamma).evaluate(params.field) == truth
-        series = _edge_activity_series(g, pins, gamma, params.field, beta, 3)
+        series = edge_activity_series(g, pins, gamma, params.field, beta, 3)
         assert series[0] == truth
         if not beta.is_zero():
-            tied = _edge_activity_series(g, pins, None, params.field, beta, 3)
+            tied = edge_activity_series(g, pins, None, params.field, beta, 3)
             assert tied[0] == z_naive(g, pins, Params(beta, beta, params.field))
 
 
@@ -547,13 +547,13 @@ class TestProbePair:
                 continue
             plus = pins.with_pin(v, PLUS)
             beta, gamma, lam = params.beta, params.gamma, params.field
-            den, num = _edge_activity_series(g, pins, gamma, lam, beta, 3, probe=v)
+            den, num = edge_activity_series(g, pins, gamma, lam, beta, 3, probe=v)
             assert (den[0], num[0]) == (z_naive(g, pins, params), z_naive(g, plus, params))
-            assert den == _edge_activity_series(g, pins, gamma, lam, beta, 3)
-            assert num == _edge_activity_series(g, plus, gamma, lam, beta, 3)
+            assert den == edge_activity_series(g, pins, gamma, lam, beta, 3)
+            assert num == edge_activity_series(g, plus, gamma, lam, beta, 3)
             if not beta.is_zero():
                 tied = Params(beta, beta, lam)
-                den, num = _edge_activity_series(g, pins, None, lam, beta, 3, probe=v)
+                den, num = edge_activity_series(g, pins, None, lam, beta, 3, probe=v)
                 assert (den[0], num[0]) == (z_naive(g, pins, tied), z_naive(g, plus, tied))
 
     def test_probe_tables_split_by_probe_spin(self):
