@@ -25,9 +25,8 @@ from .numerics import (ExactComplex, Polynomial, PowerSeries, match_roots,
 from .partition import (Params, QSpinParams, TreeMessages, eliminate_pins,
                         hardcore_params, spin_reversal, two_spin_embedding,
                         z_brute, z_poly_lambda, z_qspin, z_qspin_tree, z_tree)
-from .zerofree import (RootReport, SinglePinReport, lambda_root_scan,
-                       pinned_annulus_check, region_min_modulus,
-                       single_pin_check)
+from .zerofree import (RootReport, lambda_root_scan, pinned_annulus_check,
+                       region_min_modulus, single_pin_check)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

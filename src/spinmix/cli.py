@@ -589,9 +589,11 @@ def _build_parser() -> argparse.ArgumentParser:
                      "determines every corpus."))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, trials_default=100, max_vertices=None):
+    def add_common(sp, trials=None, max_vertices=None):
+        """Flags every command shares; only corpus commands get --trials."""
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--trials", type=int, default=trials_default)
+        if trials is not None:
+            sp.add_argument("--trials", type=int, default=trials)
         if max_vertices is not None:
             sp.add_argument("--max-vertices", type=int, default=max_vertices)
         sp.add_argument("--out", type=str, default=None)
@@ -613,17 +615,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gutman-check", help="hard-core deletion identity corpus")
     add_common(sp, 200, 12)
     sp = sub.add_parser("qspin-check", help="q-spin determinant identity corpus")
-    add_common(sp, max_vertices=8)
+    add_common(sp, 100, 8)
     sp.add_argument("--q", type=int, default=0, help="spin count (0 alternates 2 and 3)")
     sp = sub.add_parser("saw-check", help="SAW-tree marginal and structure corpus")
-    add_common(sp, max_vertices=9)
+    add_common(sp, 100, 9)
     sp = sub.add_parser("ldc", help="field-series coefficient locality")
-    add_common(sp, max_vertices=8)
+    add_common(sp, 100, 8)
     add_params(sp)
     sp.add_argument("--graph", type=str, default=None)
     sp.add_argument("--pins", type=str, default=None)
     sp = sub.add_parser("ldc-beta", help="edge-activity series locality at 1/gamma")
-    add_common(sp, max_vertices=7)
+    add_common(sp, 100, 7)
     sp = sub.add_parser("decay", help="gap decay profile on path families")
     add_common(sp)
     add_params(sp)
@@ -631,7 +633,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kmax", type=int, default=10)
     sp.add_argument("--kmin", type=int, default=1)
     sp = sub.add_parser("roots", help="field-polynomial root scan of one instance")
-    add_common(sp, 1)
+    add_common(sp)
     add_params(sp, beta=None, gamma=None)
     sp.add_argument("--graph", type=str, required=True)
     sp.add_argument("--pins", type=str, default=None)
@@ -643,7 +645,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pins", type=str, default=None)
     sp.add_argument("--degree-bound", type=int, default=3)
     sp = sub.add_parser("region", help="min |Z| table over a field grid")
-    add_common(sp, 1, 10)
+    add_common(sp, max_vertices=10)
     add_params(sp)
     sp.add_argument("--grid", type=int, default=9, help="grid points per axis")
     sp.add_argument("--span", type=float, default=0.4)

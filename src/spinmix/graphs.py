@@ -178,7 +178,7 @@ def parse_graph(document: str | dict) -> Graph:
             raise GraphFormatError(f"malformed graph document: {exc}") from exc
     if not isinstance(document, dict):
         raise GraphFormatError("graph document must be a JSON object")
-    if "n" not in document or not isinstance(document["n"], int):
+    if type(document.get("n")) is not int:
         raise GraphFormatError("graph document needs an integer 'n'")
     raw_edges = document.get("edges", [])
     if not isinstance(raw_edges, list):
@@ -186,7 +186,7 @@ def parse_graph(document: str | dict) -> Graph:
     edges = []
     for e in raw_edges:
         if not (isinstance(e, list) and len(e) == 2
-                and all(isinstance(x, int) for x in e)):
+                and all(type(x) is int for x in e)):
             raise GraphFormatError(f"bad edge entry {e!r}")
         edges.append((e[0], e[1]))
     fields = None
@@ -194,7 +194,7 @@ def parse_graph(document: str | dict) -> Graph:
         fields = []
         for entry in document["fields"]:
             if not (isinstance(entry, list) and len(entry) == 4
-                    and all(isinstance(x, int) for x in entry)):
+                    and all(type(x) is int for x in entry)):
                 raise GraphFormatError(f"bad field entry {entry!r}")
             rn, rd, im_n, im_d = entry
             if rd == 0 or im_d == 0:

@@ -17,7 +17,6 @@ Z_{T-v} and Z_{T-{u,v}} from the one with v pinned -.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -149,27 +148,13 @@ def gutman_sides(t: Graph, u: int, v: int, lam) -> CdReport:
 
 
 def exact_determinant(matrix: Sequence[Sequence[ExactComplex]]) -> ExactComplex:
-    """Leibniz-expansion determinant; intended for the small q used here."""
-    n = len(matrix)
+    """Laplace expansion along the first row; intended for the small q used here."""
+    if len(matrix) == 1:
+        return matrix[0][0]
     total = ZERO
-    for perm in itertools.permutations(range(n)):
-        odd = False
-        seen = [False] * n
-        for i in range(n):
-            if seen[i]:
-                continue
-            j = i
-            length = 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                odd = not odd
-        term = matrix[0][perm[0]]
-        for i in range(1, n):
-            term = term * matrix[i][perm[i]]
-        total = total - term if odd else total + term
+    for j, a in enumerate(matrix[0]):
+        term = a * exact_determinant([row[:j] + row[j + 1:] for row in matrix[1:]])
+        total = total - term if j % 2 else total + term
     return total
 
 

@@ -423,9 +423,6 @@ class Polynomial:
         coeffs += [ZERO] * (order - len(coeffs))
         return PowerSeries(coeffs)
 
-    def one_norm(self) -> float:
-        return sum(math.sqrt(float(c.abs2())) for c in self.coefficients)
-
 
 # ---------------------------------------------------------------------------
 # Square-free split on Gaussian-integer coefficient vectors

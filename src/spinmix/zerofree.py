@@ -26,7 +26,7 @@ class RootReport:
     ``roots`` carries the full multiset including exact zeros from a forced
     lambda power (one per + pin); ``band`` and ``annulus_violations`` are
     populated by checks that query a zero-free modulus band, counting the
-    nonzero roots whose modulus escapes [band[0] - tol, band[1] + tol].
+    nonzero roots whose modulus escapes the band widened by MODULUS_TOL.
     """
 
     roots: tuple[complex, ...]
@@ -53,15 +53,14 @@ class RootReport:
 
 
 def _report(roots: list[complex], band: tuple[float, float] | None = None,
-            tol: float = MODULUS_TOL,
             cross_check_mismatch: float | None = None) -> RootReport:
     roots = sorted(roots, key=lambda z: (z.real, z.imag))
     moduli = tuple(sorted(abs(r) for r in roots))
     violations = None
     if band is not None:
         lo, hi = band
-        violations = sum(1 for m in moduli
-                         if m > tol and (m < lo - tol or m > hi + tol))
+        violations = sum(1 for m in moduli if m > MODULUS_TOL
+                         and (m < lo - MODULUS_TOL or m > hi + MODULUS_TOL))
     return RootReport(roots=tuple(roots), moduli=moduli,
                       min_modulus=moduli[0], max_modulus=moduli[-1],
                       band=band, annulus_violations=violations,
@@ -75,7 +74,7 @@ def _proportional(a: Polynomial, b: Polynomial) -> bool:
     return len(x) == len(y) and all(_gmul(u, y[-1]) == _gmul(v, x[-1]) for u, v in zip(x, y))
 
 
-def _poly_root_multiset(poly: Polynomial, tol: float) -> list[complex]:
+def _poly_root_multiset(poly: Polynomial) -> list[complex]:
     """Roots with multiplicity; a forced lambda^k factor yields k exact zeros."""
     if poly.degree < 1:
         raise ValueError("the field polynomial must have degree >= 1")
@@ -83,19 +82,17 @@ def _poly_root_multiset(poly: Polynomial, tol: float) -> list[complex]:
     roots: list[complex] = [0j] * k
     reduced = poly.shifted_down(k)
     if reduced.degree >= 1:
-        roots.extend(poly_roots(reduced, tol))
+        roots.extend(poly_roots(reduced))
     return roots
 
 
-def lambda_root_scan(g: Graph, p: Pinning, beta, gamma,
-                     tol: float = 1e-12) -> RootReport:
+def lambda_root_scan(g: Graph, p: Pinning, beta, gamma) -> RootReport:
     """All roots of the pinned partition polynomial in the uniform field."""
     poly = z_poly_lambda(g, p, beta, gamma)
-    return _report(_poly_root_multiset(poly, tol))
+    return _report(_poly_root_multiset(poly))
 
 
-def pinned_annulus_check(g: Graph, p: Pinning, beta, d: int | None = None,
-                         tol: float = MODULUS_TOL) -> RootReport:
+def pinned_annulus_check(g: Graph, p: Pinning, beta, d: int | None = None) -> RootReport:
     """Root-modulus band check for pinned ferromagnetic Ising instances.
 
     For edge activity beta > 1 on a graph of maximum degree <= d, every
@@ -116,7 +113,7 @@ def pinned_annulus_check(g: Graph, p: Pinning, beta, d: int | None = None,
     elif g.max_degree() > d:
         raise ValueError(f"graph degree {g.max_degree()} exceeds the bound {d}")
     poly = z_poly_lambda(g, p, beta, beta)
-    direct = _poly_root_multiset(poly, 1e-12)
+    direct = _poly_root_multiset(poly)
 
     ones = (ONE,) * g.n
     reduced, rescaled, _prefactor = eliminate_pins(g, p, beta, ones)
@@ -128,36 +125,21 @@ def pinned_annulus_check(g: Graph, p: Pinning, beta, d: int | None = None,
     else:
         via_elimination = [0j] * plus_pins
         if reduced_poly.degree >= 1:
-            via_elimination.extend(_poly_root_multiset(reduced_poly, 1e-12))
+            via_elimination.extend(_poly_root_multiset(reduced_poly))
     mismatch = match_roots(direct, via_elimination)
 
     b = float(beta.re)
-    return _report(direct, band=(b ** (-d), b ** d), tol=tol,
-                   cross_check_mismatch=mismatch)
+    return _report(direct, band=(b ** (-d), b ** d), cross_check_mismatch=mismatch)
 
 
-@dataclass(frozen=True)
-class SinglePinReport:
-    """Grid evaluation of |Z| inside a zero-free field disk or its inverse."""
-
-    ok: bool
-    witness: complex | None
-    min_abs: float
-    samples: int
-
-    def __bool__(self):
-        return self.ok
-
-
-def single_pin_check(g: Graph, p: Pinning, beta, side: str = "auto",
-                     moduli: tuple[float, ...] | None = None,
-                     angles: int = 8) -> SinglePinReport:
-    """Sample |Z| on a modulus/angle grid in the single-pin zero-free region.
+def single_pin_check(g: Graph, p: Pinning, beta, side: str = "auto") -> RootReport:
+    """Root count in the single-pin zero-free region.
 
     With at most one + pin the region is 0 < |lambda| < 1/beta; mirrored,
     with at most one - pin it is |lambda| > beta (ferromagnetic Ising,
-    beta > 1). Returns ok=False with the witness sample if a zero shows up,
-    which would falsify the implementation rather than the statement.
+    beta > 1). The band is the region's complement, so annulus_violations
+    counts the nonzero roots inside the region; a nonzero count would
+    falsify the implementation rather than the statement.
     """
     beta = ExactComplex._coerce(beta)
     if not beta.is_real() or beta.re <= 1:
@@ -174,29 +156,8 @@ def single_pin_check(g: Graph, p: Pinning, beta, side: str = "auto",
         raise ValueError(f"unknown side {side!r}")
 
     b = float(beta.re)
-    if moduli is None:
-        fractions_of_disk = (0.2, 0.4, 0.6, 0.9)
-        if side == "small":
-            moduli = tuple(f / b for f in fractions_of_disk)
-        else:
-            moduli = tuple(b / f for f in fractions_of_disk)
-    poly = z_poly_lambda(g, p, beta, beta)
-    threshold = 1e-12 * (1.0 + poly.one_norm())
-    min_abs = math.inf
-    count = 0
-    witness = None
-    for r in moduli:
-        for a in range(angles):
-            lam = r * complex(math.cos(2 * math.pi * a / angles),
-                              math.sin(2 * math.pi * a / angles))
-            val = abs(poly.evaluate_complex(lam))
-            count += 1
-            if val < min_abs:
-                min_abs = val
-                if val <= threshold:
-                    witness = lam
-    return SinglePinReport(ok=witness is None, witness=witness,
-                           min_abs=min_abs, samples=count)
+    band = (1 / b, math.inf) if side == "small" else (0.0, b)
+    return _report(_poly_root_multiset(z_poly_lambda(g, p, beta, beta)), band=band)
 
 
 def region_min_modulus(instances: list[tuple[Graph, Pinning]], beta, gamma,

@@ -26,6 +26,17 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+# Graph documents with a JSON boolean where an integer belongs, and the
+# GraphFormatError message each raises
+BOOL_GRAPHS = [
+    ('{"n": true, "edges": []}', "graph document needs an integer 'n'"),
+    ('{"n": 3, "edges": [[true, 2]]}', "bad edge entry [True, 2]"),
+    ('{"n": 1, "edges": [], "fields": [[1, true, 0, 1]]}',
+     "bad field entry [1, True, 0, 1]"),
+]
+BOOL_GRAPH_IDS = ["n", "edge", "field"]
+
+
 class TestExitCodes:
     def test_passing_corpus_run(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -37,6 +48,18 @@ class TestExitCodes:
         code, _, err = run_cli(["roots", "--graph", "does-not-exist.json",
                                 "--beta", "2/1"], capsys)
         assert code == 2 and "config error" in err
+
+    @pytest.mark.parametrize("graph,message", BOOL_GRAPHS, ids=BOOL_GRAPH_IDS)
+    @pytest.mark.parametrize("command", ["ldc", "roots"])
+    def test_boolean_graph_integer_is_config_error(self, command, graph, message,
+                                                   tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "g.json"
+        path.write_text(graph)
+        code, out, err = run_cli([command, "--graph", str(path), "--beta", "2"], capsys)
+        assert code == 2 and out == ""
+        assert err == f"config error: {message}\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_out_of_range_vertex_is_config_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -388,6 +411,13 @@ class TestWireFormat:
         with pytest.raises(TypeError, match="evaluator bug"):
             self._replay("cd-check", DUMPS["cd-check"], tmp_path, capsys)
 
+    @pytest.mark.parametrize("graph,message", BOOL_GRAPHS, ids=BOOL_GRAPH_IDS)
+    def test_boolean_graph_integer_exits_2(self, graph, message, tmp_path, capsys):
+        inst = {**DUMPS["cd-check"], "graph": json.loads(graph)}
+        code, out, err = self._replay("cd-check", inst, tmp_path, capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: GraphFormatError: {message}\n"
+
     def test_self_loop_graph_exits_2(self, tmp_path, capsys):
         inst = {**DUMPS["cd-check"], "graph": {"n": 3, "edges": [[0, 1], [1, 1]]}}
         code, out, err = self._replay("cd-check", inst, tmp_path, capsys)
@@ -714,6 +744,22 @@ class TestUsageErrors:
         assert "error: unrecognized arguments: --max-vertices 5" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [k2]
 
+    @pytest.mark.parametrize("argv", [["decay", "--kmax", "4"],
+                                      ["roots", "--graph", "K2", "--beta", "2/1"],
+                                      ["region", "--grid", "3"]],
+                             ids=["decay", "roots", "region"])
+    def test_trials_is_not_a_flag_of(self, argv, k2, tmp_path, capsys, monkeypatch):
+        # only corpus commands draw trials; these keep --seed for their summary line
+        monkeypatch.chdir(tmp_path)
+        argv = [str(k2) if a == "K2" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--trials", "3"])
+        assert exc.value.code == 2
+        assert "error: unrecognized arguments: --trials 3" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [k2]
+        code, out, _ = run_cli([*argv, "--seed", "4"], capsys)
+        assert code == 0 and out.endswith(" fail=0 seed=4\n")
+
 
 # Exact-valued single-file reports, recorded before the parsed arguments
 # became the run configuration: (graph, pins, argv, SHA-256 of the CSV report)
@@ -785,7 +831,8 @@ def test_max_vertices_below_two_exits_2(command, value, tmp_path, capsys, monkey
     # a value below 2 was an empty randrange range, a silent default (0) or,
     # for region, rows of infinite modulus
     monkeypatch.chdir(tmp_path)
-    code, out, err = run_cli([command, "--trials", "1", "--max-vertices", value], capsys)
+    trials = [] if command == "region" else ["--trials", "1"]
+    code, out, err = run_cli([command, *trials, "--max-vertices", value], capsys)
     assert code == 2 and out == ""
     assert err == f"config error: --max-vertices must be at least 2, got {value}\n"
     assert list(tmp_path.iterdir()) == []

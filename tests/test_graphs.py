@@ -286,6 +286,9 @@ class TestParserRobustness:
         '{"n": 2, "edges": 7}', '{"n": 1, "edges": [], "fields": [[1, 0, 0, 1]]}',
         '{"n": 1, "edges": [], "fields": [[1, 2, 3]]}',
         '{"n": -1, "edges": []}',
+        # a JSON boolean is no integer, though Python's bool subclasses int
+        '{"n": true, "edges": []}', '{"n": 3, "edges": [[true, 2]]}',
+        '{"n": 1, "edges": [], "fields": [[1, true, 0, 1]]}',
     ])
     def test_bad_graph_documents_raise_format_error(self, doc):
         with pytest.raises(GraphFormatError):

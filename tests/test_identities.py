@@ -254,6 +254,28 @@ def test_exact_determinant_matches_leibniz_2x2():
     assert exact_determinant(m) == ExactComplex(-2)
 
 
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_exact_determinant_matches_vandermonde_product(q):
+    # det [x_i^j] = prod_{i<j} (x_j - x_i), an oracle sharing no code with
+    # any expansion; a repeated node makes the product, and the determinant, 0
+    rng = random.Random(40 + q)
+    for trial in range(25):
+        xs = [scalar(rng, complex_prob=0.5) for _ in range(q)]
+        if q > 1 and trial % 5 == 0:
+            xs[-1] = xs[0]
+        rows = []
+        for x in xs:
+            row = [ExactComplex(1)]
+            for _ in range(q - 1):
+                row.append(row[-1] * x)
+            rows.append(tuple(row) if trial % 2 else row)
+        expected = ExactComplex(1)
+        for i in range(q):
+            for j in range(i + 1, q):
+                expected = expected * (xs[j] - xs[i])
+        assert exact_determinant(rows) == expected, xs
+
+
 def hanging_subtrees(t: Graph, path: list[int]) -> list[tuple[Graph, dict[int, int], int]]:
     """Components of t minus the path, each with its attachment vertex.
 

@@ -12,7 +12,7 @@ from spinmix.errors import PinningError
 from spinmix.graphs import Graph, MINUS, PLUS, Pinning
 from spinmix.numerics import ExactComplex, match_roots
 from spinmix.partition import z_poly_lambda
-from spinmix.zerofree import (lambda_root_scan, pinned_annulus_check,
+from spinmix.zerofree import (RootReport, lambda_root_scan, pinned_annulus_check,
                               region_min_modulus, single_pin_check)
 
 K2 = Graph(2, ((0, 1),))
@@ -61,7 +61,7 @@ class TestLambdaRootScan:
             if poly.degree < 1:
                 continue
             rep = lambda_root_scan(g, pins, beta, gamma)
-            bound = 1e-8 * (1 + poly.one_norm())
+            bound = 1e-8 * (1 + sum(abs(c.to_complex()) for c in poly.coefficients))
             for root in rep.roots:
                 assert abs(poly.evaluate_complex(root)) < bound
 
@@ -196,30 +196,84 @@ class TestBoundedDegreeDraw:
 
 
 class TestSinglePin:
+    """The single-pin regions are checked by the root route: the band is the
+    region's complement, so annulus_violations counts roots inside it."""
+
     P4 = Graph(4, ((0, 1), (1, 2), (2, 3)))
 
     def test_internal_plus_pin(self):
         rep = single_pin_check(self.P4, Pinning.of({1: PLUS}), 2)
-        assert rep.ok and rep.min_abs > 0 and rep.samples == 32
+        assert isinstance(rep, RootReport)
+        assert rep.band == (0.5, math.inf) and rep.annulus_violations == 0
+        assert rep.roots.count(0j) == 1 and len(rep.roots) == 4
 
     def test_all_minus_qualifies(self):
         rep = single_pin_check(self.P4, Pinning.of({0: MINUS, 2: MINUS}), 2,
                                side="small")
-        assert rep.ok
+        assert rep.band == (0.5, math.inf) and rep.annulus_violations == 0
 
     def test_large_side_mirror(self):
         rep = single_pin_check(self.P4, Pinning.of({1: MINUS}), 2, side="large")
-        assert rep.ok
+        assert rep.band == (0.0, 2.0) and rep.annulus_violations == 0
+
+    def test_auto_side_follows_plus_pins(self):
+        rep = single_pin_check(self.P4, Pinning.of({0: PLUS, 2: PLUS}), 2)
+        assert rep.band == (0.0, 2.0) and rep.annulus_violations == 0
 
     def test_two_plus_pins_rejected(self):
         with pytest.raises(PinningError):
             single_pin_check(self.P4, Pinning.of({0: PLUS, 2: PLUS}), 2,
                              side="small")
 
-    def test_custom_grid(self):
-        rep = single_pin_check(self.P4, Pinning.of({1: PLUS}), 2,
-                               moduli=(0.1, 0.2, 0.3, 0.45), angles=8)
-        assert rep.ok and rep.samples == 32
+    def test_two_minus_pins_rejected_on_large_side(self):
+        with pytest.raises(PinningError, match="at most one - pin"):
+            single_pin_check(self.P4, Pinning.of({0: MINUS, 2: MINUS}), 2,
+                             side="large")
+
+    @pytest.mark.parametrize("beta", [1, Fraction(1, 2), ExactComplex(2, 1)])
+    def test_beta_not_real_above_one_rejected(self, beta):
+        with pytest.raises(ValueError, match="real edge activity > 1"):
+            single_pin_check(self.P4, Pinning(), beta)
+
+    def test_unknown_side_rejected(self):
+        with pytest.raises(ValueError, match="unknown side"):
+            single_pin_check(self.P4, Pinning(), 2, side="middle")
+
+    def test_constant_polynomial_rejected_as_by_root_scan(self):
+        g, pins = Graph(1, ()), Pinning.of({0: MINUS})
+        with pytest.raises(ValueError) as scan:
+            lambda_root_scan(g, pins, 2, 2)
+        with pytest.raises(ValueError) as check:
+            single_pin_check(g, pins, 2)
+        assert str(check.value) == str(scan.value)
+
+    @pytest.mark.parametrize("side,root,inside", [
+        ("small", Fraction(1, 4), True), ("small", Fraction(3, 4), False),
+        ("large", Fraction(3), True), ("large", Fraction(3, 2), False)])
+    def test_root_inside_region_is_counted(self, monkeypatch, side, root, inside):
+        # lambda (lambda - root): the forced zero root never counts
+        poly = numerics.Polynomial([0, -root, 1])
+        monkeypatch.setattr(zerofree, "z_poly_lambda", lambda *args: poly)
+        rep = single_pin_check(K2, Pinning(), 2, side=side)
+        assert rep.annulus_violations == int(inside)
+
+    def test_corpus_no_violations_on_both_sides(self):
+        # 160 instances per side, each with a free vertex and at most one
+        # pin of the region's single sign
+        rng = random.Random(404)
+        for trial in range(320):
+            side = ("small", "large")[trial % 2]
+            n = rng.randint(2, 8)
+            g = random_graph(rng, n, connected=False)
+            beta = Fraction(rng.randint(3, 8), 2)
+            many, single = (MINUS, PLUS) if side == "small" else (PLUS, MINUS)
+            free = rng.randrange(n)
+            pins = {v: many for v in range(n) if v != free and rng.random() < 0.3}
+            rest = [v for v in range(n) if v != free and v not in pins]
+            if rest and rng.random() < 0.5:
+                pins[rng.choice(rest)] = single
+            rep = single_pin_check(g, Pinning.of(pins), beta, side=side)
+            assert rep.annulus_violations == 0, (g, pins, beta, side)
 
 
 class TestRegionMinModulus:
