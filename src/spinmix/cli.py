@@ -498,13 +498,7 @@ def _run_region(cfg: argparse.Namespace) -> int:
             grid.append(complex(re, im))
     table = region_min_modulus(instances, cfg.beta, cfg.gamma, grid)
     rows = [{"re": lam.real, "im": lam.imag, "min_modulus": m} for lam, m in table]
-    if cfg.out:
-        _write_rows(cfg.out, rows, cfg.format)
-    else:
-        for row in rows:
-            print(json.dumps(row, sort_keys=True))
-    print(f"region pass={len(rows)} fail=0 seed={cfg.seed}")
-    return 0
+    return _finish(cfg, rows, [], echo=True)
 
 
 # 128 + SIGPIPE, the status a shell reports for a command stopped by a closed pipe

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import deque
@@ -76,17 +77,48 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(a) for a in self._adj), default=0)
 
+    def bfs(self, root: int | None = None
+            ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """(roots, order, parent) of the breadth-first forest that starts at
+        ``root``, then at each lowest unreached vertex, taking neighbours in
+        ascending order; a root's parent is -1. Kept on the graph per root."""
+        forest = self._forests.get(root)
+        if forest is not None:
+            return forest
+        if root is not None and not (0 <= root < self.n):
+            raise ValueError(f"root {root} out of range")
+        parent = [-1] * self.n
+        seen = [False] * self.n
+        roots, order = [], []
+        for s in itertools.chain(() if root is None else (root,), range(self.n)):
+            if seen[s]:
+                continue
+            roots.append(s)
+            seen[s] = True
+            # order doubles as the queue: its tail from i on is the frontier
+            i = len(order)
+            order.append(s)
+            while i < len(order):
+                x = order[i]
+                i += 1
+                for y in self._adj[x]:
+                    if not seen[y]:
+                        seen[y] = True
+                        parent[y] = x
+                        order.append(y)
+        forest = self._forests[root] = (tuple(roots), tuple(order), tuple(parent))
+        return forest
+
     def distances_from(self, v: int) -> list[int | float]:
         """BFS distances; unreachable vertices get math.inf."""
         dist: list[int | float] = [math.inf] * self.n
+        _, order, parent = self.bfs(v)
         dist[v] = 0
-        q = deque([v])
-        while q:
-            x = q.popleft()
-            for y in self._adj[x]:
-                if dist[y] == math.inf:
-                    dist[y] = dist[x] + 1
-                    q.append(y)
+        # v's component opens the order; the next root ends it
+        for x in order[1:]:
+            if parent[x] < 0:
+                break
+            dist[x] = dist[parent[x]] + 1
         return dist
 
     def distance(self, u: int, v: int) -> float:
@@ -102,31 +134,19 @@ class Graph:
         return best
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        return sum(1 for d in self.distances_from(0) if d != math.inf) == self.n
+        return len(self.bfs()[0]) <= 1
 
     def is_tree(self) -> bool:
         return self.is_connected() and len(self.edges) == self.n - 1
 
     def components(self) -> list[list[int]]:
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = []
-            q = deque([s])
-            seen[s] = True
-            while q:
-                x = q.popleft()
-                comp.append(x)
-                for y in self._adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        q.append(y)
-            comps.append(sorted(comp))
-        return comps
+        comps: list[list[int]] = []
+        _, order, parent = self.bfs()
+        for x in order:
+            if parent[x] < 0:
+                comps.append([])
+            comps[-1].append(x)
+        return [sorted(c) for c in comps]
 
     # -- derived graphs ------------------------------------------------------
 
@@ -143,22 +163,16 @@ class Graph:
         return Graph(len(keep), edges, flds), remap
 
     def tree_path(self, u: int, v: int) -> list[int]:
-        """Vertices of the unique u-v path (graph must be acyclic there)."""
-        parent: dict[int, int | None] = {u: None}
-        q = deque([u])
-        while q:
-            x = q.popleft()
-            if x == v:
-                break
-            for y in self._adj[x]:
-                if y not in parent:
-                    parent[y] = x
-                    q.append(y)
-        if v not in parent:
-            raise ValueError(f"no path between {u} and {v}")
+        """Vertices of the u-v path in the BFS forest rooted at u: the unique
+        one when the graph is acyclic there."""
+        parent = self.bfs(u)[2]
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range")
         path = [v]
-        while parent[path[-1]] is not None:
+        while parent[path[-1]] >= 0:
             path.append(parent[path[-1]])
+        if path[-1] != u:
+            raise ValueError(f"no path between {u} and {v}")
         return path[::-1]
 
     def to_json(self) -> dict:
@@ -191,6 +205,8 @@ def parse_graph(document: str | dict) -> Graph:
         edges.append((e[0], e[1]))
     fields = None
     if document.get("fields") is not None:
+        if not isinstance(document["fields"], list):
+            raise GraphFormatError("'fields' must be a list of entries")
         fields = []
         for entry in document["fields"]:
             if not (isinstance(entry, list) and len(entry) == 4

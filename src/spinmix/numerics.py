@@ -539,6 +539,7 @@ def square_free_factors(p: Polynomial) -> list[tuple[Polynomial, int]]:
 _START_ANGLE = 1.0 / math.sqrt(2.0)
 
 _MAX_SWEEPS = 1000
+_ROOT_TOL = 1e-12
 
 
 def _re_im(z: complex) -> tuple[float, float]:
@@ -554,30 +555,28 @@ def _horner_with_derivative(coeffs: Sequence[complex], x: complex) -> tuple[comp
     return p, dp
 
 
-def poly_roots(p: Polynomial, tol: float = 1e-12) -> list[complex]:
+def poly_roots(p: Polynomial) -> list[complex]:
     """All complex roots (with multiplicity) by simultaneous Aberth iteration.
 
     The polynomial is first split into exact square-free factors, so the
     iteration only ever chases simple roots; multiplicities come from the
     exact decomposition, never from float clustering. Each factor starts
     from a deterministic circle of radius 1 + max|c_i|/|lead| and refines
-    until every residual |p(z)| / (1 + |lead| |z|^deg) drops below ``tol``.
+    until every residual |p(z)| / (1 + |lead| |z|^deg) drops below _ROOT_TOL.
     Raises RootConvergenceError after the sweep cap instead of silently
     returning unconverged values. Output is sorted by (re, im).
     """
     if p.degree < 1:
         raise ValueError("poly_roots requires degree >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if not all(cmath.isfinite(c.to_complex()) for c in p.coefficients):
         raise ValueError("coefficients overflow double precision")
     roots: list[complex] = []
     for factor, multiplicity in square_free_factors(p):
-        roots.extend(_aberth_simple(factor, tol) * multiplicity)
+        roots.extend(_aberth_simple(factor) * multiplicity)
     return sorted(roots, key=_re_im)
 
 
-def _aberth_simple(p: Polynomial, tol: float) -> list[complex]:
+def _aberth_simple(p: Polynomial) -> list[complex]:
     """Aberth iteration on a polynomial known to have simple roots.
 
     Coefficients are rescaled by their largest magnitude first (roots are
@@ -611,7 +610,7 @@ def _aberth_simple(p: Polynomial, tol: float) -> list[complex]:
             for c in rev:
                 dpz = dpz * zi + pz
                 pz = pz * zi + c
-            if abs(pz) / (1.0 + alead * abs(zi) ** deg) >= tol:
+            if abs(pz) / (1.0 + alead * abs(zi) ** deg) >= _ROOT_TOL:
                 done = False
             if pz == 0:
                 continue
@@ -649,7 +648,7 @@ def _aberth_simple(p: Polynomial, tol: float) -> list[complex]:
     worst = max(abs(_horner_with_derivative(coeffs, zi)[0]) / (1.0 + alead * abs(zi) ** deg)
                 for zi in z)
     raise RootConvergenceError(
-        f"root iteration did not reach tol={tol} after {_MAX_SWEEPS} sweeps "
+        f"root iteration did not reach tol={_ROOT_TOL} after {_MAX_SWEEPS} sweeps "
         f"(worst residual {worst:.3e})")
 
 

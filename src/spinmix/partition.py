@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -419,10 +418,9 @@ class TreeMessages:
     msgs[w] = (numerators, e), and reduced when read.
     """
 
-    msgs: dict[int, tuple[list[tuple[int, int]], int]]
+    msgs: list[tuple[list[tuple[int, int]], int]]
     denom: int
     matrix: list[list[tuple[int, int]]]
-    roots: tuple[int, ...]
 
     def at(self, v: int) -> tuple[ExactComplex, ...]:
         vec, e = self.msgs[v]
@@ -442,34 +440,11 @@ class TreeMessages:
 
 
 def _forest_order(g: Graph, root: int | None):
-    """(roots, BFS order, children lists), kept on g per root; raises on
-    cyclic input."""
-    if root in g._forests:
-        return g._forests[root]
-    children: list[list[int]] = [[] for _ in range(g.n)]
-    roots = []
-    order = []
-    seen = [False] * g.n
-    if root is not None and not (0 <= root < g.n):
-        raise ValueError(f"root {root} out of range")
-    for s in itertools.chain(() if root is None else (root,), range(g.n)):
-        if seen[s]:
-            continue
-        roots.append(s)
-        seen[s] = True
-        q = deque([s])
-        while q:
-            x = q.popleft()
-            order.append(x)
-            for y in g.neighbors(x):
-                if not seen[y]:
-                    seen[y] = True
-                    children[x].append(y)
-                    q.append(y)
+    """g.bfs(root); raises on cyclic input."""
+    forest = g.bfs(root)
     # the BFS found one root per component; a forest has n - #components edges
-    if len(g.edges) != g.n - len(roots):
+    if len(g.edges) != g.n - len(forest[0]):
         raise NotATreeError("input graph contains a cycle")
-    forest = g._forests[root] = (tuple(roots), tuple(order), tuple(map(tuple, children)))
     return forest
 
 
@@ -513,32 +488,31 @@ def _two_spin(params: Params, n: int):
 def _tree_pass(pins: dict[int, int], matrix, weights, forest
                ) -> tuple[ExactComplex, TreeMessages]:
     """Leaves-first messages over ``forest`` (a _forest_order) for a q x q
-    edge matrix: weights[x] absorbs each child's message and keeps only
-    entry pins[x] when x is pinned. Z is the product of the root sums.
+    edge matrix: x's message starts at weights[x], keeps only entry pins[x]
+    when x is pinned, and is then absorbed into its parent's. Z is the
+    product of the root sums.
 
     The pass runs on _numerators over D. x's message lies over D ** e_x,
-    e_x = 1 + sum over its children (e_c + 1).
+    e_x = 1 + sum over its children (e_c + 1). The children's factors are
+    exact integers, so the order of absorption cannot change a bit.
     """
-    roots, order, children = forest
-    denom, mat, start = _numerators(matrix, weights)
-    msgs: dict[int, tuple[list[tuple[int, int]], int]] = {}
+    roots, order, parent = forest
+    denom, mat, vecs = _numerators(matrix, weights)
+    exps = [1] * len(vecs)
     for x in reversed(order):
-        vec, e = start[x], 1
-        for y in children[x]:
-            child, ey = msgs[y]
-            vec = _absorb(mat, vec, child)
-            e += ey + 1
         k = pins.get(x)
         if k is not None:
-            vec = [c if i == k else (0, 0) for i, c in enumerate(vec)]
-        msgs[x] = vec, e
+            vecs[x] = [c if i == k else (0, 0) for i, c in enumerate(vecs[x])]
+        up = parent[x]
+        if up >= 0:
+            vecs[up] = _absorb(mat, vecs[up], vecs[x])
+            exps[up] += exps[x] + 1
     re, im, e = 1, 0, 0
     for r in roots:
-        vec, er = msgs[r]
-        sr, si = map(sum, zip(*vec))
+        sr, si = map(sum, zip(*vecs[r]))
         re, im = re * sr - im * si, re * si + im * sr
-        e += er
-    return _reduced(re, im, denom ** e), TreeMessages(msgs, denom, mat, roots)
+        e += exps[r]
+    return _reduced(re, im, denom ** e), TreeMessages(list(zip(vecs, exps)), denom, mat)
 
 
 def _walk_pass(g: Graph, p: Pinning, params: Params, root: int,
@@ -604,8 +578,8 @@ def z_tree(t: Graph, p: Pinning, params: Params,
            check_feasibility: bool = True) -> tuple[ExactComplex, TreeMessages]:
     """Partition value of an acyclic graph by bottom-up message passing.
 
-    Components are rooted at their lowest-index vertex (or at ``root`` for
-    its component); children are processed in ascending order. The scalar
+    Components are rooted as in t.bfs(root): at their lowest-index vertex,
+    or at ``root`` for its component. The scalar
     equals z_brute on the same inputs; the messages expose every pinned
     subtree value needed by the identity right-hand sides. A cycle raises
     NotATreeError before any other check, so a caller can fall back to
@@ -634,9 +608,7 @@ def z_qspin_tree(t: Graph, p: Pinning, qp: QSpinParams,
 
 
 def z_poly_lambda(g: Graph, p: Pinning, beta, gamma,
-                  scale: Sequence[ExactComplex] | None = None,
-                  probe: int | None = None
-                  ) -> Polynomial | tuple[Polynomial, Polynomial]:
+                  scale: Sequence[ExactComplex] | None = None) -> Polynomial:
     """Z as a polynomial in the uniform field variable.
 
     The coefficient of lambda^k sums beta^{m+} gamma^{m-} over configurations
@@ -644,13 +616,11 @@ def z_poly_lambda(g: Graph, p: Pinning, beta, gamma,
     optionally weights each + vertex v by an extra constant factor scale[v],
     which turns the polynomial into Z evaluated at the field vector
     (scale_v * lambda)_v; this serves pin elimination and the single-variable
-    scan of non-uniform fields. With a free ``probe`` vertex v, returns the
-    pair (Z, Z+_v) of polynomials from one enumeration.
+    scan of non-uniform fields.
     """
     term, den, dw = _lambda_tables(g, beta, gamma, scale)
-    vectors = _fold(g, p, scale, probe, g.n + 1, term)
-    polys = [Polynomial(_reduced(*c, den * dw ** k) for k, c in enumerate(v)) for v in vectors]
-    return polys[0] if probe is None else tuple(polys)
+    (vec,) = _fold(g, p, scale, None, g.n + 1, term)
+    return Polynomial(_reduced(*c, den * dw ** k) for k, c in enumerate(vec))
 
 
 # ---------------------------------------------------------------------------

@@ -279,12 +279,62 @@ def test_disagreement_distance_rejects_foreign_vertices():
         disagreement_distance(g, 0, Pinning.of({5: PLUS}), Pinning())
 
 
+class TestBfsForest:
+    """Distances, components, connectivity and tree paths all read one
+    Graph.bfs forest per root; each must agree with a plain BFS."""
+
+    @staticmethod
+    def plain_bfs(g, s):
+        """Distances and parents from s, neighbours taken in ascending order."""
+        dist, parent, queue = {s: 0}, {s: None}, [s]
+        for x in queue:
+            for y in sorted({a + b - x for a, b in g.edges if x in (a, b)}):
+                if y not in dist:
+                    dist[y], parent[y] = dist[x] + 1, x
+                    queue.append(y)
+        return dist, parent
+
+    def test_queries_match_a_plain_bfs(self):
+        rng = random.Random(1907)
+        connected = []
+        for trial in range(200):
+            g = random_graph(rng, rng.randint(0, 9), connected=trial % 2 == 0)
+            comps = []
+            for s in range(g.n):
+                dist, parent = self.plain_bfs(g, s)
+                assert g.distances_from(s) == [dist.get(x, math.inf) for x in range(g.n)]
+                if not any(s in c for c in comps):
+                    comps.append(sorted(dist))
+                for v in range(g.n):
+                    if v not in parent:
+                        with pytest.raises(ValueError, match="no path"):
+                            g.tree_path(s, v)
+                        continue
+                    path = [v]
+                    while parent[path[-1]] is not None:
+                        path.append(parent[path[-1]])
+                    assert g.tree_path(s, v) == path[::-1]
+            assert g.components() == comps
+            assert g.is_connected() == (len(comps) <= 1)
+            connected.append(g.is_connected())
+        assert connected.count(False) >= 20
+
+    def test_out_of_range_root_or_target(self):
+        g = Graph(3, ((0, 1),))
+        for bad in (-1, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                g.bfs(bad)
+            with pytest.raises(ValueError, match="out of range"):
+                g.tree_path(0, bad)
+
+
 class TestParserRobustness:
     @pytest.mark.parametrize("doc", [
         "[]", "42", '{"edges": []}', '{"n": "three"}',
         '{"n": 2, "edges": [[0]]}', '{"n": 2, "edges": [["a", 1]]}',
         '{"n": 2, "edges": 7}', '{"n": 1, "edges": [], "fields": [[1, 0, 0, 1]]}',
         '{"n": 1, "edges": [], "fields": [[1, 2, 3]]}',
+        '{"n": 1, "edges": [], "fields": 5}',
         '{"n": -1, "edges": []}',
         # a JSON boolean is no integer, though Python's bool subclasses int
         '{"n": true, "edges": []}', '{"n": 3, "edges": [[true, 2]]}',

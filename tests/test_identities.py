@@ -1,6 +1,6 @@
 import hashlib
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
@@ -630,3 +630,33 @@ def test_eval_cd_builds_each_forest_order_once(monkeypatch):
         assert {root for _, root, _ in built} == {inst["u"], inst["v"]}
         hits += row["path_hits_pinning"]
     assert hits > 0
+
+
+def test_cd_sides_builds_each_bfs_forest_once(monkeypatch):
+    """is_tree, tree_path and the 4 passes of one cd_sides call share the
+    graph's kept forests: 6 reads of Graph.bfs build one forest each for the
+    roots None (the connectivity check), u and v."""
+    reads, built = [], {}
+    real = Graph.bfs
+
+    def counted(self, root=None):
+        # a built forest is a new object, a kept one is returned again;
+        # holding every forest keeps their ids distinct
+        forest = real(self, root)
+        reads.append(root)
+        built.setdefault(id(forest), (root, forest))
+        return forest
+
+    monkeypatch.setattr(Graph, "bfs", counted)
+    rng = random.Random(19)
+    cfg = cli._build_parser().parse_args(["cd-check"])
+    for trial in range(12):
+        inst = cli._gen_cd(cfg, rng, trial)
+        reads.clear()
+        built.clear()
+        u, v = inst["u"], inst["v"]
+        assert cd_sides(inst["graph"], inst["pins"], u, v, inst["params"]).equal
+        roots = [root for root, _ in built.values()]
+        assert len(roots) == len(set(roots)) == 3
+        assert set(roots) == {None, u, v}
+        assert Counter(reads) == Counter({None: 1, u: 4, v: 1})

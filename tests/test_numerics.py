@@ -405,7 +405,7 @@ class TestPolyRoots:
         # monic degree <= 12, root moduli in [0.1, 10], recovery to 1e-9
         # after matching
         for planted, coeffs in planted_polynomials():
-            found = poly_roots(Polynomial(coeffs), 1e-12)
+            found = poly_roots(Polynomial(coeffs))
             assert match_roots(found, [r.to_complex() for r in planted]) < 1e-9
 
     def test_deterministic(self):

@@ -526,21 +526,6 @@ class TestProbePair:
             assert z_brute(g, pins, params, probe=v) == (
                 z_naive(g, pins, params), z_naive(g, plus, params)), (g, pins, v)
 
-    def test_z_poly_lambda_pair_matches_naive_oracle(self):
-        lam = ExactComplex(Fraction(-2, 3))
-        for g, pins, params, v in self.probed():
-            plus = pins.with_pin(v, PLUS)
-            truth = (z_naive(g, pins, params), z_naive(g, plus, params))
-            beta, gamma = params.beta, params.gamma
-            scale = tuple(f / lam for f in params.field_vector(g.n))
-            pair = z_poly_lambda(g, pins, beta, gamma, scale=scale, probe=v)
-            assert tuple(poly.evaluate(lam) for poly in pair) == truth
-            assert pair == (z_poly_lambda(g, pins, beta, gamma, scale=scale),
-                            z_poly_lambda(g, plus, beta, gamma, scale=scale))
-            if params.uniform:
-                pair = z_poly_lambda(g, pins, beta, gamma, probe=v)
-                assert tuple(poly.evaluate(params.field) for poly in pair) == truth
-
     def test_edge_activity_pair_matches_naive_oracle(self):
         for g, pins, params, v in self.probed():
             if not params.uniform:
