@@ -510,6 +510,8 @@ def run(cfg: argparse.Namespace) -> int:
     try:
         if "max_vertices" in cfg and cfg.max_vertices < 2:
             raise ValueError(f"--max-vertices must be at least 2, got {cfg.max_vertices}")
+        if "trials" in cfg and cfg.trials < 0:
+            raise ValueError(f"--trials must be at least 0, got {cfg.trials}")
         if cfg.command == "decay":
             code = _run_decay(cfg)
         elif cfg.command == "region":

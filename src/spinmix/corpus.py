@@ -10,6 +10,7 @@ arithmetic stays small.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -46,13 +47,31 @@ def rand_scalar(rng: random.Random, nonzero: bool = False,
     raise DrawLimitError(f"no nonzero scalar in {DRAW_LIMIT} draws")
 
 
+def _pair_draw(n: int) -> tuple[list, int]:
+    """The m pairs i < j of n vertices in row-major order, and the mask
+    ``top`` of bit 64k + 31 for each pair k.
+
+    ``~rng.getrandbits(64 * m) & top`` is an Erdos-Renyi(1/2) draw: its bit
+    64k + 31 is set iff rng.random() < 0.5 would hold for pair k in turn,
+    and it consumes the stream as those m calls do. random() takes two
+    32-bit words and is < 0.5 iff the top bit of the first is clear;
+    getrandbits(64 * m) takes the same 2m words, the k-th at bits 32k..32k+31.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return pairs, int.from_bytes(b"\0\0\0\x80\0\0\0\0" * len(pairs), "little")
+
+
+def _edges(pairs: list, bits: int) -> tuple:
+    """The pairs whose bit is set in a _pair_draw draw."""
+    return tuple(itertools.compress(pairs, bits.to_bytes(8 * len(pairs), "little")[3::8]))
+
+
 def rand_connected_graph(rng: random.Random, n: int, attempts: int = 1000) -> Graph:
     if n <= 1:
         return Graph(n, ())
+    pairs, top = _pair_draw(n)
     for _ in range(attempts):
-        edges = tuple((i, j) for i in range(n) for j in range(i + 1, n)
-                      if rng.random() < 0.5)
-        g = Graph(n, edges)
+        g = Graph(n, _edges(pairs, ~rng.getrandbits(64 * len(pairs)) & top))
         if g.is_connected():
             return g
     raise RuntimeError(f"no connected graph on {n} vertices after {attempts} draws")
@@ -63,23 +82,26 @@ def rand_bounded_degree_graph(rng: random.Random, n: int, dmax: int,
     """Connected Erdos-Renyi draw conditioned on maximum degree <= dmax.
 
     Raises ValueError, drawing nothing, when no connected graph on n
-    vertices meets the bound (dmax < 2 and n > dmax + 1).
+    vertices meets the bound (dmax < 2 and n > dmax + 1). A candidate over
+    the bound is rejected on its edge bits, before any edge is listed.
     """
     if dmax < 2 and n > dmax + 1:
         raise ValueError(f"no connected graph on {n} vertices has maximum "
                          f"degree <= {dmax}")
     if n <= 1:
         return Graph(n, ())
+    pairs, top = _pair_draw(n)
+    # per vertex, the bits of the pairs it lies on
+    incident = [0] * n
+    for k, (i, j) in enumerate(pairs):
+        bit = 1 << (64 * k + 31)
+        incident[i] |= bit
+        incident[j] |= bit
     for _ in range(attempts):
-        edges = tuple((i, j) for i in range(n) for j in range(i + 1, n)
-                      if rng.random() < 0.5)
-        degree = [0] * n
-        for i, j in edges:
-            degree[i] += 1
-            degree[j] += 1
-        if max(degree) > dmax:
+        bits = ~rng.getrandbits(64 * len(pairs)) & top
+        if any((bits & mask).bit_count() > dmax for mask in incident):
             continue
-        g = Graph(n, edges)
+        g = Graph(n, _edges(pairs, bits))
         if g.is_connected():
             return g
     raise RuntimeError(f"no degree-{dmax} connected graph on {n} vertices")

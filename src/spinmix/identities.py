@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .errors import NotATreeError, PinningError
 from .graphs import Graph, MINUS, PLUS, Pinning
-from .numerics import ONE, ZERO, ExactComplex
+from .numerics import ONE, ZERO, ExactComplex, _common_numerators, _reduced
 from .partition import (Params, QSpinParams, _check_feasible, hardcore_params,
                         z_qspin_tree, z_tree)
 
@@ -55,17 +55,21 @@ def _require_unpinned(t: Graph, p: Pinning, u: int, v: int):
         raise PinningError("u and v must be unpinned")
 
 
-def _det_sides(t: Graph, p: Pinning, u: int, v: int, columns,
+def _det_sides(t: Graph, p: Pinning, u: int, v: int, passes,
                det_a: ExactComplex, phi_at, unpinned) -> CdReport:
     """Both sides of det [Z with u = i, v = j]_{i,j} on a tree.
 
-    ``columns[j]`` is u's root message with v pinned to the j-th spin, and
-    ``unpinned()`` the pass rooted at u under p. When the u-v path avoids
-    the pinned set, rhs = det_a^d * Phi * the edge factors of each subtree
+    ``passes[j]`` is the pass rooted at u with v pinned to the j-th spin,
+    whose root message at u is column j, and ``unpinned()`` the pass rooted
+    at u under p. The q passes share D and u's exponent e, which depends on
+    the forest, not on the pins, so lhs is the determinant of the root
+    numerators, reduced once over D^(q e). When the u-v path avoids the
+    pinned set, rhs = det_a^d * Phi * the edge factors of each subtree
     hanging off the path, with Phi the product of ``phi_at(w)`` over the
     path; when the path meets a pin, rhs = 0.
     """
-    lhs = exact_determinant(list(zip(*columns)))
+    columns, exps = zip(*(m.msgs[u] for m in passes))
+    lhs = _reduced(*_det(list(zip(*columns))), passes[0].denom ** (len(passes) * exps[0]))
     path = t.tree_path(u, v)
     d = len(path) - 1
     hits = any(w in p for w in path)
@@ -98,10 +102,10 @@ def cd_sides(t: Graph, p: Pinning, u: int, v: int, params: Params) -> CdReport:
         return z_tree(t, pins, params, root=root, check_feasibility=False)
 
     z, unpinned = rooted_at(u, p)
-    columns = [rooted_at(u, p.with_pin(v, s))[1].at(u) for s in (PLUS, MINUS)]
-    rep = _det_sides(t, p, u, v, columns, params.beta * params.gamma - ONE,
+    passes = [rooted_at(u, p.with_pin(v, s))[1] for s in (PLUS, MINUS)]
+    rep = _det_sides(t, p, u, v, passes, params.beta * params.gamma - ONE,
                      params.field_vector(t.n).__getitem__, lambda: unpinned)
-    (zpp, _), (_, zmm) = columns
+    (zpp, _), (_, zmm) = (m.at(u) for m in passes)
     zp_u, zm_u = unpinned.at(u)
     zp_v, zm_v = rooted_at(v, p)[1].at(v)
     forms_equal = (z * zpp - zp_u * zp_v == rep.lhs
@@ -147,15 +151,28 @@ def gutman_sides(t: Graph, u: int, v: int, lam) -> CdReport:
                     equal=lhs == rhs)
 
 
+def _det(rows) -> tuple[int, int]:
+    """Determinant of a square matrix of Gaussian integers (re, im): Laplace
+    expansion along the first row, intended for the small q used here."""
+    if len(rows) == 1:
+        return rows[0][0]
+    re = im = 0
+    for j, (ar, ai) in enumerate(rows[0]):
+        mr, mi = _det([row[:j] + row[j + 1:] for row in rows[1:]])
+        sign = -1 if j % 2 else 1
+        re += sign * (ar * mr - ai * mi)
+        im += sign * (ar * mi + ai * mr)
+    return re, im
+
+
 def exact_determinant(matrix: Sequence[Sequence[ExactComplex]]) -> ExactComplex:
-    """Laplace expansion along the first row; intended for the small q used here."""
-    if len(matrix) == 1:
-        return matrix[0][0]
-    total = ZERO
-    for j, a in enumerate(matrix[0]):
-        term = a * exact_determinant([row[:j] + row[j + 1:] for row in matrix[1:]])
-        total = total - term if j % 2 else total + term
-    return total
+    """Determinant of a square matrix: _det of the entries' numerators over
+    their common denominator D, reduced once over D^q."""
+    q = len(matrix)
+    flat = [x for row in matrix for x in row]
+    nums = _common_numerators(flat)
+    rows = [nums[i * q:(i + 1) * q] for i in range(q)]
+    return _reduced(*_det(rows), math.lcm(*[x._abd[2] for x in flat]) ** q)
 
 
 def qspin_det_sides(t: Graph, p: Pinning, u: int, v: int, qp: QSpinParams) -> CdReport:
@@ -174,6 +191,6 @@ def qspin_det_sides(t: Graph, p: Pinning, u: int, v: int, qp: QSpinParams) -> Cd
     def rooted_at_u(pins):
         return z_qspin_tree(t, pins, qp, root=u)[1]
 
-    columns = [rooted_at_u(p.with_pin(v, s)).at(u) for s in range(1, qp.q + 1)]
-    return _det_sides(t, p, u, v, columns, exact_determinant(qp.matrix),
+    passes = [rooted_at_u(p.with_pin(v, s)) for s in range(1, qp.q + 1)]
+    return _det_sides(t, p, u, v, passes, exact_determinant(qp.matrix),
                       lambda w: lam_prod, lambda: rooted_at_u(p))

@@ -196,15 +196,16 @@ class ExactComplex:
         return f"ExactComplex({str(self.re)!r}, {str(self.im)!r})"
 
     def __str__(self):
-        if self.is_real():
-            return str(self.re)
-        im = self.im
-        return f"{self.re}{'+' if im > 0 else ''}{im}i"
+        a, b, d = self._abd
+        if not b:
+            return _ratio_text(a, d)
+        return f"{_ratio_text(a, d)}{'+' if b > 0 else ''}{_ratio_text(b, d)}i"
 
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"re": str(self.re), "im": str(self.im)}
+        a, b, d = self._abd
+        return {"re": _ratio_text(a, d), "im": _ratio_text(b, d)}
 
     @classmethod
     def from_json(cls, doc) -> "ExactComplex":
@@ -214,6 +215,12 @@ class ExactComplex:
         if isinstance(doc, (int, str, Fraction)):
             return cls(doc)
         raise TypeError(f"cannot parse complex rational from {doc!r}")
+
+
+def _ratio_text(a: int, d: int) -> str:
+    """str(Fraction(a, d)) for d > 0, with one gcd and no Fraction."""
+    g = gcd(a, d)
+    return str(a // g) if g == d else f"{a // g}/{d // g}"
 
 
 _new = object.__new__

@@ -10,6 +10,7 @@ denominator per call and reduces a value only when it is read.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -34,6 +35,9 @@ class Params:
     beta: ExactComplex
     gamma: ExactComplex
     field: ExactComplex | tuple[ExactComplex, ...]
+    # (n, _numerators of the system on n vertices) for the last n a pass ran on
+    _table: tuple | None = dataclasses.field(default=None, init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "beta", ExactComplex._coerce(self.beta))
@@ -98,6 +102,9 @@ class QSpinParams:
 
     matrix: tuple[tuple[ExactComplex, ...], ...]
     lambdas: tuple[ExactComplex, ...]
+    # as Params._table
+    _table: tuple | None = dataclasses.field(default=None, init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self):
         m = tuple(tuple(ExactComplex._coerce(x) for x in row) for row in self.matrix)
@@ -485,19 +492,37 @@ def _two_spin(params: Params, n: int):
             else [(lam, ONE) for lam in params.field_vector(n)])
 
 
-def _tree_pass(pins: dict[int, int], matrix, weights, forest
-               ) -> tuple[ExactComplex, TreeMessages]:
-    """Leaves-first messages over ``forest`` (a _forest_order) for a q x q
-    edge matrix: x's message starts at weights[x], keeps only entry pins[x]
-    when x is pinned, and is then absorbed into its parent's. Z is the
-    product of the root sums.
+def _pass_table(params: Params | QSpinParams, n: int) -> tuple[int, list, list]:
+    """_numerators of the system on n vertices, (D, matrix, weights): the
+    2-spin one, or the q-spin matrix with the field vector at every vertex.
 
-    The pass runs on _numerators over D. x's message lies over D ** e_x,
-    e_x = 1 + sum over its children (e_c + 1). The children's factors are
-    exact integers, so the order of absorption cannot change a bit.
+    The table is kept on params for the last n asked, so every pass of an
+    identity reads one, and a run over many sizes (decay's paths) holds one
+    at a time. The passes copy the weight list and never write into an entry.
+    """
+    kept = params._table
+    if kept is None or kept[0] != n:
+        kept = (n, _numerators(*(_two_spin(params, n) if isinstance(params, Params)
+                                  else (params.matrix, [params.lambdas] * n))))
+        object.__setattr__(params, "_table", kept)
+    return kept[1]
+
+
+def _tree_pass(pins: dict[int, int], table, forest
+               ) -> tuple[ExactComplex, TreeMessages]:
+    """Leaves-first messages over ``forest`` (a _forest_order) on a
+    _pass_table (D, q x q edge matrix, weights): x's message starts at
+    weights[x], keeps only entry pins[x] when x is pinned, and is then
+    absorbed into its parent's. Z is the product of the root sums.
+
+    The pass runs on numerators over D. x's message lies over D ** e_x,
+    e_x = 1 + sum over its children (e_c + 1), which depends on the forest
+    alone, not on the pins. The children's factors are exact integers, so
+    the order of absorption cannot change a bit.
     """
     roots, order, parent = forest
-    denom, mat, vecs = _numerators(matrix, weights)
+    denom, mat, start = table
+    vecs = list(start)
     exps = [1] * len(vecs)
     for x in reversed(order):
         k = pins.get(x)
@@ -526,10 +551,9 @@ def _walk_pass(g: Graph, p: Pinning, params: Params, root: int,
     a cycle: a leaf at + iff w exceeds the vertex after y on the walk. A y at
     depth ``max_depth`` with a neighbour besides w is cut: a leaf at -. Any
     other y is walked next. Messages are those of _tree_pass, on the same
-    _numerators; frames live on a list, so no recursion limit applies.
+    _pass_table; frames live on a list, so no recursion limit applies.
     """
-    matrix, weights = _two_spin(params, g.n)
-    denom, mat, start = _numerators(matrix, weights)
+    denom, mat, start = _pass_table(params, g.n)
     pins = {v: 0 if s == PLUS else 1 for v, s in p.items()}
     # each vertex's weight masked to + (entry 0) and to - (entry 1)
     leaf = [[[a, (0, 0)], [(0, 0), b]] for a, b in start]
@@ -591,15 +615,15 @@ def z_tree(t: Graph, p: Pinning, params: Params,
     if check_feasibility:
         _check_feasible(t, p, params)
     return _tree_pass({v: 0 if s == PLUS else 1 for v, s in p.items()},
-                      *_two_spin(params, t.n), forest)
+                      _pass_table(params, t.n), forest)
 
 
 def z_qspin_tree(t: Graph, p: Pinning, qp: QSpinParams,
                  root: int | None = None) -> tuple[ExactComplex, TreeMessages]:
     """q-spin analogue of z_tree; messages are length-q tuples per vertex."""
     _check_qspin_pins(t, p, qp.q)
-    return _tree_pass({v: s - 1 for v, s in p.items()}, qp.matrix,
-                      [qp.lambdas] * t.n, _forest_order(t, root))
+    return _tree_pass({v: s - 1 for v, s in p.items()}, _pass_table(qp, t.n),
+                      _forest_order(t, root))
 
 
 # ---------------------------------------------------------------------------

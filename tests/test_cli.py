@@ -825,6 +825,20 @@ def test_unsatisfiable_annulus_corpus_exits_2(argv, message, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["cd-check", "gutman-check", "qspin-check", "saw-check",
+                                     "weitz", "ldc", "ldc-beta", "annulus"])
+@pytest.mark.parametrize("value", ["-1", "-7"])
+def test_negative_trials_exits_2(command, value, tmp_path, capsys, monkeypatch):
+    # a negative count was an empty corpus: "pass=0 fail=0" and exit 0
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli([command, "--trials", value], capsys)
+    assert code == 2 and out == ""
+    assert err == f"config error: --trials must be at least 0, got {value}\n"
+    assert list(tmp_path.iterdir()) == []
+    code, out, _ = run_cli([command, "--trials", "0"], capsys)
+    assert code == 0 and out == f"{command} pass=0 fail=0 seed=0\n"
+
+
+@pytest.mark.parametrize("command", ["cd-check", "gutman-check", "qspin-check", "saw-check",
                                      "weitz", "ldc", "ldc-beta", "annulus", "region"])
 @pytest.mark.parametrize("value", ["1", "0", "-3"])
 def test_max_vertices_below_two_exits_2(command, value, tmp_path, capsys, monkeypatch):

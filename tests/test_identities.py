@@ -1,6 +1,7 @@
 import hashlib
 import random
 from collections import Counter, deque
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from spinmix.identities import (cd_equivalent_forms, cd_sides,
                                 qspin_det_sides)
 from spinmix.numerics import ExactComplex
 from spinmix.partition import (Params, QSpinParams, hardcore_params,
-                               two_spin_embedding, z_tree)
+                               two_spin_embedding, z_qspin_tree, z_tree)
 
 EDGE = Graph(2, ((0, 1),))
 PATH3 = Graph(3, ((0, 1), (1, 2)))
@@ -468,6 +469,80 @@ class TestPassCounts:
         rep = gutman_sides(self.STAR, 2, 4, Fraction(3, 4))
         assert rep.equal and rep.forms_equal is None
         assert calls == {"z_tree": [2] * 4}
+
+
+class TestNumeratorTable:
+    """Every pass of one identity call reads one numerator table, kept on its
+    parameter set, and the pair matrix's determinant is taken on the root
+    numerators at u."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """One entry per _numerators call."""
+        calls = []
+        real = partition._numerators
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(partition, "_numerators", counted)
+        return calls
+
+    def test_one_table_per_identity_call(self, builds):
+        rng = random.Random(31)
+        for trial in range(60):
+            n = rng.randint(2, 10)
+            t = rand_tree(rng, n)
+            u, v = rand_unpinned_pair(rng, t, Pinning())
+            params = rand_params(rng, PARAM_MODES[trial % len(PARAM_MODES)], n)
+            pins = rand_feasible_pinning(rng, t, params.beta_is_zero,
+                                         params.gamma_is_zero, exclude=(u, v))
+            qp = rand_qspin_params(rng, 2 + trial % 2)
+            qpins = rand_qspin_pinning(rng, t, qp.q, exclude=(u, v))
+            for call in (lambda: cd_sides(t, pins, u, v, params),
+                         lambda: gutman_sides(t, u, v, params.field if params.uniform
+                                              else Fraction(1, 2)),
+                         lambda: qspin_det_sides(t, qpins, u, v, qp)):
+                builds.clear()
+                assert call().equal
+                assert len(builds) == 1
+            # a parameter set that already holds the table for n builds none
+            builds.clear()
+            cd_sides(t, pins, u, v, params)
+            qspin_det_sides(t, qpins, u, v, qp)
+            assert builds == []
+
+    def test_lhs_is_the_determinant_of_the_root_numerators(self):
+        rng = random.Random(47)
+        for trial in range(320):
+            q = 2 + trial % 2
+            n = rng.randint(2, 10)
+            t = rand_tree(rng, n)
+            u, v = rand_unpinned_pair(rng, t, Pinning())
+            qp = rand_qspin_params(rng, q)
+            pins = rand_qspin_pinning(rng, t, q, exclude=(u, v))
+            passes = [z_qspin_tree(t, pins.with_pin(v, s), qp, root=u)[1]
+                      for s in range(1, q + 1)]
+            unpinned = z_qspin_tree(t, pins, qp, root=u)[1]
+            # u's exponent depends on the forest rooted at u, not on the pins
+            assert len({m.msgs[u][1] for m in [unpinned, *passes]}) == 1
+            columns = [m.at(u) for m in passes]
+            assert (qspin_det_sides(t, pins, u, v, qp).lhs
+                    == exact_determinant(list(zip(*columns))))
+
+    def test_kept_table_leaves_equality_hash_and_repr(self):
+        pairs = [(Params(Fraction(5, 3), Fraction(-2, 7), Fraction(3, 4)),
+                  Params(Fraction(5, 3), Fraction(-2, 7), Fraction(3, 4))),
+                 (rand_qspin_params(random.Random(3), 3),
+                  rand_qspin_params(random.Random(3), 3))]
+        for used, fresh in pairs:
+            rep = (cd_sides(PATH3, Pinning(), 0, 2, used) if isinstance(used, Params)
+                   else qspin_det_sides(PATH3, Pinning(), 0, 2, used))
+            assert rep.equal
+            assert used._table is not None and fresh._table is None
+            assert used == fresh and hash(used) == hash(fresh)
+            assert repr(used) == repr(fresh) and "_table" not in repr(used)
+            assert replace(used)._table is None and replace(used) == fresh
 
 
 def cd_by_separate_passes(t, p, u, v, params):

@@ -778,6 +778,25 @@ def test_minus_boundary_ising_decay():
     assert prof.rate is not None and prof.rate - 1 > 0.05
 
 
+def test_decay_holds_one_numerator_table(monkeypatch):
+    # one parameter set over paths of 2..901 vertices, as `decay --kmax 900`:
+    # both marginals at each k share one table, and only the last is kept
+    builds = []
+    real = partition._numerators
+
+    def counted(*args):
+        builds.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(partition, "_numerators", counted)
+    params = Params(Fraction(3, 2), Fraction(3, 2), Fraction(-1, 2))
+    prof = decay_profile(path_decay_instances(900), params)
+    assert len(prof.rows) == 900
+    assert builds == list(range(2, 902))
+    n, _ = params._table
+    assert n == 901
+
+
 def test_product_measure_marginal_closed_form():
     # at beta*gamma = 1 the system is a product measure and the marginal of
     # a proper vertex is lambda * beta^deg / (lambda * beta^deg + 1), no

@@ -9,7 +9,7 @@ from conftest import _poly_gcd, series_div_naive, square_free_reference
 from spinmix.errors import SeriesDivisionError
 from spinmix.graphs import Graph, Pinning
 from spinmix.numerics import (ExactComplex, Polynomial, PowerSeries, _common_numerators, _gcd,
-                              match_roots, parse_scalar, poly_roots,
+                              _reduced, match_roots, parse_scalar, poly_roots,
                               series_div, series_invert, square_free_factors)
 from spinmix.partition import z_poly_lambda
 
@@ -174,6 +174,23 @@ class TestExactComplexAgainstFractionPairs:
         assert str(ex) == ref_str(x)
         assert ex.to_json() == {"re": str(x[0]), "im": str(x[1])}
         assert ExactComplex.from_json(ex.to_json()) == ex
+
+    def test_text_from_the_triple_matches_fraction_text(self):
+        # str and to_json format each part from the triple with one gcd
+        rng = random.Random(60)
+        for trial in range(3000):
+            bits = rng.choice((1, 8, 70))
+            a, b = (rng.randint(-2 ** bits, 2 ** bits) for _ in range(2))
+            a = 0 if trial % 7 == 0 else a
+            b = 0 if trial % 3 == 0 else b
+            d = 1 if trial % 4 == 0 else rng.randint(1, 2 ** bits)
+            x, re, im = _reduced(a, b, d), Fraction(a, d), Fraction(b, d)
+            if im:
+                assert str(x) == f"{re}{'+' if im > 0 else ''}{im}i"
+                assert repr(x) == f"ExactComplex({str(re)!r}, {str(im)!r})"
+            else:
+                assert str(x) == str(re) and repr(x) == f"ExactComplex({str(re)!r})"
+            assert x.to_json() == {"re": str(re), "im": str(im)}
 
     @given(ref_pairs, ref_operands, st.sampled_from(["+", "-", "*", "/", "neg"]))
     @settings(max_examples=150)

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import random_graph
 from spinmix import cli, numerics, zerofree
-from spinmix.corpus import rand_bounded_degree_graph, rand_feasible_pinning
+from spinmix.corpus import (rand_bounded_degree_graph, rand_connected_graph,
+                            rand_feasible_pinning)
 from spinmix.errors import PinningError
 from spinmix.graphs import Graph, MINUS, PLUS, Pinning
 from spinmix.numerics import ExactComplex, match_roots
@@ -180,6 +181,20 @@ class TestBoundedDegreeDraw:
                 assert rand_bounded_degree_graph(mine, n, dmax, 300) == expected
             assert mine.getstate() == theirs.getstate()
         assert 0 < exhausted < 240
+
+    def test_connected_draw_same_graphs_and_stream_as_random_loop(self):
+        # the rand_connected_graph loop that called rng.random() once per pair
+        def reference(rng, n):
+            for _ in range(1000):
+                g = Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                                   if rng.random() < 0.5))
+                if g.is_connected():
+                    return g
+        for seed in range(500):
+            n = 2 + seed % 13
+            mine, theirs = random.Random(seed), random.Random(seed)
+            assert rand_connected_graph(mine, n) == reference(theirs, n)
+            assert mine.getstate() == theirs.getstate()
 
     @pytest.mark.parametrize("n,dmax", [(2, 0), (3, 1), (9, 1), (1, -1)])
     def test_unsatisfiable_bound_draws_nothing(self, n, dmax):
