@@ -6,17 +6,26 @@ Erdos-Renyi with edge probability 1/2 conditioned on connectivity; trees
 are uniform spanning trees of such graphs drawn with Wilson's algorithm;
 rational parameters keep numerators and denominators within 10 so exact
 arithmetic stays small.
+
+A draw builds one Graph, for the instance it returns: a candidate's
+connectivity is decided on bit masks of its edge list
+(graphs.edges_connected), Wilson's walk runs on the accepted draw's
+neighbour lists, and scalars are canonical integer triples built from the
+randint draws, with no Fraction. The stream is consumed as by one Graph per
+candidate and Fraction scalars (the reference loops of tests/test_corpus.py),
+so the instances are the same.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
-from fractions import Fraction
 
 from .errors import DrawLimitError
-from .graphs import Graph, MINUS, PLUS, Pinning, flip_spin, is_feasible
-from .numerics import ExactComplex, ONE, ZERO
+from .graphs import (Graph, MINUS, PLUS, Pinning, edges_connected, flip_spin,
+                     is_feasible)
+from .numerics import ExactComplex, ONE, ZERO, _reduced
 from .partition import Params, QSpinParams
 
 PARAM_MODES = ("generic", "beta0", "gamma0", "bg1", "fields", "complex")
@@ -27,29 +36,26 @@ PARAM_MODES = ("generic", "beta0", "gamma0", "bg1", "fields", "complex")
 DRAW_LIMIT = 1000
 
 
-def rand_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
-    for _ in range(DRAW_LIMIT):
-        f = Fraction(rng.randint(-10, 10), rng.randint(1, 10))
-        if not nonzero or f != 0:
-            return f
-    raise DrawLimitError(f"no nonzero fraction in {DRAW_LIMIT} draws")
-
-
 def rand_scalar(rng: random.Random, nonzero: bool = False,
                 complex_prob: float = 0.0) -> ExactComplex:
+    """a/d or a/d + (b/e)i, numerators drawn from -10..10 and denominators
+    from 1..10, built as the canonical triple with no Fraction."""
+    randint = rng.randint
     for _ in range(DRAW_LIMIT):
         if rng.random() < complex_prob:
-            x = ExactComplex(rand_fraction(rng), rand_fraction(rng))
+            a, d, b, e = randint(-10, 10), randint(1, 10), randint(-10, 10), randint(1, 10)
         else:
-            x = ExactComplex(rand_fraction(rng))
-        if not nonzero or not x.is_zero():
-            return x
+            a, d, b, e = randint(-10, 10), randint(1, 10), 0, 1
+        if not nonzero or a or b:
+            return _reduced(a * e, b * d, d * e)
     raise DrawLimitError(f"no nonzero scalar in {DRAW_LIMIT} draws")
 
 
-def _pair_draw(n: int) -> tuple[list, int]:
-    """The m pairs i < j of n vertices in row-major order, and the mask
-    ``top`` of bit 64k + 31 for each pair k.
+@functools.cache
+def _pair_draw(n: int) -> tuple[tuple, int, tuple]:
+    """The m pairs i < j of n vertices in row-major order, the mask ``top``
+    of bit 64k + 31 for each pair k, and per vertex the mask of the bits of
+    the pairs it lies on.
 
     ``~rng.getrandbits(64 * m) & top`` is an Erdos-Renyi(1/2) draw: its bit
     64k + 31 is set iff rng.random() < 0.5 would hold for pair k in turn,
@@ -57,24 +63,38 @@ def _pair_draw(n: int) -> tuple[list, int]:
     32-bit words and is < 0.5 iff the top bit of the first is clear;
     getrandbits(64 * m) takes the same 2m words, the k-th at bits 32k..32k+31.
     """
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return pairs, int.from_bytes(b"\0\0\0\x80\0\0\0\0" * len(pairs), "little")
+    pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+    incident = [0] * n
+    for k, (i, j) in enumerate(pairs):
+        bit = 1 << (64 * k + 31)
+        incident[i] |= bit
+        incident[j] |= bit
+    top = int.from_bytes(b"\0\0\0\x80\0\0\0\0" * len(pairs), "little")
+    return pairs, top, tuple(incident)
 
 
-def _edges(pairs: list, bits: int) -> tuple:
-    """The pairs whose bit is set in a _pair_draw draw."""
-    return tuple(itertools.compress(pairs, bits.to_bytes(8 * len(pairs), "little")[3::8]))
+def _connected_edges(rng: random.Random, n: int, attempts: int,
+                     dmax: int | None = None) -> tuple:
+    """The edges of the first Erdos-Renyi draw that is connected and, with
+    ``dmax``, has maximum degree <= dmax. Each draw is decided on its bits
+    and edge list; no Graph is built. With n <= 1 nothing is drawn."""
+    pairs, top, incident = _pair_draw(n)
+    width = 64 * len(pairs)
+    for _ in range(attempts):
+        bits = ~rng.getrandbits(width) & top
+        if dmax is not None and any((bits & mask).bit_count() > dmax
+                                    for mask in incident):
+            continue
+        edges = tuple(itertools.compress(pairs, bits.to_bytes(width // 8, "little")[3::8]))
+        if edges_connected(n, edges):
+            return edges
+    if dmax is None:
+        raise RuntimeError(f"no connected graph on {n} vertices after {attempts} draws")
+    raise RuntimeError(f"no degree-{dmax} connected graph on {n} vertices")
 
 
 def rand_connected_graph(rng: random.Random, n: int, attempts: int = 1000) -> Graph:
-    if n <= 1:
-        return Graph(n, ())
-    pairs, top = _pair_draw(n)
-    for _ in range(attempts):
-        g = Graph(n, _edges(pairs, ~rng.getrandbits(64 * len(pairs)) & top))
-        if g.is_connected():
-            return g
-    raise RuntimeError(f"no connected graph on {n} vertices after {attempts} draws")
+    return Graph(n, _connected_edges(rng, n, attempts))
 
 
 def rand_bounded_degree_graph(rng: random.Random, n: int, dmax: int,
@@ -88,46 +108,34 @@ def rand_bounded_degree_graph(rng: random.Random, n: int, dmax: int,
     if dmax < 2 and n > dmax + 1:
         raise ValueError(f"no connected graph on {n} vertices has maximum "
                          f"degree <= {dmax}")
-    if n <= 1:
-        return Graph(n, ())
-    pairs, top = _pair_draw(n)
-    # per vertex, the bits of the pairs it lies on
-    incident = [0] * n
-    for k, (i, j) in enumerate(pairs):
-        bit = 1 << (64 * k + 31)
-        incident[i] |= bit
-        incident[j] |= bit
-    for _ in range(attempts):
-        bits = ~rng.getrandbits(64 * len(pairs)) & top
-        if any((bits & mask).bit_count() > dmax for mask in incident):
-            continue
-        g = Graph(n, _edges(pairs, bits))
-        if g.is_connected():
-            return g
-    raise RuntimeError(f"no degree-{dmax} connected graph on {n} vertices")
+    return Graph(n, _connected_edges(rng, n, attempts, dmax))
 
 
 def rand_tree(rng: random.Random, n: int) -> Graph:
-    """Uniform spanning tree of a connected Erdos-Renyi draw (Wilson walk)."""
-    g = rand_connected_graph(rng, n)
-    if n <= 1:
-        return g
-    in_tree = {0}
-    edges: list[tuple[int, int]] = []
+    """Uniform spanning tree of a connected Erdos-Renyi draw (Wilson walk).
+
+    The walk runs on the draw's neighbour lists, ascending as in
+    Graph.neighbors, so the tree is the only Graph built."""
+    # row-major edges append each vertex's neighbours in ascending order
+    adj = [[] for _ in range(n)]
+    for i, j in _connected_edges(rng, n, 1000):
+        adj[i].append(j)
+        adj[j].append(i)
+    # each walk vertex keeps the step it last left by; following those steps
+    # from the start is the loop-erased walk (Wilson 1996)
+    in_tree = [v == 0 for v in range(n)]
+    step = [0] * n
+    edges = []
     for start in range(1, n):
-        if start in in_tree:
-            continue
-        path = [start]
-        while path[-1] not in in_tree:
-            nxt = rng.choice(g.neighbors(path[-1]))
-            if nxt in path:
-                path = path[: path.index(nxt) + 1]
-            else:
-                path.append(nxt)
-        for a, b in zip(path, path[1:]):
-            edges.append((a, b))
-            in_tree.add(a)
-        in_tree.add(path[-1])
+        v = start
+        while not in_tree[v]:
+            step[v] = rng.choice(adj[v])
+            v = step[v]
+        v = start
+        while not in_tree[v]:
+            in_tree[v] = True
+            edges.append((v, step[v]))
+            v = step[v]
     return Graph(n, tuple(edges))
 
 

@@ -39,15 +39,16 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise GraphFormatError("vertex count must be nonnegative")
+        n = self.n
         seen = set()
         normalized = []
         for e in self.edges:
             u, v = e
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(f"vertex id out of range in edge {e}")
             if u == v:
                 raise GraphFormatError(f"self-loop at vertex {u}")
-            key = (min(u, v), max(u, v))
+            key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise GraphFormatError(f"duplicate edge {key}")
             seen.add(key)
@@ -60,11 +61,12 @@ class Graph:
             if any(x.is_zero() for x in flds):
                 raise GraphFormatError("field values must be nonzero")
             object.__setattr__(self, "fields", flds)
-        adj = [[] for _ in range(self.n)]
+        # sorted edges list each vertex's neighbours in ascending order
+        adj = [[] for _ in range(n)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
+        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
 
     # -- basic queries -------------------------------------------------------
 
@@ -126,12 +128,8 @@ class Graph:
 
     def diameter(self) -> int:
         """Largest finite pairwise distance (0 for edgeless graphs)."""
-        best = 0
-        for v in range(self.n):
-            for d in self.distances_from(v):
-                if d != math.inf:
-                    best = max(best, int(d))
-        return best
+        masks = _neighbour_masks(self.n, self.edges)
+        return max((_frontier_walk(masks, v)[1] for v in range(self.n)), default=0)
 
     def is_connected(self) -> bool:
         return len(self.bfs()[0]) <= 1
@@ -181,6 +179,39 @@ class Graph:
             doc["fields"] = [[x.re.numerator, x.re.denominator,
                               x.im.numerator, x.im.denominator] for x in self.fields]
         return doc
+
+
+def _neighbour_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Per vertex of 0..n-1, the bit mask of its neighbours."""
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+def _frontier_walk(masks: list[int], v: int) -> tuple[int, int]:
+    """(reached, eccentricity): the bit mask of the vertices reachable from v
+    and the largest distance to one of them, from one bit-mask frontier per
+    breadth-first layer; no forest is built."""
+    reached = frontier = 1 << v
+    depth = -1
+    while frontier:
+        depth += 1
+        layer = 0
+        while frontier:
+            low = frontier & -frontier
+            layer |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = layer & ~reached
+        reached |= frontier
+    return reached, depth
+
+
+def edges_connected(n: int, edges: Iterable[tuple[int, int]]) -> bool:
+    """Whether the graph on 0..n-1 with these edges is connected, decided on
+    bit masks without building a Graph."""
+    return n <= 1 or _frontier_walk(_neighbour_masks(n, edges), 0)[0] == (1 << n) - 1
 
 
 def parse_graph(document: str | dict) -> Graph:

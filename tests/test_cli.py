@@ -493,6 +493,30 @@ def test_locality_report_digest(command, seed, digest, tmp_path, capsys):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
+# seeded tree-identity reports, recorded before the corpus draws decided
+# connectivity on edge bits and built scalars without Fraction:
+# (argv, seed, SHA-256 of the report for 100 trials)
+TREE_CORPORA = [
+    (["cd-check"], 7, "406d4dccf4cfbfc1c5d483ebe4ab754ddd13250377fab0f4404aa870c40fff74"),
+    (["gutman-check"], 1, "caf7dd53831f85fb01e1f5cfb3b1b3b96b34d04d9fb020b722081669b53e8da0"),
+    (["qspin-check", "--q", "2"], 1,
+     "fa60c57e298bf04ab28aec079de584eb6c72e77dc025fdc6590045d6bfeec730"),
+    (["qspin-check", "--q", "3"], 1,
+     "a56556c4a87e38a2a014a4b561e2d45fa0f299ad61f1d2aedc25767ba36568e2"),
+]
+
+
+@pytest.mark.parametrize("argv,seed,digest", TREE_CORPORA,
+                         ids=["cd-check", "gutman-check", "qspin-check-2", "qspin-check-3"])
+def test_tree_report_digest(argv, seed, digest, tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    code, out, _ = run_cli([*argv, "--trials", "100", "--seed", str(seed),
+                            "--out", str(report)], capsys)
+    assert code == 0
+    assert out.strip().endswith(f"{argv[0]} pass=100 fail=0 seed={seed}")
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
 class TestRedrawCorpora:
     @pytest.mark.parametrize("argv,seed,redraws,digest", REDRAW_CORPORA, ids=REDRAW_IDS)
     def test_report_digest(self, argv, seed, redraws, digest, tmp_path, capsys):
@@ -663,8 +687,7 @@ class TestDrawLimit:
             def random(self):
                 return 0.0
 
-        for draw in (lambda rng: corpus.rand_fraction(rng, nonzero=True),
-                     lambda rng: corpus.rand_scalar(rng, nonzero=True),
+        for draw in (lambda rng: corpus.rand_scalar(rng, nonzero=True),
                      lambda rng: corpus._nontrivial_edge_pair(rng, 0.5)):
             with pytest.raises(DrawLimitError):
                 draw(ZeroStream())

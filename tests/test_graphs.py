@@ -7,7 +7,8 @@ from conftest import random_graph
 from spinmix.errors import GraphFormatError, PinningError
 from spinmix.graphs import (Graph, MINUS, PLUS, Pinning, build_saw_tree,
                             build_saw_tree_truncated, disagreement_distance,
-                            is_feasible, is_proper, parse_graph, parse_pinning)
+                            edges_connected, is_feasible, is_proper, parse_graph,
+                            parse_pinning)
 
 
 class TestParseGraph:
@@ -318,6 +319,33 @@ class TestBfsForest:
             assert g.is_connected() == (len(comps) <= 1)
             connected.append(g.is_connected())
         assert connected.count(False) >= 20
+
+    def test_bit_mask_queries_match_the_forests(self):
+        # diameter and edges_connected walk bit-mask frontiers, not forests
+        rng = random.Random(2024)
+        edgeless = disconnected = 0
+        for _ in range(520):
+            n = rng.randint(0, 11)
+            p = rng.choice((0.0, 0.15, 0.3, 0.5, 0.8))
+            g = Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                               if rng.random() < p))
+            finite = [d for v in range(n) for d in g.distances_from(v) if d != math.inf]
+            assert g.diameter() == max(finite, default=0)
+            assert edges_connected(n, g.edges) == g.is_connected()
+            edgeless += n > 1 and not g.edges
+            disconnected += not g.is_connected()
+        assert edgeless >= 20 and disconnected >= 100
+
+    def test_neighbours_ascend_whatever_the_edge_order(self):
+        rng = random.Random(77)
+        for _ in range(300):
+            n = rng.randint(0, 10)
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+            rng.shuffle(edges)
+            g = Graph(n, tuple((j, i) if rng.random() < 0.5 else (i, j) for i, j in edges))
+            assert g.edges == tuple(sorted(edges))
+            assert g._adj == tuple(tuple(sorted({a + b - v for a, b in edges if v in (a, b)}))
+                                   for v in range(n))
 
     def test_out_of_range_root_or_target(self):
         g = Graph(3, ((0, 1),))
