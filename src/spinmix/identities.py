@@ -3,16 +3,20 @@
 Every identity here relates a pair-pinned combination of partition values
 (the left side) to a factored product over the subtrees hanging off the
 u-v path (the right side). Both sides are computed independently in exact
-arithmetic, never one from the other. Each pinned value is read from a
-root message: the one at u holds the tree's value with u pinned to each
-spin. The determinant identities take column j of the pair matrix from a
-pass rooted at u with v pinned to spin j, and the right side's edge
-factors from the unpinned pass rooted at u. cd_sides makes 4 passes: those
-3, which also give Z and Z+-_u, and an unpinned pass rooted at v for Z+-_v,
-so one call checks both sides and both single-pin forms of the left side.
-qspin_det_sides makes q + 1. gutman_sides deletes a vertex set S by pinning
-it to -, in 4 passes rooted at u: Z_T and Z_{T-u} from the unpinned one,
-Z_{T-v} and Z_{T-{u,v}} from the one with v pinned -.
+arithmetic, never one from the other. Pinning u and v changes only the u-v
+path, so each identity call makes one tree pass, rooted at u, that holds
+the path back: each path vertex keeps its part, the message built from its
+off-path children, and every pinned value is a chain, a fold of those parts
+along the path (TreeMessages.chain), with d absorbs. The determinant
+identities take column j of the pair matrix from the chain toward u with v
+pinned to spin j, and the right side's edge factors from the pass's
+messages off the path. cd_sides also reads Z and Z+-_u from the pass and
+Z+-_v from the chain toward v, so one call checks both sides and both
+single-pin forms of the left side. gutman_sides deletes a vertex set S by
+pinning it to -: Z_T and Z_{T-u} come from the pass, Z_{T-v} and
+Z_{T-{u,v}} from the chain with v pinned -, Z_{T-path} from the chain with
+the path pinned -, and Z_{T-N[path]} from the parts rebuilt with the
+hanging children pinned - too.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import NotATreeError, PinningError
-from .graphs import Graph, MINUS, PLUS, Pinning
+from .graphs import Graph, Pinning
 from .numerics import ONE, ZERO, ExactComplex, _common_numerators, _reduced
-from .partition import (Params, QSpinParams, _check_feasible, hardcore_params,
+from .partition import (Params, QSpinParams, TreeMessages, _absorb, _chain,
+                        _check_feasible, _pass_table, _pin, hardcore_params,
                         z_qspin_tree, z_tree)
 
 
@@ -55,22 +60,24 @@ def _require_unpinned(t: Graph, p: Pinning, u: int, v: int):
         raise PinningError("u and v must be unpinned")
 
 
-def _det_sides(t: Graph, p: Pinning, u: int, v: int, passes,
-               det_a: ExactComplex, phi_at, unpinned) -> CdReport:
+def _scale(msgs: TreeMessages, u: int) -> int:
+    """D ** e of the pass's root message at u, which every chain shares."""
+    return msgs.denom ** msgs.msgs[u][1]
+
+
+def _det_sides(t: Graph, p: Pinning, path: list[int], columns,
+               msgs: TreeMessages, det_a: ExactComplex, phi_at) -> CdReport:
     """Both sides of det [Z with u = i, v = j]_{i,j} on a tree.
 
-    ``passes[j]`` is the pass rooted at u with v pinned to the j-th spin,
-    whose root message at u is column j, and ``unpinned()`` the pass rooted
-    at u under p. The q passes share D and u's exponent e, which depends on
-    the forest, not on the pins, so lhs is the determinant of the root
-    numerators, reduced once over D^(q e). When the u-v path avoids the
-    pinned set, rhs = det_a^d * Phi * the edge factors of each subtree
-    hanging off the path, with Phi the product of ``phi_at(w)`` over the
-    path; when the path meets a pin, rhs = 0.
+    ``columns[j]`` holds the numerators of u's message with v pinned to the
+    j-th spin, a chain toward u of ``msgs``, the pass rooted at u under p
+    that held ``path`` (u first) back. The columns share the root's scale
+    D^e, so lhs is their determinant, reduced once over D^(q e). When the
+    path avoids the pinned set, rhs = det_a^d * Phi * the edge factors of
+    each subtree hanging off the path, with Phi the product of
+    ``phi_at(w)`` over the path; when the path meets a pin, rhs = 0.
     """
-    columns, exps = zip(*(m.msgs[u] for m in passes))
-    lhs = _reduced(*_det(list(zip(*columns))), passes[0].denom ** (len(passes) * exps[0]))
-    path = t.tree_path(u, v)
+    lhs = _reduced(*_det(list(zip(*columns))), _scale(msgs, path[0]) ** len(columns))
     d = len(path) - 1
     hits = any(w in p for w in path)
     if hits:
@@ -78,8 +85,7 @@ def _det_sides(t: Graph, p: Pinning, u: int, v: int, passes,
     else:
         on_path = set(path)
         hanging = [y for x in path for y in t.neighbors(x) if y not in on_path]
-        rhs = (math.prod(map(phi_at, path)) * det_a ** d
-               * unpinned().edge_product(hanging))
+        rhs = math.prod(map(phi_at, path)) * det_a ** d * msgs.edge_product(hanging)
     return CdReport(lhs=lhs, rhs=rhs, distance=d, path_hits_pinning=hits,
                     equal=lhs == rhs)
 
@@ -92,22 +98,20 @@ def cd_sides(t: Graph, p: Pinning, u: int, v: int, params: Params) -> CdReport:
     hanging subtrees of (beta Z+ + Z-)(Z+ + gamma Z-), where Phi is
     lambda^{d+1} for a uniform field and the product of the path vertices'
     fields otherwise; when the path meets a pin, rhs = 0. ``forms_equal``
-    reads Z+-_v from a pass rooted at v, not from the pair matrix.
+    reads Z+-_v from the chain toward v, not from the pair matrix.
     """
     _require_tree(t)
     _require_unpinned(t, p, u, v)
     _check_feasible(t, p, params)
-
-    def rooted_at(root, pins):
-        return z_tree(t, pins, params, root=root, check_feasibility=False)
-
-    z, unpinned = rooted_at(u, p)
-    passes = [rooted_at(u, p.with_pin(v, s))[1] for s in (PLUS, MINUS)]
-    rep = _det_sides(t, p, u, v, passes, params.beta * params.gamma - ONE,
-                     params.field_vector(t.n).__getitem__, lambda: unpinned)
-    (zpp, _), (_, zmm) = (m.at(u) for m in passes)
-    zp_u, zm_u = unpinned.at(u)
-    zp_v, zm_v = rooted_at(v, p)[1].at(v)
+    path = t.tree_path(u, v)
+    z, msgs = z_tree(t, p, params, root=u, check_feasibility=False, held=path)
+    columns = [msgs.chain(path[::-1], {v: s}) for s in (0, 1)]
+    rep = _det_sides(t, p, path, columns, msgs, params.beta * params.gamma - ONE,
+                     params.field_vector(t.n).__getitem__)
+    scale = _scale(msgs, u)
+    zpp, zmm = _reduced(*columns[0][0], scale), _reduced(*columns[1][1], scale)
+    zp_u, zm_u = msgs.at(u)
+    zp_v, zm_v = (_reduced(re, im, scale) for re, im in msgs.chain(path))
     forms_equal = (z * zpp - zp_u * zp_v == rep.lhs
                    and z * zmm - zm_u * zm_v == rep.lhs)
     return replace(rep, forms_equal=forms_equal)
@@ -119,7 +123,7 @@ def cd_equivalent_forms(t: Graph, p: Pinning, u: int, v: int, params: Params) ->
     Verifies, exactly,
         Z * Z^{u+,v+} - Z+_u * Z+_v == Z * Z^{u-,v-} - Z-_u * Z-_v
                                     == Z^{++}Z^{--} - Z^{+-}Z^{-+}
-    on the passes of cd_sides.
+    on the pass and chains of cd_sides.
     """
     return cd_sides(t, p, u, v, params).forms_equal
 
@@ -131,22 +135,34 @@ def gutman_sides(t: Graph, u: int, v: int, lam) -> CdReport:
     Z_{T-path} Z_{T-N[path]} with all partition values taken at beta=0,
     gamma=1 (independence polynomials evaluated at lambda). Z_{T-S} is Z_T
     with S pinned -, a vertex of weight 1 that allows any neighbour; the -
-    entry of u's root message is then Z_{T-S-u}.
+    entry of u's message is then Z_{T-S-u}.
     """
     _require_tree(t)
     _require_unpinned(t, Pinning(), u, v)
     params = hardcore_params(lam)
-
-    def deleted(vertices):
-        pins = Pinning(tuple((w, MINUS) for w in vertices))
-        return z_tree(t, pins, params, root=u, check_feasibility=False)
-
     path = t.tree_path(u, v)
     d = len(path) - 1
-    closed = set(path).union(*map(t.neighbors, path))
-    (z_t, msgs), (z_v, msgs_v) = deleted(()), deleted((v,))
-    lhs = z_t * msgs_v.at(u)[1] - msgs.at(u)[1] * z_v
-    rhs = -((-params.field) ** (d + 1)) * deleted(path)[0] * deleted(closed)[0]
+    z_t, msgs = z_tree(t, Pinning(), params, root=u, check_feasibility=False, held=path)
+    scale = _scale(msgs, u)
+
+    def z(vec):
+        return _reduced(*map(sum, zip(*vec)), scale)
+
+    toward_u = path[::-1]
+    minus_v = msgs.chain(toward_u, {v: 1})
+    lhs = z_t * _reduced(*minus_v[1], scale) - msgs.at(u)[1] * z(minus_v)
+    # T - N[path]: the parts rebuilt with the hanging children pinned - too
+    _, mat, start = _pass_table(params, t.n)
+    on_path = set(path)
+    closed = []
+    for w in toward_u:
+        part = _pin(start[w], 1)
+        for y in t.neighbors(w):
+            if y not in on_path:
+                part = _absorb(mat, part, _pin(msgs.msgs[y][0], 1))
+        closed.append(part)
+    rhs = (-((-params.field) ** (d + 1)) * z(msgs.chain(toward_u, dict.fromkeys(path, 1)))
+           * z(_chain(mat, closed)))
     return CdReport(lhs=lhs, rhs=rhs, distance=d, path_hits_pinning=False,
                     equal=lhs == rhs)
 
@@ -186,11 +202,9 @@ def qspin_det_sides(t: Graph, p: Pinning, u: int, v: int, qp: QSpinParams) -> Cd
     """
     _require_tree(t)
     _require_unpinned(t, p, u, v)
+    path = t.tree_path(u, v)
+    msgs = z_qspin_tree(t, p, qp, root=u, held=path)[1]
+    columns = [msgs.chain(path[::-1], {v: s}) for s in range(qp.q)]
     lam_prod = math.prod(qp.lambdas)
-
-    def rooted_at_u(pins):
-        return z_qspin_tree(t, pins, qp, root=u)[1]
-
-    passes = [rooted_at_u(p.with_pin(v, s)) for s in range(1, qp.q + 1)]
-    return _det_sides(t, p, u, v, passes, exact_determinant(qp.matrix),
-                      lambda w: lam_prod, lambda: rooted_at_u(p))
+    return _det_sides(t, p, path, columns, msgs, exact_determinant(qp.matrix),
+                      lambda w: lam_prod)

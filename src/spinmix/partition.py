@@ -422,12 +422,15 @@ class TreeMessages:
     The tuple at w is the partition value of the subtree rooted at w (under
     the chosen roots) with w pinned to each spin: + and -, or 1..q. It is
     kept as Gaussian-integer numerators (re, im) over denom ** e, with
-    msgs[w] = (numerators, e), and reduced when read.
+    msgs[w] = (numerators, e), and reduced when read. ``held`` maps each
+    vertex the pass held back to its part: the numerators of its message
+    before its held child was absorbed.
     """
 
     msgs: list[tuple[list[tuple[int, int]], int]]
     denom: int
     matrix: list[list[tuple[int, int]]]
+    held: dict[int, list[tuple[int, int]]] = dataclasses.field(default_factory=dict)
 
     def at(self, v: int) -> tuple[ExactComplex, ...]:
         vec, e = self.msgs[v]
@@ -444,6 +447,28 @@ class TreeMessages:
                 re, im = re * fr - im * fi, re * fi + im * fr
             e += len(ones) * (ey + 1)
         return _reduced(re, im, self.denom ** e)
+
+    def chain(self, path, pins=None) -> list[tuple[int, int]]:
+        """Numerators of path[-1]'s message in the tree rooted there: the
+        held parts along ``path``, each masked to pins[w] when given, folded
+        from path[0] (_chain). ``path`` runs along the held vertices, either
+        way, so the value lies over denom ** e with e the root's exponent."""
+        pins = pins or {}
+        return _chain(self.matrix, [_pin(self.held[w], pins.get(w)) for w in path])
+
+
+def _pin(vec, k):
+    """vec with every entry but k zeroed; vec itself when k is None."""
+    return vec if k is None else [c if i == k else (0, 0) for i, c in enumerate(vec)]
+
+
+def _chain(matrix, parts):
+    """The fold of a path's parts from the first: each part absorbs the
+    fold of those before it, so the result is the last vertex's message."""
+    acc = parts[0]
+    for part in parts[1:]:
+        acc = _absorb(matrix, part, acc)
+    return acc
 
 
 def _forest_order(g: Graph, root: int | None):
@@ -508,12 +533,16 @@ def _pass_table(params: Params | QSpinParams, n: int) -> tuple[int, list, list]:
     return kept[1]
 
 
-def _tree_pass(pins: dict[int, int], table, forest
+def _tree_pass(pins: dict[int, int], table, forest, held: Sequence[int] = ()
                ) -> tuple[ExactComplex, TreeMessages]:
     """Leaves-first messages over ``forest`` (a _forest_order) on a
     _pass_table (D, q x q edge matrix, weights): x's message starts at
     weights[x], keeps only entry pins[x] when x is pinned, and is then
     absorbed into its parent's. Z is the product of the root sums.
+
+    ``held`` is a path from a root, root first. Its vertices are absorbed
+    last, from the far end, so each one's part built from its other
+    children is kept in TreeMessages.held; Z and the messages are the same.
 
     The pass runs on numerators over D. x's message lies over D ** e_x,
     e_x = 1 + sum over its children (e_c + 1), which depends on the forest
@@ -524,20 +553,30 @@ def _tree_pass(pins: dict[int, int], table, forest
     denom, mat, start = table
     vecs = list(start)
     exps = [1] * len(vecs)
+    if held and (parent[held[0]] >= 0
+                 or any(parent[y] != x for x, y in zip(held, held[1:]))):
+        raise ValueError("held vertices must form a path from a root, root first")
+    late = set(held)
     for x in reversed(order):
         k = pins.get(x)
         if k is not None:
-            vecs[x] = [c if i == k else (0, 0) for i, c in enumerate(vecs[x])]
+            vecs[x] = _pin(vecs[x], k)
         up = parent[x]
-        if up >= 0:
+        if up >= 0 and x not in late:
             vecs[up] = _absorb(mat, vecs[up], vecs[x])
             exps[up] += exps[x] + 1
+    parts = {x: vecs[x] for x in held}
+    for x in held[:0:-1]:
+        up = parent[x]
+        vecs[up] = _absorb(mat, vecs[up], vecs[x])
+        exps[up] += exps[x] + 1
     re, im, e = 1, 0, 0
     for r in roots:
         sr, si = map(sum, zip(*vecs[r]))
         re, im = re * sr - im * si, re * si + im * sr
         e += exps[r]
-    return _reduced(re, im, denom ** e), TreeMessages(list(zip(vecs, exps)), denom, mat)
+    return (_reduced(re, im, denom ** e),
+            TreeMessages(list(zip(vecs, exps)), denom, mat, parts))
 
 
 def _walk_pass(g: Graph, p: Pinning, params: Params, root: int,
@@ -599,13 +638,15 @@ def _walk_pass(g: Graph, p: Pinning, params: Params, root: int,
 
 def z_tree(t: Graph, p: Pinning, params: Params,
            root: int | None = None,
-           check_feasibility: bool = True) -> tuple[ExactComplex, TreeMessages]:
+           check_feasibility: bool = True,
+           held: Sequence[int] = ()) -> tuple[ExactComplex, TreeMessages]:
     """Partition value of an acyclic graph by bottom-up message passing.
 
     Components are rooted as in t.bfs(root): at their lowest-index vertex,
     or at ``root`` for its component. The scalar
     equals z_brute on the same inputs; the messages expose every pinned
-    subtree value needed by the identity right-hand sides. A cycle raises
+    subtree value needed by the identity right-hand sides, and the parts of
+    the ``held`` path from ``root`` (see _tree_pass). A cycle raises
     NotATreeError before any other check, so a caller can fall back to
     enumeration on the same arguments. The pass is the q-spin one, with
     matrix [[beta, 1], [1, gamma]] and weights (lambda_v, 1).
@@ -615,15 +656,16 @@ def z_tree(t: Graph, p: Pinning, params: Params,
     if check_feasibility:
         _check_feasible(t, p, params)
     return _tree_pass({v: 0 if s == PLUS else 1 for v, s in p.items()},
-                      _pass_table(params, t.n), forest)
+                      _pass_table(params, t.n), forest, held)
 
 
 def z_qspin_tree(t: Graph, p: Pinning, qp: QSpinParams,
-                 root: int | None = None) -> tuple[ExactComplex, TreeMessages]:
+                 root: int | None = None,
+                 held: Sequence[int] = ()) -> tuple[ExactComplex, TreeMessages]:
     """q-spin analogue of z_tree; messages are length-q tuples per vertex."""
     _check_qspin_pins(t, p, qp.q)
     return _tree_pass({v: s - 1 for v, s in p.items()}, _pass_table(qp, t.n),
-                      _forest_order(t, root))
+                      _forest_order(t, root), held)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ assignments with itertools and recomputes every weight from scratch, sharing
 no code with the library's bitmask enumeration or tree recursion.
 ``z_auto`` and ``z_pair`` are the one-value-per-pass routes the tree
 identities took before they read pinned values from root messages; tests
-keep them as references. ``series_div_naive`` is the series division the
+keep them as references. ``gutman_by_passes`` and ``qspin_det_by_passes``
+are the routes those identities took before one pass held the u-v path
+back: a tree pass rooted at u per pinned or deleted set, each value read
+from u's root message. ``series_div_naive`` is the series division the
 library ran before it went fraction-free: an ExactComplex inverse series
 times the numerator, each coefficient reduced after every operation.
 ``saw_marginal_tree`` and ``weitz_marginal_tree`` are the explicit SAW-tree
@@ -25,6 +28,7 @@ reduced.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -32,10 +36,11 @@ from spinmix.errors import (NotATreeError, PinningError, SeriesDivisionError,
                             ZeroPartitionError)
 from spinmix.graphs import (Graph, MINUS, PLUS, Pinning, SawTree, build_saw_tree,
                             build_saw_tree_truncated, disagreement_distance, is_proper)
+from spinmix.identities import exact_determinant
 from spinmix.mixing import LdcReport
 from spinmix.numerics import ExactComplex, Polynomial, PowerSeries, _reduced
-from spinmix.partition import (Params, _activity_term, _check_feasible, _fold, _horner,
-                               z_brute, z_tree)
+from spinmix.partition import (Params, QSpinParams, _activity_term, _check_feasible, _fold,
+                               _horner, hardcore_params, z_brute, z_qspin_tree, z_tree)
 
 
 def z_naive(g: Graph, p: Pinning, params: Params) -> ExactComplex:
@@ -84,6 +89,47 @@ def z_pair(g: Graph, p: Pinning, u: int, su: str, v: int, sv: str,
     _check_feasible(g, p, params)
     extended = p.with_pin(u, su).with_pin(v, sv)
     return z_auto(g, extended, params, check_feasibility=False)
+
+
+def gutman_by_passes(t: Graph, u: int, v: int, lam) -> tuple[ExactComplex, ExactComplex]:
+    """(lhs, rhs) of gutman_sides with each Z_{T-S} from a pass of its own:
+    z_tree on T with S pinned -, rooted at u, for S = {}, {v}, the u-v path
+    and its closed neighbourhood; Z_{T-u} and Z_{T-{u,v}} are the - entries
+    of u's root message in the first two."""
+    params = hardcore_params(lam)
+
+    def deleted(vertices):
+        pins = Pinning(tuple((w, MINUS) for w in vertices))
+        return z_tree(t, pins, params, root=u, check_feasibility=False)
+
+    path = t.tree_path(u, v)
+    closed = set(path).union(*map(t.neighbors, path))
+    (z_t, msgs), (z_v, msgs_v) = deleted(()), deleted((v,))
+    lhs = z_t * msgs_v.at(u)[1] - msgs.at(u)[1] * z_v
+    rhs = -((-params.field) ** len(path)) * deleted(path)[0] * deleted(closed)[0]
+    return lhs, rhs
+
+
+def qspin_det_by_passes(t: Graph, p: Pinning, u: int, v: int,
+                        qp: QSpinParams) -> tuple[ExactComplex, ExactComplex]:
+    """(lhs, rhs) of qspin_det_sides from q + 1 passes rooted at u: column j
+    of the pair matrix is u's root message in the pass with v pinned to spin
+    j, and its determinant is taken on the reduced values; each hanging
+    subtree's factors sum_j a_kj Z^j_y are summed from y's message in the
+    unpinned pass, value by value."""
+    columns = [z_qspin_tree(t, p.with_pin(v, s), qp, root=u)[1].at(u)
+               for s in range(1, qp.q + 1)]
+    lhs = exact_determinant(list(zip(*columns)))
+    path = t.tree_path(u, v)
+    if any(w in p for w in path):
+        return lhs, ExactComplex(0)
+    msgs = z_qspin_tree(t, p, qp, root=u)[1]
+    rhs = exact_determinant(qp.matrix) ** (len(path) - 1) * math.prod(qp.lambdas) ** len(path)
+    for y in sorted(set().union(*map(t.neighbors, path)) - set(path)):
+        zs = msgs.at(y)
+        for row in qp.matrix:
+            rhs = rhs * sum((a * z for a, z in zip(row, zs)), ExactComplex(0))
+    return lhs, rhs
 
 
 def _tree_root_marginal(g: Graph, st: SawTree, pins: Pinning, params: Params,

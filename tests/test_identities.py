@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import scalar, z_naive, z_naive_qspin, z_pair
-from spinmix import cli, identities, partition
+from conftest import (gutman_by_passes, qspin_det_by_passes, scalar, z_naive,
+                      z_naive_qspin, z_pair)
+from spinmix import cli, partition
 from spinmix.corpus import (PARAM_MODES, rand_feasible_pinning, rand_params,
                             rand_qspin_params, rand_qspin_pinning, rand_tree,
                             rand_unpinned_pair)
@@ -421,54 +422,54 @@ class TestPairFactorizations:
 
 
 class TestPassCounts:
-    """Every pinned value is read from a root message. The pair matrix takes
-    one pass rooted at u per spin of v, and the right side the unpinned pass
-    rooted at u; cd_sides adds one unpinned pass rooted at v for Z+-_v."""
+    """Each identity call makes one tree pass, rooted at u, that holds the
+    u-v path back, and reads one numerator table; every pinned value is a
+    chain of that pass."""
 
     STAR = Graph(5, ((0, 1), (1, 2), (1, 3), (3, 4)))
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """The root of every tree pass, per pass function."""
-        roots = {}
+        """Per tree pass, its forest roots and held path; per table build,
+        the string "table"."""
+        calls = []
+        real_pass, real_table = partition._tree_pass, partition._numerators
 
-        def counted(name):
-            real = getattr(partition, name)
+        def counted_pass(pins, table, forest, held=()):
+            calls.append((forest[0], list(held)))
+            return real_pass(pins, table, forest, held)
 
-            def wrapped(*args, **kwargs):
-                roots.setdefault(name, []).append(kwargs.get("root"))
-                return real(*args, **kwargs)
-            for module in (partition, identities):
-                monkeypatch.setattr(module, name, wrapped)
+        def counted_table(*args):
+            calls.append("table")
+            return real_table(*args)
+        monkeypatch.setattr(partition, "_tree_pass", counted_pass)
+        monkeypatch.setattr(partition, "_numerators", counted_table)
+        return calls
 
-        for name in ("z_tree", "z_qspin_tree"):
-            counted(name)
-        return roots
-
-    def test_cd_sides_four_passes(self, calls):
+    def test_cd_sides_one_pass(self, calls):
         params = Params(Fraction(5, 3), Fraction(-2, 7), Fraction(3, 4))
         rep = cd_sides(self.STAR, Pinning.of({4: MINUS}), 0, 2, params)
         assert rep.equal and rep.forms_equal and not rep.path_hits_pinning
-        assert calls == {"z_tree": [0, 0, 0, 2]}
+        assert calls == ["table", ((0,), [0, 1, 2])]
 
-    def test_cd_sides_four_passes_when_the_path_meets_a_pin(self, calls):
+    def test_cd_sides_one_pass_when_the_path_meets_a_pin(self, calls):
         params = Params(Fraction(5, 3), Fraction(-2, 7), Fraction(3, 4))
         rep = cd_sides(self.STAR, Pinning.of({1: PLUS}), 0, 2, params)
         assert rep.equal and rep.forms_equal and rep.path_hits_pinning
-        assert calls == {"z_tree": [0, 0, 0, 2]}
+        assert calls == ["table", ((0,), [0, 1, 2])]
 
     @pytest.mark.parametrize("q", [2, 3])
-    def test_qspin_det_sides_q_plus_one_passes(self, calls, q):
+    def test_qspin_det_sides_one_pass(self, calls, q):
         qp = rand_qspin_params(random.Random(q), q)
         rep = qspin_det_sides(self.STAR, Pinning.of({4: q}), 0, 2, qp)
         assert rep.equal and not rep.path_hits_pinning
         assert rep.forms_equal is None
-        assert calls == {"z_qspin_tree": [0] * (q + 1)}
+        assert calls == ["table", ((0,), [0, 1, 2])]
 
-    def test_gutman_sides_four_passes_rooted_at_u(self, calls):
+    def test_gutman_sides_one_pass_rooted_at_u(self, calls):
         rep = gutman_sides(self.STAR, 2, 4, Fraction(3, 4))
         assert rep.equal and rep.forms_equal is None
-        assert calls == {"z_tree": [2] * 4}
+        assert calls == ["table", ((2,), [2, 1, 3, 4])]
 
 
 class TestNumeratorTable:
@@ -600,26 +601,76 @@ def test_shared_passes_equal_the_separate_pass_route():
 
 @pytest.mark.parametrize("entry", [0, 1], ids=["plus", "minus"])
 def test_perturbed_v_rooted_value_fails_the_forms_check(entry, monkeypatch):
-    """Z+-_v comes from its own pass rooted at v, not from the pair matrix's
+    """Z+-_v comes from the chain toward v, not from the pair matrix's
     column sums, so a wrong value there fails the forms check."""
     star = TestPassCounts.STAR
     params = Params(Fraction(5, 3), Fraction(-2, 7), Fraction(3, 4))
     pins, u, v = Pinning.of({4: MINUS}), 0, 2
     assert cd_sides(star, pins, u, v, params).forms_equal
-    real = identities.z_tree
+    real = partition.TreeMessages.chain
 
-    def perturbed(*args, **kwargs):
-        z, msgs = real(*args, **kwargs)
-        if kwargs.get("root") == v:
-            at = msgs.at
-            msgs.at = lambda w: tuple(x + ExactComplex(1) if i == entry else x
-                                      for i, x in enumerate(at(w)))
-        return z, msgs
+    def perturbed(self, path, pins=None):
+        vec = real(self, path, pins)
+        if path[-1] == v:
+            vec = [(re + 1, im) if i == entry else (re, im) for i, (re, im) in enumerate(vec)]
+        return vec
 
-    monkeypatch.setattr(identities, "z_tree", perturbed)
+    monkeypatch.setattr(partition.TreeMessages, "chain", perturbed)
     rep = cd_sides(star, pins, u, v, params)
     assert rep.equal and rep.forms_equal is False
     assert cd_equivalent_forms(star, pins, u, v, params) is False
+
+
+@pytest.mark.parametrize("params", [Params(2, 3, 1), Params(0, 1, Fraction(1, 2))],
+                         ids=["generic", "hardcore"])
+def test_pin_outside_the_tree_is_pinning_error(params):
+    with pytest.raises(PinningError, match="out of range"):
+        cd_sides(PATH3, Pinning.of({7: PLUS}), 0, 2, params)
+    with pytest.raises(PinningError, match="out of range"):
+        cd_equivalent_forms(PATH3, Pinning.of({7: MINUS}), 0, 2, params)
+    with pytest.raises(PinningError, match="out of range"):
+        qspin_det_sides(PATH3, Pinning.of({7: 1}), 0, 2,
+                        rand_qspin_params(random.Random(0), 3))
+
+
+def chain_route_instances(seed, trials):
+    """Seeded random trees with a vertex pair, and a census of the cases the
+    chain route must get right: u and v adjacent (d = 1), a leaf endpoint."""
+    rng = random.Random(seed)
+    seen = Counter()
+    for _ in range(trials):
+        n = rng.randint(2, 12)
+        t = rand_tree(rng, n)
+        u, v = rand_unpinned_pair(rng, t, Pinning())
+        seen["adjacent"] += v in t.neighbors(u)
+        seen["leaf endpoint"] += min(t.degree(u), t.degree(v)) == 1
+        yield rng, t, u, v, seen
+
+
+def test_gutman_sides_equals_the_per_pass_route():
+    for rng, t, u, v, seen in chain_route_instances(4099, 200):
+        lam = scalar(rng, nonzero=True, complex_prob=0.3)
+        rep = gutman_sides(t, u, v, lam)
+        assert (rep.lhs, rep.rhs) == gutman_by_passes(t, u, v, lam), (t, u, v, lam)
+        assert rep.equal and rep.distance == len(t.tree_path(u, v)) - 1
+    assert seen["adjacent"] >= 20 and seen["leaf endpoint"] >= 40
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_qspin_det_sides_equals_the_per_pass_route(q):
+    pins_seen = Counter()
+    for rng, t, u, v, seen in chain_route_instances(6007 + q, 150):
+        qp = rand_qspin_params(rng, q)
+        pins = rand_qspin_pinning(rng, t, q, exclude=(u, v), pin_prob=0.3)
+        path = t.tree_path(u, v)
+        pins_seen["on path"] += any(w in pins for w in path)
+        pins_seen["hanging"] += any(y in pins and y not in path
+                                    for w in path for y in t.neighbors(w))
+        rep = qspin_det_sides(t, pins, u, v, qp)
+        assert (rep.lhs, rep.rhs) == qspin_det_by_passes(t, pins, u, v, qp), (t, pins, u, v)
+        assert rep.equal and rep.path_hits_pinning == any(w in pins for w in path)
+    assert seen["adjacent"] >= 15 and seen["leaf endpoint"] >= 30
+    assert pins_seen["on path"] >= 15 and pins_seen["hanging"] >= 30
 
 
 @pytest.mark.parametrize("u,v", [(0, 3), (3, 0), (0, -1), (-1, 0), (0, 99)])
@@ -675,19 +726,14 @@ def test_gutman_report_digest(tmp_path, capsys):
 
 
 def test_eval_cd_builds_each_forest_order_once(monkeypatch):
-    """One cd-check instance runs 4 tree passes on one parsed graph, 3 rooted
-    at u and 1 at v, also when the u-v path meets a pin. Each (graph, root)
-    order is built once."""
-    calls, alive = [], []
+    """One cd-check instance runs 1 tree pass on one parsed graph, rooted at
+    u, also when the u-v path meets a pin."""
+    calls = []
     real = partition._forest_order
 
     def counted(g, root):
-        # a built order is a new object, a kept one is returned again; holding
-        # every graph and order keeps their ids distinct
-        forest = real(g, root)
-        alive.append((g, forest))
-        calls.append((id(g), root, id(forest)))
-        return forest
+        calls.append(root)
+        return real(g, root)
 
     monkeypatch.setattr(partition, "_forest_order", counted)
     rng = random.Random(5)
@@ -698,19 +744,15 @@ def test_eval_cd_builds_each_forest_order_once(monkeypatch):
         calls.clear()
         ok, row = cli.eval_cd(inst)
         assert ok
-        assert len(calls) == 4
-        assert [root for _, root, _ in calls].count(inst["u"]) == 3
-        built = set(calls)
-        assert len(built) == len({key[:2] for key in built}) == 2
-        assert {root for _, root, _ in built} == {inst["u"], inst["v"]}
+        assert calls == [inst["u"]]
         hits += row["path_hits_pinning"]
     assert hits > 0
 
 
 def test_cd_sides_builds_each_bfs_forest_once(monkeypatch):
-    """is_tree, tree_path and the 4 passes of one cd_sides call share the
-    graph's kept forests: 6 reads of Graph.bfs build one forest each for the
-    roots None (the connectivity check), u and v."""
+    """is_tree, tree_path and the one pass of a cd_sides call share the
+    graph's kept forests: 3 reads of Graph.bfs build one forest each for the
+    roots None (the connectivity check) and u, and none for v."""
     reads, built = [], {}
     real = Graph.bfs
 
@@ -732,6 +774,5 @@ def test_cd_sides_builds_each_bfs_forest_once(monkeypatch):
         u, v = inst["u"], inst["v"]
         assert cd_sides(inst["graph"], inst["pins"], u, v, inst["params"]).equal
         roots = [root for root, _ in built.values()]
-        assert len(roots) == len(set(roots)) == 3
-        assert set(roots) == {None, u, v}
-        assert Counter(reads) == Counter({None: 1, u: 4, v: 1})
+        assert Counter(roots) == Counter([None, u])
+        assert Counter(reads) == Counter({None: 1, u: 2})

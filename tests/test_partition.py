@@ -12,7 +12,7 @@ from spinmix.errors import (CapExceededError, NotATreeError, PinningError,
                             ZeroPartitionError)
 from spinmix.graphs import Graph, MINUS, PLUS, Pinning
 from spinmix.mixing import marginal, marginal_series_beta, marginal_series_lambda
-from spinmix.numerics import ExactComplex
+from spinmix.numerics import ExactComplex, _reduced
 from spinmix.partition import (Params, QSpinParams, _monomial_counts, eliminate_pins,
                                hardcore_params, spin_reversal, two_spin_embedding,
                                z_brute, z_poly_lambda, z_qspin, z_qspin_tree, z_tree)
@@ -675,6 +675,32 @@ class TestIntegerPass:
                 zp, zm = msgs.at(y)
                 expected = expected * (params.beta * zp + zm) * (zp + params.gamma * zm)
             assert msgs.edge_product(ys) == expected
+
+    def test_held_path_leaves_z_and_messages(self):
+        """Holding the u-v path back changes neither Z nor any message. The
+        chain toward u is u's root message, numerator for numerator, and the
+        chain toward v is v's message in the pass rooted at v."""
+        rng = random.Random(107)
+        modes = ("generic", "beta0", "gamma0", "bg1", "fields", "complex")
+        for trial in range(40):
+            n = rng.randint(2, 10)
+            t = rand_tree(rng, n)
+            params = rand_params(rng, modes[trial % len(modes)], n)
+            pins = rand_feasible_pinning(rng, t, params.beta_is_zero, params.gamma_is_zero)
+            u, v = rng.sample(range(n), 2)
+            path = t.tree_path(u, v)
+            z, msgs = z_tree(t, pins, params, root=u)
+            z_held, held = z_tree(t, pins, params, root=u, held=path)
+            assert z_held == z and held.msgs == msgs.msgs and list(held.held) == path
+            assert held.chain(path[::-1]) == msgs.msgs[u][0]
+            scale = msgs.denom ** msgs.msgs[u][1]
+            assert (tuple(_reduced(re, im, scale) for re, im in held.chain(path))
+                    == z_tree(t, pins, params, root=v)[1].at(v))
+
+    @pytest.mark.parametrize("held", [[1, 2], [0, 2], [2, 1, 0]])
+    def test_held_vertices_must_be_a_path_from_the_root(self, held):
+        with pytest.raises(ValueError, match="path from a root"):
+            z_tree(PATH3, Pinning(), Params(2, 3, 1), root=0, held=held)
 
 
 def test_forest_order_kept_on_the_graph():
