@@ -21,10 +21,10 @@ from .mixing import (DecayInstance, DecayProfile, LdcReport, MarginalSeries,
                      path_decay_instances, saw_tree_marginal,
                      verify_saw_marginal, weitz_approx_marginal)
 from .numerics import (ExactComplex, Polynomial, PowerSeries, match_roots,
-                       parse_scalar, poly_roots, series_div, series_invert)
+                       parse_scalar, poly_roots, series_div)
 from .partition import (Params, QSpinParams, TreeMessages, eliminate_pins,
                         hardcore_params, spin_reversal, two_spin_embedding,
-                        z_brute, z_poly_lambda, z_qspin, z_qspin_tree, z_tree)
+                        z_brute, z_poly_lambda, z_qspin_tree, z_tree)
 from .zerofree import (RootReport, lambda_root_scan, pinned_annulus_check,
                        region_min_modulus, single_pin_check)
 

@@ -123,9 +123,6 @@ class Graph:
             dist[x] = dist[parent[x]] + 1
         return dist
 
-    def distance(self, u: int, v: int) -> float:
-        return self.distances_from(u)[v]
-
     def diameter(self) -> int:
         """Largest finite pairwise distance (0 for edgeless graphs)."""
         masks = _neighbour_masks(self.n, self.edges)
@@ -133,9 +130,6 @@ class Graph:
 
     def is_connected(self) -> bool:
         return len(self.bfs()[0]) <= 1
-
-    def is_tree(self) -> bool:
-        return self.is_connected() and len(self.edges) == self.n - 1
 
     def components(self) -> list[list[int]]:
         comps: list[list[int]] = []

@@ -29,8 +29,7 @@ from .errors import NotATreeError, PinningError
 from .graphs import Graph, Pinning
 from .numerics import ONE, ZERO, ExactComplex, _common_numerators, _reduced
 from .partition import (Params, QSpinParams, TreeMessages, _absorb, _chain,
-                        _check_feasible, _pass_table, _pin, hardcore_params,
-                        z_qspin_tree, z_tree)
+                        _pass_table, _pin, hardcore_params, z_qspin_tree, z_tree)
 
 
 @dataclass(frozen=True)
@@ -46,8 +45,10 @@ class CdReport:
     forms_equal: bool | None = None
 
 
-def _require_tree(t: Graph):
-    if not t.is_tree():
+def _require_tree(t: Graph, u: int):
+    """The forest rooted at u, which tree_path and the pass read too, has
+    one root and n - 1 edges."""
+    if len(t.bfs(u)[0]) != 1 or len(t.edges) != t.n - 1:
         raise NotATreeError("identity requires a connected acyclic graph")
 
 
@@ -100,11 +101,10 @@ def cd_sides(t: Graph, p: Pinning, u: int, v: int, params: Params) -> CdReport:
     fields otherwise; when the path meets a pin, rhs = 0. ``forms_equal``
     reads Z+-_v from the chain toward v, not from the pair matrix.
     """
-    _require_tree(t)
     _require_unpinned(t, p, u, v)
-    _check_feasible(t, p, params)
+    _require_tree(t, u)
     path = t.tree_path(u, v)
-    z, msgs = z_tree(t, p, params, root=u, check_feasibility=False, held=path)
+    z, msgs = z_tree(t, p, params, root=u, held=path)
     columns = [msgs.chain(path[::-1], {v: s}) for s in (0, 1)]
     rep = _det_sides(t, p, path, columns, msgs, params.beta * params.gamma - ONE,
                      params.field_vector(t.n).__getitem__)
@@ -137,12 +137,12 @@ def gutman_sides(t: Graph, u: int, v: int, lam) -> CdReport:
     with S pinned -, a vertex of weight 1 that allows any neighbour; the -
     entry of u's message is then Z_{T-S-u}.
     """
-    _require_tree(t)
     _require_unpinned(t, Pinning(), u, v)
+    _require_tree(t, u)
     params = hardcore_params(lam)
     path = t.tree_path(u, v)
     d = len(path) - 1
-    z_t, msgs = z_tree(t, Pinning(), params, root=u, check_feasibility=False, held=path)
+    z_t, msgs = z_tree(t, Pinning(), params, root=u, held=path)
     scale = _scale(msgs, u)
 
     def z(vec):
@@ -200,8 +200,8 @@ def qspin_det_sides(t: Graph, p: Pinning, u: int, v: int, qp: QSpinParams) -> Cd
     field power reads the product of all q field values raised to d+1, the
     reading validated against the brute-force determinant oracle.
     """
-    _require_tree(t)
     _require_unpinned(t, p, u, v)
+    _require_tree(t, u)
     path = t.tree_path(u, v)
     msgs = z_qspin_tree(t, p, qp, root=u, held=path)[1]
     columns = [msgs.chain(path[::-1], {v: s}) for s in range(qp.q)]

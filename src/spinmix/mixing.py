@@ -285,12 +285,6 @@ class DecayProfile:
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError("distances must be strictly increasing")
 
-    def predicted_gap(self, k: int) -> float | None:
-        """Fitted-curve value C * r^-k, the overlay to plot against the data."""
-        if self.rate is None or self.constant is None:
-            return None
-        return self.constant * self.rate ** (-k)
-
     def sidecar(self) -> dict:
         return {"rate": self.rate, "constant": self.constant}
 

@@ -332,11 +332,6 @@ class PowerSeries:
         return out
 
 
-def series_invert(s: PowerSeries) -> PowerSeries:
-    """Multiplicative inverse of a series with nonzero constant term."""
-    return series_div(PowerSeries((ONE,) + (ZERO,) * (s.order - 1)), s)
-
-
 def series_div(num: PowerSeries, den: PowerSeries) -> PowerSeries:
     """Formal quotient num/den, cancelling a shared leading x^k factor first.
 
@@ -424,11 +419,6 @@ class Polynomial:
 
     def shifted_down(self, k: int) -> "Polynomial":
         return Polynomial(self.coefficients[k:])
-
-    def to_series(self, order: int) -> PowerSeries:
-        coeffs = list(self.coefficients[:order])
-        coeffs += [ZERO] * (order - len(coeffs))
-        return PowerSeries(coeffs)
 
 
 # ---------------------------------------------------------------------------

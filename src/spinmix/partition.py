@@ -355,22 +355,17 @@ def _horner(vec: list[tuple[int, int]], center: ExactComplex,
     return [(re[i] * cd ** i, im[i] * cd ** i) for i in range(order)]
 
 
-def z_brute(g: Graph, p: Pinning, params: Params,
-            check_feasibility: bool = True, probe: int | None = None
+def z_brute(g: Graph, p: Pinning, params: Params, probe: int | None = None
             ) -> ExactComplex | tuple[ExactComplex, ...]:
     """Partition value by explicit enumeration of all extensions of p.
 
-    ``check_feasibility`` guards the caller-supplied pinning; pass False
-    when evaluating programmatic pin extensions whose infeasible cases must
-    contribute zero instead of erroring (the weight semantics already give
-    every infeasible configuration weight zero). With a free ``probe``
-    vertex v, returns (Z, Z+_v), Z+_v being the value with v pinned +, from
-    one enumeration.
+    An infeasible p raises PinningError. With a free ``probe`` vertex v,
+    returns (Z, Z+_v), Z+_v being the value with v pinned +, from one
+    enumeration.
     """
     # the cap error precedes the pinning error (the table's check comes later)
     _check_cap(g)
-    if check_feasibility:
-        _check_feasible(g, p, params)
+    _check_feasible(g, p, params)
     weights = None if params.uniform else params.field_vector(g.n)
     term, den, dw = _lambda_tables(g, params.beta, params.gamma, weights)
     vectors = _fold(g, p, weights, probe, g.n + 1, term)
@@ -379,35 +374,6 @@ def z_brute(g: Graph, p: Pinning, params: Params,
     over = den * lam._abd[2] ** g.n
     values = [_reduced(*_horner(vec, lam, 1)[0], over) for vec in vectors]
     return values[0] if probe is None else tuple(values)
-
-
-def z_qspin(g: Graph, p: Pinning, qp: QSpinParams) -> ExactComplex:
-    """q-spin partition value: sum of prod lambda_{s(v)} * prod a_{s(u),s(v)}.
-
-    Pins assign spins in 1..q.
-    """
-    _check_cap(g)
-    q = qp.q
-    _check_qspin_pins(g, p, q)
-    free = [v for v in range(g.n) if v not in p]
-    if q ** len(free) > (1 << ENUMERATION_CAP):
-        raise CapExceededError("q-spin enumeration too large")
-    spin = [0] * g.n
-    for v, s in p.items():
-        spin[v] = s - 1
-    lams = qp.lambdas
-    mat = qp.matrix
-    total = ZERO
-    for combo in itertools.product(range(q), repeat=len(free)):
-        for i, v in enumerate(free):
-            spin[v] = combo[i]
-        w = ONE
-        for v in range(g.n):
-            w = w * lams[spin[v]]
-        for u, v in g.edges:
-            w = w * mat[spin[u]][spin[v]]
-        total = total + w
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +604,6 @@ def _walk_pass(g: Graph, p: Pinning, params: Params, root: int,
 
 def z_tree(t: Graph, p: Pinning, params: Params,
            root: int | None = None,
-           check_feasibility: bool = True,
            held: Sequence[int] = ()) -> tuple[ExactComplex, TreeMessages]:
     """Partition value of an acyclic graph by bottom-up message passing.
 
@@ -653,8 +618,7 @@ def z_tree(t: Graph, p: Pinning, params: Params,
     """
     forest = _forest_order(t, root)
     _check_pins_in_range(t, p)
-    if check_feasibility:
-        _check_feasible(t, p, params)
+    _check_feasible(t, p, params)
     return _tree_pass({v: 0 if s == PLUS else 1 for v, s in p.items()},
                       _pass_table(params, t.n), forest, held)
 

@@ -35,7 +35,8 @@ from fractions import Fraction
 from spinmix.errors import (NotATreeError, PinningError, SeriesDivisionError,
                             ZeroPartitionError)
 from spinmix.graphs import (Graph, MINUS, PLUS, Pinning, SawTree, build_saw_tree,
-                            build_saw_tree_truncated, disagreement_distance, is_proper)
+                            build_saw_tree_truncated, disagreement_distance,
+                            is_feasible, is_proper)
 from spinmix.identities import exact_determinant
 from spinmix.mixing import LdcReport
 from spinmix.numerics import ExactComplex, Polynomial, PowerSeries, _reduced
@@ -62,8 +63,7 @@ def z_naive(g: Graph, p: Pinning, params: Params) -> ExactComplex:
     return total
 
 
-def z_auto(g: Graph, p: Pinning, params: Params,
-           check_feasibility: bool = True) -> ExactComplex:
+def z_auto(g: Graph, p: Pinning, params: Params) -> ExactComplex:
     """Tree message passing when the graph is acyclic, brute force otherwise.
 
     The graph is traversed once: z_tree meets a cycle before any other check
@@ -71,9 +71,9 @@ def z_auto(g: Graph, p: Pinning, params: Params,
     error.
     """
     try:
-        return z_tree(g, p, params, check_feasibility=check_feasibility)[0]
+        return z_tree(g, p, params)[0]
     except NotATreeError:
-        return z_brute(g, p, params, check_feasibility=check_feasibility)
+        return z_brute(g, p, params)
 
 
 def z_pair(g: Graph, p: Pinning, u: int, su: str, v: int, sv: str,
@@ -88,7 +88,9 @@ def z_pair(g: Graph, p: Pinning, u: int, su: str, v: int, sv: str,
         raise ValueError("z_pair needs two distinct vertices")
     _check_feasible(g, p, params)
     extended = p.with_pin(u, su).with_pin(v, sv)
-    return z_auto(g, extended, params, check_feasibility=False)
+    if not is_feasible(g, extended, params.beta_is_zero, params.gamma_is_zero):
+        return ExactComplex(0)
+    return z_auto(g, extended, params)
 
 
 def gutman_by_passes(t: Graph, u: int, v: int, lam) -> tuple[ExactComplex, ExactComplex]:
@@ -100,7 +102,7 @@ def gutman_by_passes(t: Graph, u: int, v: int, lam) -> tuple[ExactComplex, Exact
 
     def deleted(vertices):
         pins = Pinning(tuple((w, MINUS) for w in vertices))
-        return z_tree(t, pins, params, root=u, check_feasibility=False)
+        return z_tree(t, pins, params, root=u)
 
     path = t.tree_path(u, v)
     closed = set(path).union(*map(t.neighbors, path))

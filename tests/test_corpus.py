@@ -58,7 +58,7 @@ def test_tree_same_trees_and_stream_as_reference():
         mine, theirs = random.Random(seed), random.Random(seed)
         t = corpus.rand_tree(mine, n)
         assert t == reference_rand_tree(theirs, n)
-        assert t.is_tree() or n == 0
+        assert (t.is_connected() and len(t.edges) == n - 1) or n == 0
         assert mine.getstate() == theirs.getstate()
 
 

@@ -13,7 +13,7 @@ from spinmix.corpus import (PARAM_MODES, rand_feasible_pinning, rand_params,
                             rand_qspin_params, rand_qspin_pinning, rand_tree,
                             rand_unpinned_pair)
 from spinmix.errors import NotATreeError, PinningError
-from spinmix.graphs import Graph, MINUS, PLUS, Pinning
+from spinmix.graphs import Graph, MINUS, PLUS, Pinning, is_feasible
 from spinmix.identities import (cd_equivalent_forms, cd_sides,
                                 exact_determinant, gutman_sides,
                                 qspin_det_sides)
@@ -574,7 +574,9 @@ def cd_by_separate_passes(t, p, u, v, params):
             rhs = rhs * (beta * zp + zm) * (zp + gamma * zm)
 
     def z(pins):
-        return z_tree(t, pins, params, check_feasibility=False)[0]
+        if not is_feasible(t, pins, params.beta_is_zero, params.gamma_is_zero):
+            return ExactComplex(0)
+        return z_tree(t, pins, params)[0]
     zp_u, zm_u = z(p.with_pin(u, PLUS)), z(p.with_pin(u, MINUS))
     zp_v, zm_v = z(p.with_pin(v, PLUS)), z(p.with_pin(v, MINUS))
     forms = (z(p) * zpp - zp_u * zp_v == lhs and z(p) * zmm - zm_u * zm_v == lhs)
@@ -631,6 +633,30 @@ def test_pin_outside_the_tree_is_pinning_error(params):
     with pytest.raises(PinningError, match="out of range"):
         qspin_det_sides(PATH3, Pinning.of({7: 1}), 0, 2,
                         rand_qspin_params(random.Random(0), 3))
+
+
+@pytest.mark.parametrize("g", [Graph(3, ((0, 1), (1, 2), (0, 2))),
+                               Graph(4, ((0, 1), (2, 3)))],
+                         ids=["triangle", "two-components"])
+def test_non_tree_is_not_a_tree_error(g):
+    # the pass over the forest rooted at u accepts the two components: only
+    # the identities' tree check rejects them
+    with pytest.raises(NotATreeError):
+        cd_sides(g, Pinning(), 0, 1, Params(2, 3, 1))
+    with pytest.raises(NotATreeError):
+        gutman_sides(g, 0, 1, 1)
+    with pytest.raises(NotATreeError):
+        qspin_det_sides(g, Pinning(), 0, 1, rand_qspin_params(random.Random(0), 3))
+
+
+def test_adjacent_plus_pins_at_beta_zero_are_pinning_error():
+    path4 = Graph(4, ((0, 1), (1, 2), (2, 3)))
+    pins = Pinning.of({2: PLUS, 3: PLUS})
+    params = hardcore_params(Fraction(1, 2))
+    with pytest.raises(PinningError, match="infeasible"):
+        cd_sides(path4, pins, 0, 1, params)
+    with pytest.raises(PinningError, match="infeasible"):
+        cd_equivalent_forms(path4, pins, 0, 1, params)
 
 
 def chain_route_instances(seed, trials):
@@ -750,9 +776,10 @@ def test_eval_cd_builds_each_forest_order_once(monkeypatch):
 
 
 def test_cd_sides_builds_each_bfs_forest_once(monkeypatch):
-    """is_tree, tree_path and the one pass of a cd_sides call share the
-    graph's kept forests: 3 reads of Graph.bfs build one forest each for the
-    roots None (the connectivity check) and u, and none for v."""
+    """The tree check, tree_path and the one pass of an identity call share
+    the graph's kept forest: 3 reads of Graph.bfs, all rooted at u, build
+    one forest, and none for v or for no root. gutman_sides and
+    qspin_det_sides run on a fresh copy of each cd-check tree."""
     reads, built = [], {}
     real = Graph.bfs
 
@@ -767,12 +794,18 @@ def test_cd_sides_builds_each_bfs_forest_once(monkeypatch):
     monkeypatch.setattr(Graph, "bfs", counted)
     rng = random.Random(19)
     cfg = cli._build_parser().parse_args(["cd-check"])
+    qp = rand_qspin_params(random.Random(0), 3)
     for trial in range(12):
         inst = cli._gen_cd(cfg, rng, trial)
-        reads.clear()
-        built.clear()
-        u, v = inst["u"], inst["v"]
-        assert cd_sides(inst["graph"], inst["pins"], u, v, inst["params"]).equal
-        roots = [root for root, _ in built.values()]
-        assert Counter(roots) == Counter([None, u])
-        assert Counter(reads) == Counter({None: 1, u: 2})
+        t, u, v = inst["graph"], inst["u"], inst["v"]
+        calls = [lambda g: cd_sides(g, inst["pins"], u, v, inst["params"]),
+                 lambda g: gutman_sides(g, u, v, 1),
+                 lambda g: qspin_det_sides(g, Pinning(), u, v, qp)]
+        for call in calls:
+            reads.clear()
+            built.clear()
+            assert call(t).equal
+            roots = [root for root, _ in built.values()]
+            assert roots == [u]
+            assert reads == [u] * 3
+            t = Graph(t.n, t.edges)
