@@ -128,9 +128,6 @@ class Graph:
         masks = _neighbour_masks(self.n, self.edges)
         return max((_frontier_walk(masks, v)[1] for v in range(self.n)), default=0)
 
-    def is_connected(self) -> bool:
-        return len(self.bfs()[0]) <= 1
-
     def components(self) -> list[list[int]]:
         comps: list[list[int]] = []
         _, order, parent = self.bfs()
@@ -294,13 +291,6 @@ class Pinning:
         if v in self:
             raise PinningError(f"vertex {v} is already pinned")
         return Pinning(self.pins + ((v, spin),))
-
-    def restricted(self, keep: Iterable[int]) -> "Pinning":
-        keep = set(keep)
-        return Pinning(tuple((v, s) for v, s in self.pins if v in keep))
-
-    def remapped(self, mapping: Mapping[int, int]) -> "Pinning":
-        return Pinning(tuple((mapping[v], s) for v, s in self.pins if v in mapping))
 
     def flipped(self) -> "Pinning":
         return Pinning(tuple((v, flip_spin(s)) for v, s in self.pins))

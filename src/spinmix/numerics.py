@@ -376,25 +376,49 @@ def series_div(num: PowerSeries, den: PowerSeries) -> PowerSeries:
 
 
 class Polynomial:
-    """Exact polynomial in one variable; trailing zero coefficients trimmed."""
+    """Exact polynomial in one variable: Gaussian-integer numerators (re, im)
+    over one positive denominator.
 
-    __slots__ = ("coefficients",)
+    The pair is kept canonical, trailing zero numerators trimmed and
+    gcd(all numerators, den) == 1, so equal polynomials have equal pairs.
+    ``coefficients`` reduces each numerator over den when it is read.
+    """
+
+    __slots__ = ("numerators", "den")
 
     def __init__(self, coefficients: Iterable):
         coeffs = [ExactComplex._coerce(c) for c in coefficients]
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        self.coefficients = tuple(coeffs)
+        self._store(_common_numerators(coeffs), math.lcm(*[c._abd[2] for c in coeffs]))
+
+    @classmethod
+    def over(cls, numerators: list[tuple[int, int]], den: int) -> "Polynomial":
+        """The polynomial sum_k numerators[k] x^k / den, for any den > 0."""
+        p = _new(cls)
+        p._store(list(numerators), den)
+        return p
+
+    def _store(self, nums: list[tuple[int, int]], den: int):
+        while nums and nums[-1] == (0, 0):
+            nums.pop()
+        g = gcd(den, *itertools.chain.from_iterable(nums))
+        if g != 1:
+            nums = [(a // g, b // g) for a, b in nums]
+        self.numerators, self.den = tuple(nums), den // g
+
+    @property
+    def coefficients(self) -> tuple[ExactComplex, ...]:
+        return tuple(_reduced(a, b, self.den) for a, b in self.numerators)
 
     @property
     def degree(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self.numerators) - 1
 
     def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.coefficients == other.coefficients
+        return (isinstance(other, Polynomial) and self.den == other.den
+                and self.numerators == other.numerators)
 
     def __hash__(self):
-        return hash(self.coefficients)
+        return hash((self.numerators, self.den))
 
     def __repr__(self):
         return f"Polynomial([{', '.join(str(c) for c in self.coefficients)}])"
@@ -406,19 +430,21 @@ class Polynomial:
         return out
 
     def evaluate_complex(self, x: complex) -> complex:
+        # int / int rounds correctly, so each term is its coefficient's to_complex
+        d = self.den
         out = 0j
-        for c in reversed(self.coefficients):
-            out = out * x + c.to_complex()
+        for a, b in reversed(self.numerators):
+            out = out * x + complex(a / d, b / d)
         return out
 
     def valuation(self) -> int | None:
-        for i, c in enumerate(self.coefficients):
-            if not c.is_zero():
+        for i, c in enumerate(self.numerators):
+            if c != (0, 0):
                 return i
         return None
 
     def shifted_down(self, k: int) -> "Polynomial":
-        return Polynomial(self.coefficients[k:])
+        return Polynomial.over(self.numerators[k:], self.den)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +515,7 @@ def _derivative(a: list) -> list:
 
 def _monic(a: list) -> Polynomial:
     """a / lc(a) for an a with a positive integer lead."""
-    lead = a[-1][0]
-    return Polynomial([_reduced(x, y, lead) for x, y in a])
+    return Polynomial.over(a, a[-1][0])
 
 
 def square_free_factors(p: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -504,7 +529,7 @@ def square_free_factors(p: Polynomial) -> list[tuple[Polynomial, int]]:
     """
     if p.degree < 1:
         return []
-    w = _primitive(_common_numerators(p.coefficients))
+    w = _primitive(list(p.numerators))
     z = _derivative(w)
     a = _primitive(_gcd(w, z))
     if len(a) == 1:
@@ -560,13 +585,12 @@ def poly_roots(p: Polynomial) -> list[complex]:
     exact decomposition, never from float clustering. Each factor starts
     from a deterministic circle of radius 1 + max|c_i|/|lead| and refines
     until every residual |p(z)| / (1 + |lead| |z|^deg) drops below _ROOT_TOL.
-    Raises RootConvergenceError after the sweep cap instead of silently
+    Raises ValueError when a monic factor's coefficient overflows a double,
+    and RootConvergenceError after the sweep cap instead of silently
     returning unconverged values. Output is sorted by (re, im).
     """
     if p.degree < 1:
         raise ValueError("poly_roots requires degree >= 1")
-    if not all(cmath.isfinite(c.to_complex()) for c in p.coefficients):
-        raise ValueError("coefficients overflow double precision")
     roots: list[complex] = []
     for factor, multiplicity in square_free_factors(p):
         roots.extend(_aberth_simple(factor) * multiplicity)
@@ -574,17 +598,21 @@ def poly_roots(p: Polynomial) -> list[complex]:
 
 
 def _aberth_simple(p: Polynomial) -> list[complex]:
-    """Aberth iteration on a polynomial known to have simple roots.
+    """Aberth iteration on a monic polynomial known to have simple roots.
 
-    Coefficients are rescaled by their largest magnitude first (roots are
-    unchanged), so the residual criterion is relative to the coefficient
-    norm and stays reachable for ill-scaled inputs.
+    Each float coefficient is a numerator over p.den: int / int rounds
+    correctly, so it is the reduced coefficient's to_complex. Coefficients
+    are rescaled by their largest magnitude first (roots are unchanged), so
+    the residual criterion is relative to the coefficient norm and stays
+    reachable for ill-scaled inputs.
     """
-    coeffs = [c.to_complex() for c in p.coefficients]
+    den = p.den
+    try:
+        coeffs = [complex(a / den, b / den) for a, b in p.numerators]
+    except OverflowError:
+        raise ValueError("coefficients overflow double precision") from None
     deg = len(coeffs) - 1
     lead = coeffs[-1]
-    if lead == 0 or not all(cmath.isfinite(c) for c in coeffs):
-        raise ValueError("coefficients overflow double precision")
     if deg == 1:
         return [-coeffs[0] / coeffs[1]]
 
@@ -607,7 +635,9 @@ def _aberth_simple(p: Polynomial) -> list[complex]:
             for c in rev:
                 dpz = dpz * zi + pz
                 pz = pz * zi + c
-            if abs(pz) / (1.0 + alead * abs(zi) ** deg) >= _ROOT_TOL:
+            # the residual and the step size only matter in a sweep whose
+            # roots have all passed the residual test so far
+            if done and abs(pz) / (1.0 + alead * abs(zi) ** deg) >= _ROOT_TOL:
                 done = False
             if pz == 0:
                 continue
@@ -620,18 +650,18 @@ def _aberth_simple(p: Polynomial) -> list[complex]:
                     continue
             newton = pz / dpz
             s = 0j
-            for j, zj in enumerate(z):
-                if j != i:
-                    d = zi - zj
-                    if d == 0:
-                        d = 1e-14
-                    s += 1.0 / d
+            for zj in z[:i] + z[i + 1:]:
+                d = zi - zj
+                if d == 0:
+                    d = 1e-14
+                s += 1.0 / d
             denom = 1.0 - newton * s
             step = newton if denom == 0 else newton / denom
             z[i] = zi = zi - step
-            rel = abs(step) / (1.0 + abs(zi))
-            if rel > max_step:
-                max_step = rel
+            if done:
+                rel = abs(step) / (1.0 + abs(zi))
+                if rel > max_step:
+                    max_step = rel
         if done:
             converged = True
             # a few extra sweeps polish simple roots toward machine

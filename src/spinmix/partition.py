@@ -650,7 +650,10 @@ def z_poly_lambda(g: Graph, p: Pinning, beta, gamma,
     """
     term, den, dw = _lambda_tables(g, beta, gamma, scale)
     (vec,) = _fold(g, p, scale, None, g.n + 1, term)
-    return Polynomial(_reduced(*c, den * dw ** k) for k, c in enumerate(vec))
+    # coefficient k lies over den * dw ** k: bring every one over den * dw ** n
+    n = len(vec) - 1
+    return Polynomial.over([(a * dw ** (n - k), b * dw ** (n - k))
+                            for k, (a, b) in enumerate(vec)], den * dw ** n)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 from .errors import PinningError
 from .graphs import Graph, MINUS, PLUS, Pinning
-from .numerics import (ExactComplex, ONE, Polynomial, _common_numerators, _gmul, match_roots,
-                       poly_roots)
+from .numerics import ExactComplex, ONE, Polynomial, _gmul, match_roots, poly_roots
 from .partition import eliminate_pins, z_poly_lambda
 
 MODULUS_TOL = 1e-9
@@ -70,7 +69,7 @@ def _report(roots: list[complex], band: tuple[float, float] | None = None,
 def _proportional(a: Polynomial, b: Polynomial) -> bool:
     """Whether a is a constant multiple of b, exactly: a_i b_n == b_i a_n on
     their Gaussian-integer numerators, n the common degree."""
-    x, y = _common_numerators(a.coefficients), _common_numerators(b.coefficients)
+    x, y = a.numerators, b.numerators
     return len(x) == len(y) and all(_gmul(u, y[-1]) == _gmul(v, x[-1]) for u, v in zip(x, y))
 
 

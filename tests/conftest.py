@@ -16,7 +16,10 @@ route the library took before it walked g instead: build the tree, pin the
 cut vertices, run z_tree on the tree and read Z+/Z at its root.
 ``square_free_reference`` is the square-free split the library ran before it
 went to integer coefficient vectors: Yun's algorithm with Euclidean gcds and
-long division over ExactComplex, every gcd made monic.
+long division over ExactComplex, every gcd made monic. ``aberth_reference`` is
+the root route the library took before polynomials held integer numerators:
+that split, each factor's ExactComplex coefficients through to_complex, then
+the Aberth loop as it stood, with every residual and step size evaluated.
 ``ldc_reference`` is the locality route the library took before it read each
 verdict off cross-multiplied integer numerators: build both marginal series,
 reduced and divided by series_div, and compare them coefficient by
@@ -27,13 +30,14 @@ reduced.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
 from fractions import Fraction
 
-from spinmix.errors import (NotATreeError, PinningError, SeriesDivisionError,
-                            ZeroPartitionError)
+from spinmix.errors import (NotATreeError, PinningError, RootConvergenceError,
+                            SeriesDivisionError, ZeroPartitionError)
 from spinmix.graphs import (Graph, MINUS, PLUS, Pinning, SawTree, build_saw_tree,
                             build_saw_tree_truncated, disagreement_distance,
                             is_feasible, is_proper)
@@ -293,6 +297,92 @@ def square_free_reference(p: Polynomial) -> list[tuple[Polynomial, int]]:
     return out
 
 
+def aberth_reference(p: Polynomial) -> list[complex]:
+    """poly_roots(p) by the route above, sorted by (re, im)."""
+    if p.degree < 1:
+        raise ValueError("poly_roots requires degree >= 1")
+    if not all(cmath.isfinite(c.to_complex()) for c in p.coefficients):
+        raise ValueError("coefficients overflow double precision")
+    roots = []
+    for factor, multiplicity in square_free_reference(p):
+        roots.extend(_aberth_reference_simple([c.to_complex() for c in factor.coefficients])
+                     * multiplicity)
+    return sorted(roots, key=lambda z: (z.real, z.imag))
+
+
+def root_bits(roots) -> list[tuple[str, str]]:
+    """Each root's real and imaginary parts in hex, so == is bit equality."""
+    return [(z.real.hex(), z.imag.hex()) for z in roots]
+
+
+def _aberth_reference_simple(coeffs: list[complex]) -> list[complex]:
+    start_angle, max_sweeps, tol = 1.0 / math.sqrt(2.0), 1000, 1e-12
+
+    def horner(x):
+        p = dp = 0j
+        for c in reversed(coeffs):
+            dp = dp * x + p
+            p = p * x + c
+        return p, dp
+
+    deg = len(coeffs) - 1
+    lead = coeffs[-1]
+    if lead == 0 or not all(cmath.isfinite(c) for c in coeffs):
+        raise ValueError("coefficients overflow double precision")
+    if deg == 1:
+        return [-coeffs[0] / coeffs[1]]
+    biggest = max(abs(c) for c in coeffs)
+    radius = 1.0 + biggest / abs(lead)
+    coeffs = [c / biggest for c in coeffs]
+    rev = coeffs[::-1]
+    alead = abs(coeffs[-1])
+    z = [radius * cmath.exp(1j * (2.0 * math.pi * k / deg + start_angle))
+         for k in range(deg)]
+    polish_left = 25
+    converged = False
+    for _ in range(max_sweeps + polish_left):
+        done = True
+        max_step = 0.0
+        for i in range(deg):
+            zi = z[i]
+            pz = dpz = 0j
+            for c in rev:
+                dpz = dpz * zi + pz
+                pz = pz * zi + c
+            if abs(pz) / (1.0 + alead * abs(zi) ** deg) >= tol:
+                done = False
+            if pz == 0:
+                continue
+            if dpz == 0:
+                z[i] = zi = zi * (1.0 + 1e-8)
+                pz, dpz = horner(zi)
+                if dpz == 0:
+                    z[i] = zi + 1e-8
+                    continue
+            newton = pz / dpz
+            s = 0j
+            for j, zj in enumerate(z):
+                if j != i:
+                    d = zi - zj
+                    if d == 0:
+                        d = 1e-14
+                    s += 1.0 / d
+            denom = 1.0 - newton * s
+            step = newton if denom == 0 else newton / denom
+            z[i] = zi = zi - step
+            rel = abs(step) / (1.0 + abs(zi))
+            if rel > max_step:
+                max_step = rel
+        if done:
+            converged = True
+            if max_step < 1e-14 or polish_left == 0:
+                return z
+            polish_left -= 1
+    if converged:
+        return z
+    raise RootConvergenceError(f"root iteration did not reach tol={tol}")
+
+
 def z_naive_qspin(g, p, qp):
     total = ExactComplex(0)
     for combo in itertools.product(range(1, qp.q + 1), repeat=g.n):
@@ -305,6 +395,21 @@ def z_naive_qspin(g, p, qp):
             w = w * qp.matrix[combo[u] - 1][combo[v] - 1]
         total = total + w
     return total
+
+
+def is_connected(g: Graph) -> bool:
+    return len(g.bfs()[0]) <= 1
+
+
+def restricted(p: Pinning, keep) -> Pinning:
+    """The pins of p on the vertices in keep."""
+    keep = set(keep)
+    return Pinning(tuple((v, s) for v, s in p.items() if v in keep))
+
+
+def remapped(p: Pinning, mapping) -> Pinning:
+    """The pins of p on mapping's keys, moved to their images."""
+    return Pinning(tuple((mapping[v], s) for v, s in p.items() if v in mapping))
 
 
 def rational(rng: random.Random, nonzero=False) -> Fraction:
@@ -329,5 +434,5 @@ def random_graph(rng: random.Random, n: int, connected=True) -> Graph:
         edges = tuple((i, j) for i in range(n) for j in range(i + 1, n)
                       if rng.random() < 0.5)
         g = Graph(n, edges)
-        if not connected or g.is_connected():
+        if not connected or is_connected(g):
             return g

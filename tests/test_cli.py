@@ -224,6 +224,16 @@ class TestCommands:
         assert len(doc["roots"]) == 2
         assert all(abs(m - 1.0) < 1e-9 for m in doc["moduli"])
 
+    def test_roots_k2_huge_beta(self, k2, tmp_path, capsys):
+        # Z = B lambda^2 + 2 lambda + B at B = 10^400: no coefficient fits a
+        # double, but the monic lambda^2 + (2/B) lambda + 1 does, roots near +-i
+        out_path = tmp_path / "roots.json"
+        code, _, err = run_cli(["roots", "--graph", str(k2), "--beta", f"{10 ** 400}/1",
+                                "--out", str(out_path), "--format", "json"], capsys)
+        assert code == 0, err
+        roots = [complex(*r) for r in json.loads(out_path.read_text())["roots"]]
+        assert numerics.match_roots(roots, [-1j, 1j]) < 1e-12
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_roots_out_into_missing_directory(self, k2, tmp_path, capsys, fmt):
         out_path = tmp_path / "not-yet" / f"r.{fmt}"

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (gutman_by_passes, qspin_det_by_passes, scalar, z_naive,
-                      z_naive_qspin, z_pair)
+from conftest import (gutman_by_passes, qspin_det_by_passes, remapped, restricted, scalar,
+                      z_naive, z_naive_qspin, z_pair)
 from spinmix import cli, partition
 from spinmix.corpus import (PARAM_MODES, rand_feasible_pinning, rand_params,
                             rand_qspin_params, rand_qspin_pinning, rand_tree,
@@ -319,7 +319,7 @@ class TestPairFactorizations:
         for sub, remap, v_i in hanging_subtrees(t, path):
             sub_params = Params(params.beta, params.gamma,
                                 tuple(lams[old] for old in sorted(remap)))
-            _, msgs = ztree(sub, pins.restricted(remap).remapped(remap),
+            _, msgs = ztree(sub, remapped(restricted(pins, remap), remap),
                             sub_params, root=remap[v_i])
             out.append((v_i, msgs.at(remap[v_i])))
         return out
@@ -390,7 +390,7 @@ class TestPairFactorizations:
                         frontier.append(y)
             t0, remap0 = t.delete_vertices(set(range(n)) - comp0)
             sub0_params = Params(beta, gamma, tuple(lams[old] for old in sorted(remap0)))
-            pins0 = pins.restricted(remap0).remapped(remap0)
+            pins0 = remapped(restricted(pins, remap0), remap0)
 
             def z0(s_v0, s_u):
                 return z_pair(t0, pins0, remap0[v0], s_v0, remap0[u], s_u,
@@ -410,7 +410,7 @@ class TestPairFactorizations:
                             frontier.append(y)
                 sub, remap = t.delete_vertices(set(range(n)) - comp)
                 sub_params = Params(beta, gamma, tuple(lams[old] for old in sorted(remap)))
-                _, msgs = z_tree(sub, pins.restricted(remap).remapped(remap),
+                _, msgs = z_tree(sub, remapped(restricted(pins, remap), remap),
                                  sub_params, root=remap[w])
                 zp, zm = msgs.at(remap[w])
                 side = side * (beta * zp + zm)
@@ -568,7 +568,7 @@ def cd_by_separate_passes(t, p, u, v, params):
             rhs = rhs * lams[w]
         for sub, remap, attach in hanging_subtrees(t, path):
             sub_params = Params(beta, gamma, tuple(lams[old] for old in sorted(remap)))
-            _, msgs = z_tree(sub, p.restricted(remap).remapped(remap), sub_params,
+            _, msgs = z_tree(sub, remapped(restricted(p, remap), remap), sub_params,
                              root=remap[attach])
             zp, zm = msgs.at(remap[attach])
             rhs = rhs * (beta * zp + zm) * (zp + gamma * zm)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (ldc_reference, random_graph, saw_marginal_tree, scalar,
+from conftest import (is_connected, ldc_reference, random_graph, saw_marginal_tree, scalar,
                       series_div_naive, weitz_marginal_tree, z_naive)
 from spinmix import cli, mixing, partition
 from spinmix.corpus import rand_feasible_pinning, rand_params, rand_pinning_pair
@@ -166,7 +166,7 @@ def _connected_graphs(max_n):
         pairs = list(itertools.combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
             g = Graph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1))
-            if g.is_connected():
+            if is_connected(g):
                 yield g
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,8 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import _poly_gcd, series_div_naive, square_free_reference
-from spinmix.errors import SeriesDivisionError
+from conftest import (_poly_gcd, aberth_reference, root_bits, series_div_naive,
+                      square_free_reference)
+from spinmix.errors import RootConvergenceError, SeriesDivisionError
 from spinmix.graphs import Graph, Pinning
 from spinmix.numerics import (ExactComplex, Polynomial, PowerSeries, _common_numerators, _gcd,
                               _reduced, match_roots, parse_scalar, poly_roots,
@@ -331,36 +333,76 @@ class TestPolynomial:
             assert monic == _poly_gcd(a, b)
 
     def test_square_free_matches_reference(self):
-        # the integer split against the ExactComplex Yun it replaced: 400
-        # seeded polynomials of degree <= 12, real or Gaussian rational, half
-        # of them products with forced repeated factors
-        rng = random.Random(16)
-
-        def coefficient(gaussian):
-            re = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            im = Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if gaussian else 0
-            return ExactComplex(re, im)
-
+        # the integer split against the ExactComplex Yun it replaced
         repeated = 0
-        for trial in range(400):
-            gaussian = trial % 4 >= 2
-            if trial % 2 == 0:
-                coeffs = [coefficient(gaussian) for _ in range(rng.randint(1, 13))]
-            else:
-                coeffs = [coefficient(gaussian) or ExactComplex(1)]
-                while True:
-                    factor = [coefficient(gaussian) for _ in range(rng.randint(2, 4))]
-                    factor[-1] = factor[-1] or ExactComplex(1)
-                    power = rng.randint(2, 4) if len(coeffs) == 1 else rng.randint(1, 4)
-                    if len(coeffs) + power * (len(factor) - 1) > 13:
-                        break
-                    for _ in range(power):
-                        coeffs = _mul(coeffs, factor)
-            p = Polynomial(coeffs)
+        for p in seeded_polynomials(16, 400):
             factors = square_free_factors(p)
             assert factors == square_free_reference(p), p
             repeated += any(m > 1 for _, m in factors)
         assert repeated >= 150
+
+    def test_proportional_numerators_are_one_polynomial(self):
+        a = Polynomial.over([(2, 0), (4, -6), (0, 0)], 6)
+        assert (a.numerators, a.den) == (((1, 0), (2, -3)), 3)
+        assert a == Polynomial([Fraction(1, 3), ExactComplex(Fraction(2, 3), -1)])
+        rng = random.Random(24)
+        for _ in range(200):
+            den = rng.randint(1, 60)
+            nums = [(rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(rng.randint(0, 6))]
+            k = rng.choice([2, 3, 10, 7 ** 20])
+            p = Polynomial.over(nums, den)
+            q = Polynomial.over([(x * k, y * k) for x, y in nums], den * k)
+            assert p == q and hash(p) == hash(q)
+            assert math.gcd(p.den, *itertools.chain.from_iterable(p.numerators)) == 1
+
+    def test_coefficients_are_the_reduced_values(self):
+        rng = random.Random(25)
+        for _ in range(200):
+            den = rng.randint(1, 60) * rng.choice([1, 1, 6, 10 ** 30])
+            nums = [(rng.randint(-50, 50) * rng.choice([1, 6]), rng.randint(-50, 50))
+                    for _ in range(rng.randint(0, 6))]
+            want = [ExactComplex(Fraction(x, den), Fraction(y, den)) for x, y in nums]
+            while want and want[-1].is_zero():
+                want.pop()
+            p = Polynomial.over(nums, den)
+            assert p.coefficients == tuple(want)
+            assert p == Polynomial(want) and p.degree == len(want) - 1
+
+    def test_evaluate_complex_is_the_per_coefficient_horner(self):
+        rng = random.Random(26)
+        for p in seeded_polynomials(27, 200):
+            x = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            want = 0j
+            for c in reversed(p.coefficients):
+                want = want * x + c.to_complex()
+            assert root_bits([p.evaluate_complex(x)]) == root_bits([want])
+
+
+def seeded_polynomials(seed: int, count: int):
+    """``count`` seeded polynomials of degree <= 12, real or Gaussian
+    rational, every other one a product with forced repeated factors."""
+    rng = random.Random(seed)
+
+    def coefficient(gaussian):
+        re = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        im = Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if gaussian else 0
+        return ExactComplex(re, im)
+
+    for trial in range(count):
+        gaussian = trial % 4 >= 2
+        if trial % 2 == 0:
+            coeffs = [coefficient(gaussian) for _ in range(rng.randint(1, 13))]
+        else:
+            coeffs = [coefficient(gaussian) or ExactComplex(1)]
+            while True:
+                factor = [coefficient(gaussian) for _ in range(rng.randint(2, 4))]
+                factor[-1] = factor[-1] or ExactComplex(1)
+                power = rng.randint(2, 4) if len(coeffs) == 1 else rng.randint(1, 4)
+                if len(coeffs) + power * (len(factor) - 1) > 13:
+                    break
+                for _ in range(power):
+                    coeffs = _mul(coeffs, factor)
+        yield Polynomial(coeffs)
 
 
 def _mul(a: list[ExactComplex], b: list[ExactComplex]) -> list[ExactComplex]:
@@ -428,6 +470,31 @@ class TestPolyRoots:
     def test_deterministic(self):
         p = Polynomial([3, -2, 0, 5, 1])
         assert poly_roots(p) == poly_roots(p)
+
+    def test_matches_the_reference_route_bit_for_bit(self):
+        # the floats of the ExactComplex route, on 400 seeded polynomials,
+        # half of them with repeated factors
+        solved = 0
+        for p in seeded_polynomials(28, 400):
+            if p.degree < 1:
+                continue
+            try:
+                want = aberth_reference(p)
+            except RootConvergenceError:
+                with pytest.raises(RootConvergenceError):
+                    poly_roots(p)
+                continue
+            assert root_bits(poly_roots(p)) == root_bits(want), p
+            solved += 1
+        assert solved >= 350
+
+    def test_overflowing_coefficients_with_a_representable_factor(self):
+        # 10^400 (x - 1): the monic factor x - 1 that Aberth iterates on fits
+        assert poly_roots(Polynomial([-10 ** 400, 10 ** 400])) == [1]
+
+    def test_overflowing_monic_factor_rejected(self):
+        with pytest.raises(ValueError, match="coefficients overflow double precision"):
+            poly_roots(Polynomial([10 ** 400, 1]))
 
 
 def test_match_roots_orders_do_not_matter():

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (edge_activity_series, random_graph, scalar, z_naive, z_naive_qspin,
-                      z_pair)
+from conftest import (edge_activity_series, random_graph, remapped, restricted, scalar,
+                      z_naive, z_naive_qspin, z_pair)
 from spinmix import partition
 from spinmix.corpus import (rand_feasible_pinning, rand_params,
                             rand_qspin_params, rand_qspin_pinning, rand_tree)
@@ -128,7 +128,7 @@ class TestZTree:
                 sub, remap = g.delete_vertices(set(range(n)) - set(comp))
                 sub_params = Params(params.beta, params.gamma,
                                     tuple(lams[v] for v in sorted(comp)))
-                product = product * z_brute(sub, pins.restricted(comp).remapped(remap),
+                product = product * z_brute(sub, remapped(restricted(pins, comp), remap),
                                             sub_params)
             assert product == z_brute(g, pins, params)
 
@@ -243,6 +243,25 @@ class TestZPolyLambda:
                 lam = scalar(rng, nonzero=True)
                 params = Params(beta, gamma, lam)
                 assert poly.evaluate(lam) == z_brute(g, pins, params)
+
+    def test_equals_the_naive_polynomial(self):
+        # degree <= n and equal to z_naive at n + 1 distinct fields: the same
+        # polynomial, with and without a scale vector
+        rng = random.Random(31)
+        for trial in range(40):
+            n = rng.randint(1, 6)
+            g = random_graph(rng, n, connected=False)
+            beta = scalar(rng, nonzero=True, complex_prob=0.3)
+            gamma = scalar(rng, complex_prob=0.3)
+            pins = rand_feasible_pinning(rng, g, False, gamma.is_zero())
+            scale = None
+            if trial % 2:
+                scale = tuple(scalar(rng, nonzero=True, complex_prob=0.3) for _ in range(n))
+            poly = z_poly_lambda(g, pins, beta, gamma, scale=scale)
+            assert poly.degree <= n
+            for lam in map(ExactComplex, range(1, n + 2)):
+                field = lam if scale is None else tuple(s * lam for s in scale)
+                assert poly.evaluate(lam) == z_naive(g, pins, Params(beta, gamma, field))
 
     def test_scale_vector(self):
         # per-vertex constant multipliers reproduce non-uniform fields
@@ -379,10 +398,10 @@ def pinned_subtree_value(g, pins, root, w, spin, naive, restrict):
     if w in pins:
         if pins.get(w) != spin:
             return ExactComplex(0)
-        pins = pins.restricted(set(range(g.n)) - {w})
+        pins = restricted(pins, set(range(g.n)) - {w})
     keep = rooted_subtree(g, root, w)
     sub, remap = g.delete_vertices(set(range(g.n)) - set(keep))
-    sub_pins = pins.restricted(keep).remapped(remap).with_pin(remap[w], spin)
+    sub_pins = remapped(restricted(pins, keep), remap).with_pin(remap[w], spin)
     return naive(sub, sub_pins, restrict(keep))
 
 

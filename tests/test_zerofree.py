@@ -5,14 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_graph
+from conftest import aberth_reference, is_connected, random_graph, root_bits
 from spinmix import cli, numerics, zerofree
 from spinmix.corpus import (rand_bounded_degree_graph, rand_connected_graph,
                             rand_feasible_pinning)
 from spinmix.errors import PinningError
 from spinmix.graphs import Graph, MINUS, PLUS, Pinning
-from spinmix.numerics import ExactComplex, match_roots
-from spinmix.partition import z_poly_lambda
+from spinmix.numerics import ONE, ExactComplex, match_roots, poly_roots
+from spinmix.partition import eliminate_pins, z_poly_lambda
 from spinmix.zerofree import (RootReport, lambda_root_scan, pinned_annulus_check,
                               region_min_modulus, single_pin_check)
 
@@ -101,6 +101,27 @@ class TestPinnedAnnulus:
             pinned_annulus_check(star, Pinning(), 2, d=2)
 
 
+@pytest.mark.parametrize("bound", [3, 4])
+def test_annulus_roots_match_the_reference_route(bound):
+    # every field polynomial of `annulus --trials 50 --seed 1`, direct and
+    # through pin elimination, solved to the floats of the ExactComplex route
+    cfg = cli._build_parser().parse_args(
+        ["annulus", "--trials", "50", "--seed", "1", "--degree-bound", str(bound)])
+    rng = random.Random(cfg.seed)
+    solved = 0
+    for trial in range(cfg.trials):
+        inst = cli._gen_annulus(cfg, rng, trial)
+        g, pins, beta = inst["graph"], inst["pins"], inst["beta"]
+        reduced, rescaled, _ = eliminate_pins(g, pins, beta, (ONE,) * g.n)
+        for poly in (z_poly_lambda(g, pins, beta, beta),
+                     z_poly_lambda(reduced, Pinning(), beta, beta, scale=rescaled)):
+            poly = poly.shifted_down(poly.valuation())
+            if poly.degree >= 1:
+                assert root_bits(poly_roots(poly)) == root_bits(aberth_reference(poly))
+                solved += 1
+    assert solved >= 90
+
+
 class TestAnnulusCrossCheck:
     """The pin-elimination route is compared exactly; its roots are solved
     and matched separately only when the two polynomials differ."""
@@ -157,7 +178,7 @@ def _graph_first_bounded_degree_graph(rng, n, dmax, attempts=20000):
         edges = tuple((i, j) for i in range(n) for j in range(i + 1, n)
                       if rng.random() < 0.5)
         g = Graph(n, edges)
-        if g.is_connected() and g.max_degree() <= dmax:
+        if is_connected(g) and g.max_degree() <= dmax:
             return g
     raise RuntimeError(f"no degree-{dmax} connected graph on {n} vertices")
 
@@ -188,7 +209,7 @@ class TestBoundedDegreeDraw:
             for _ in range(1000):
                 g = Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)
                                    if rng.random() < 0.5))
-                if g.is_connected():
+                if is_connected(g):
                     return g
         for seed in range(500):
             n = 2 + seed % 13
@@ -207,7 +228,7 @@ class TestBoundedDegreeDraw:
     @pytest.mark.parametrize("n,dmax", [(1, 0), (2, 1)])
     def test_smallest_satisfiable_bounds(self, n, dmax):
         g = rand_bounded_degree_graph(random.Random(5), n, dmax)
-        assert g.n == n and g.is_connected() and g.max_degree() <= dmax
+        assert g.n == n and is_connected(g) and g.max_degree() <= dmax
 
 
 class TestSinglePin:
