@@ -512,6 +512,10 @@ def run(cfg: argparse.Namespace) -> int:
             raise ValueError(f"--max-vertices must be at least 2, got {cfg.max_vertices}")
         if "trials" in cfg and cfg.trials < 0:
             raise ValueError(f"--trials must be at least 0, got {cfg.trials}")
+        if cfg.command == "region" and not math.isfinite(cfg.span):
+            raise ValueError(f"--span must be finite, got {cfg.span}")
+        if cfg.command == "region" and cfg.grid < 1:
+            raise ValueError(f"--grid must be at least 1, got {cfg.grid}")
         if cfg.command == "decay":
             code = _run_decay(cfg)
         elif cfg.command == "region":

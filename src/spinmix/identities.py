@@ -17,17 +17,22 @@ pinning it to -: Z_T and Z_{T-u} come from the pass, Z_{T-v} and
 Z_{T-{u,v}} from the chain with v pinned -, Z_{T-path} from the chain with
 the path pinned -, and Z_{T-N[path]} from the parts rebuilt with the
 hanging children pinned - too.
+
+All these values are Gaussian-integer numerators over known powers of the
+pass's denominator D. Each side stays one numerator until it is reported
+and is reduced once; cd_sides decides the forms verdict on numerators over
+D^(2e), with no reduction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NotATreeError, PinningError
 from .graphs import Graph, Pinning
-from .numerics import ONE, ZERO, ExactComplex, _common_numerators, _reduced
+from .numerics import ONE, ZERO, ExactComplex, _common_numerators, _gmul, _reduced
 from .partition import (Params, QSpinParams, TreeMessages, _absorb, _chain,
                         _pass_table, _pin, hardcore_params, z_qspin_tree, z_tree)
 
@@ -66,19 +71,34 @@ def _scale(msgs: TreeMessages, u: int) -> int:
     return msgs.denom ** msgs.msgs[u][1]
 
 
-def _det_sides(t: Graph, p: Pinning, path: list[int], columns,
-               msgs: TreeMessages, det_a: ExactComplex, phi_at) -> CdReport:
+def _total(vec) -> tuple[int, int]:
+    """The sum of a message's numerators: its vertex's partition value."""
+    return sum(re for re, _ in vec), sum(im for _, im in vec)
+
+
+def _cross(a, b, c, d) -> tuple[int, int]:
+    """a b - c d on Gaussian integers (re, im)."""
+    (xr, xi), (yr, yi) = _gmul(a, b), _gmul(c, d)
+    return xr - yr, xi - yi
+
+
+def _det_sides(t: Graph, p: Pinning, path: list[int], det: tuple[int, int],
+               msgs: TreeMessages, det_a: ExactComplex, weights,
+               forms_equal: bool | None = None) -> CdReport:
     """Both sides of det [Z with u = i, v = j]_{i,j} on a tree.
 
-    ``columns[j]`` holds the numerators of u's message with v pinned to the
-    j-th spin, a chain toward u of ``msgs``, the pass rooted at u under p
-    that held ``path`` (u first) back. The columns share the root's scale
-    D^e, so lhs is their determinant, reduced once over D^(q e). When the
-    path avoids the pinned set, rhs = det_a^d * Phi * the edge factors of
-    each subtree hanging off the path, with Phi the product of
-    ``phi_at(w)`` over the path; when the path meets a pin, rhs = 0.
+    ``det`` is that determinant's numerator over D^(q e): the q chains
+    toward u of ``msgs`` with v pinned to each spin, where ``msgs`` is the
+    pass rooted at u under p that held ``path`` (u first) back and D^e its
+    root's scale. lhs is det, reduced once. When the path avoids the pinned
+    set, rhs = det_a^d * Phi * the edge factors of each subtree hanging off
+    the path, Phi being the product over the path of every entry of
+    ``weights[w]`` (the pass table's weights over D; the 2-spin ones are
+    (lambda_w, 1)): one numerator product, reduced once. When the path
+    meets a pin, rhs = 0. ``forms_equal`` goes into the report.
     """
-    lhs = _reduced(*_det(list(zip(*columns))), _scale(msgs, path[0]) ** len(columns))
+    q = len(msgs.matrix)
+    lhs = _reduced(*det, _scale(msgs, path[0]) ** q)
     d = len(path) - 1
     hits = any(w in p for w in path)
     if hits:
@@ -86,9 +106,16 @@ def _det_sides(t: Graph, p: Pinning, path: list[int], columns,
     else:
         on_path = set(path)
         hanging = [y for x in path for y in t.neighbors(x) if y not in on_path]
-        rhs = math.prod(map(phi_at, path)) * det_a ** d * msgs.edge_product(hanging)
+        num, e = msgs.edge_product(hanging)
+        a, b, den = det_a._abd
+        for _ in range(d):
+            num = _gmul(num, (a, b))
+        for w in path:
+            for x in weights[w]:
+                num = _gmul(num, x)
+        rhs = _reduced(*num, msgs.denom ** (e + q * (d + 1)) * den ** d)
     return CdReport(lhs=lhs, rhs=rhs, distance=d, path_hits_pinning=hits,
-                    equal=lhs == rhs)
+                    equal=lhs == rhs, forms_equal=forms_equal)
 
 
 def cd_sides(t: Graph, p: Pinning, u: int, v: int, params: Params) -> CdReport:
@@ -99,22 +126,24 @@ def cd_sides(t: Graph, p: Pinning, u: int, v: int, params: Params) -> CdReport:
     hanging subtrees of (beta Z+ + Z-)(Z+ + gamma Z-), where Phi is
     lambda^{d+1} for a uniform field and the product of the path vertices'
     fields otherwise; when the path meets a pin, rhs = 0. ``forms_equal``
-    reads Z+-_v from the chain toward v, not from the pair matrix.
+    reads Z+-_v from the chain toward v, not from the pair matrix, and is
+    decided on numerators: Z, Z+-_u, Z+-_v and the pair matrix all lie over
+    the root's D^e, so each single-pin form and the determinant lie over
+    D^(2e).
     """
     _require_unpinned(t, p, u, v)
     _require_tree(t, u)
     path = t.tree_path(u, v)
-    z, msgs = z_tree(t, p, params, root=u, held=path)
-    columns = [msgs.chain(path[::-1], {v: s}) for s in (0, 1)]
-    rep = _det_sides(t, p, path, columns, msgs, params.beta * params.gamma - ONE,
-                     params.field_vector(t.n).__getitem__)
-    scale = _scale(msgs, u)
-    zpp, zmm = _reduced(*columns[0][0], scale), _reduced(*columns[1][1], scale)
-    zp_u, zm_u = msgs.at(u)
-    zp_v, zm_v = (_reduced(re, im, scale) for re, im in msgs.chain(path))
-    forms_equal = (z * zpp - zp_u * zp_v == rep.lhs
-                   and z * zmm - zm_u * zm_v == rep.lhs)
-    return replace(rep, forms_equal=forms_equal)
+    msgs = z_tree(t, p, params, root=u, held=path)[1]
+    # the chain toward u with v pinned to s is column s of the pair matrix
+    (zpp, zmp), (zpm, zmm) = (msgs.chain(path[::-1], {v: s}) for s in (0, 1))
+    det = _cross(zpp, zmm, zpm, zmp)
+    zp_u, zm_u = root = msgs.msgs[u][0]
+    zp_v, zm_v = msgs.chain(path)
+    z = _total(root)
+    return _det_sides(t, p, path, det, msgs, params.beta * params.gamma - ONE,
+                      _pass_table(params, t.n)[2],
+                      _cross(z, zpp, zp_u, zp_v) == det == _cross(z, zmm, zm_u, zm_v))
 
 
 def cd_equivalent_forms(t: Graph, p: Pinning, u: int, v: int, params: Params) -> bool:
@@ -135,22 +164,20 @@ def gutman_sides(t: Graph, u: int, v: int, lam) -> CdReport:
     Z_{T-path} Z_{T-N[path]} with all partition values taken at beta=0,
     gamma=1 (independence polynomials evaluated at lambda). Z_{T-S} is Z_T
     with S pinned -, a vertex of weight 1 that allows any neighbour; the -
-    entry of u's message is then Z_{T-S-u}.
+    entry of u's message is then Z_{T-S-u}. Every Z_{T-S} is a numerator
+    over the root's D^e, so each side is one numerator, reduced once.
     """
     _require_unpinned(t, Pinning(), u, v)
     _require_tree(t, u)
     params = hardcore_params(lam)
     path = t.tree_path(u, v)
     d = len(path) - 1
-    z_t, msgs = z_tree(t, Pinning(), params, root=u, held=path)
+    msgs = z_tree(t, Pinning(), params, root=u, held=path)[1]
     scale = _scale(msgs, u)
-
-    def z(vec):
-        return _reduced(*map(sum, zip(*vec)), scale)
-
+    root = msgs.msgs[u][0]
     toward_u = path[::-1]
     minus_v = msgs.chain(toward_u, {v: 1})
-    lhs = z_t * _reduced(*minus_v[1], scale) - msgs.at(u)[1] * z(minus_v)
+    lhs = _reduced(*_cross(_total(root), minus_v[1], root[1], _total(minus_v)), scale * scale)
     # T - N[path]: the parts rebuilt with the hanging children pinned - too
     _, mat, start = _pass_table(params, t.n)
     on_path = set(path)
@@ -161,8 +188,14 @@ def gutman_sides(t: Graph, u: int, v: int, lam) -> CdReport:
             if y not in on_path:
                 part = _absorb(mat, part, _pin(msgs.msgs[y][0], 1))
         closed.append(part)
-    rhs = (-((-params.field) ** (d + 1)) * z(msgs.chain(toward_u, dict.fromkeys(path, 1)))
-           * z(_chain(mat, closed)))
+    num = _gmul(_total(msgs.chain(toward_u, dict.fromkeys(path, 1))),
+                _total(_chain(mat, closed)))
+    # -(-lambda)^{d+1} = (-1)^d lambda^{d+1}, lambda over D
+    for w in path:
+        num = _gmul(num, start[w][0])
+    if d % 2:
+        num = -num[0], -num[1]
+    rhs = _reduced(*num, scale * scale * msgs.denom ** (d + 1))
     return CdReport(lhs=lhs, rhs=rhs, distance=d, path_hits_pinning=False,
                     equal=lhs == rhs)
 
@@ -204,7 +237,7 @@ def qspin_det_sides(t: Graph, p: Pinning, u: int, v: int, qp: QSpinParams) -> Cd
     _require_tree(t, u)
     path = t.tree_path(u, v)
     msgs = z_qspin_tree(t, p, qp, root=u, held=path)[1]
-    columns = [msgs.chain(path[::-1], {v: s}) for s in range(qp.q)]
-    lam_prod = math.prod(qp.lambdas)
-    return _det_sides(t, p, path, columns, msgs, exact_determinant(qp.matrix),
-                      lambda w: lam_prod)
+    # the chains are the pair matrix's columns; a determinant is transpose-free
+    det = _det([msgs.chain(path[::-1], {v: s}) for s in range(qp.q)])
+    return _det_sides(t, p, path, det, msgs, exact_determinant(qp.matrix),
+                      _pass_table(qp, t.n)[2])

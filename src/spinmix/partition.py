@@ -402,9 +402,10 @@ class TreeMessages:
         vec, e = self.msgs[v]
         return tuple(_reduced(re, im, self.denom ** e) for re, im in vec)
 
-    def edge_product(self, ys) -> ExactComplex:
-        """Product over the vertices ys and the spins k of sum_j a_kj Z^j_y,
-        the factor y's subtree gives a neighbour at spin k."""
+    def edge_product(self, ys) -> tuple[tuple[int, int], int]:
+        """Numerators of the product over the vertices ys and the spins k of
+        sum_j a_kj Z^j_y, the factor y's subtree gives a neighbour at spin
+        k, and the exponent e: the product lies over denom ** e."""
         ones = [(1, 0)] * len(self.matrix)
         re, im, e = 1, 0, 0
         for y in ys:
@@ -412,7 +413,7 @@ class TreeMessages:
             for fr, fi in _absorb(self.matrix, ones, vec):
                 re, im = re * fr - im * fi, re * fi + im * fr
             e += len(ones) * (ey + 1)
-        return _reduced(re, im, self.denom ** e)
+        return (re, im), e
 
     def chain(self, path, pins=None) -> list[tuple[int, int]]:
         """Numerators of path[-1]'s message in the tree rooted there: the
@@ -447,7 +448,18 @@ def _forest_order(g: Graph, root: int | None):
 
 
 def _absorb(matrix, vec, child):
-    """vec times a child's edge factors sum_j a_kj c_j, k = 1..q, on numerators."""
+    """vec times a child's edge factors sum_j a_kj c_j, k = 1..q, on numerators.
+    The 2-spin case, which every 2-spin pass, chain and walk runs, is
+    unrolled: the same products and sums, with no inner loop."""
+    if len(vec) == 2:
+        ((ar, ai), (br, bi)), ((cr, ci), (dr, di)) = matrix
+        (xr, xi), (yr, yi) = child
+        (pr, pi), (mr, mi) = vec
+        fr = ar * xr - ai * xi + br * yr - bi * yi
+        fi = ar * xi + ai * xr + br * yi + bi * yr
+        gr = cr * xr - ci * xi + dr * yr - di * yi
+        gi = cr * xi + ci * xr + dr * yi + di * yr
+        return [(pr * fr - pi * fi, pr * fi + pi * fr), (mr * gr - mi * gi, mr * gi + mi * gr)]
     out = []
     for (vr, vi), row in zip(vec, matrix):
         re = im = 0

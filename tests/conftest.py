@@ -20,6 +20,12 @@ long division over ExactComplex, every gcd made monic. ``aberth_reference`` is
 the root route the library took before polynomials held integer numerators:
 that split, each factor's ExactComplex coefficients through to_complex, then
 the Aberth loop as it stood, with every residual and step size evaluated.
+``cd_sides_reference`` and ``gutman_sides_reference`` are the tree identity
+sides as the library took them before it kept them on integer numerators:
+every partition value reduced to an ExactComplex first, then multiplied and
+subtracted as one, with the right-hand side's edge factors from
+``edge_product``, the reducing read of TreeMessages.edge_product.
+``absorb_loop`` is the generic q-loop edge factor the 2-spin absorb unrolls.
 ``ldc_reference`` is the locality route the library took before it read each
 verdict off cross-multiplied integer numerators: build both marginal series,
 reduced and divided by series_div, and compare them coefficient by
@@ -41,11 +47,12 @@ from spinmix.errors import (NotATreeError, PinningError, RootConvergenceError,
 from spinmix.graphs import (Graph, MINUS, PLUS, Pinning, SawTree, build_saw_tree,
                             build_saw_tree_truncated, disagreement_distance,
                             is_feasible, is_proper)
-from spinmix.identities import exact_determinant
+from spinmix.identities import CdReport, _det, exact_determinant
 from spinmix.mixing import LdcReport
 from spinmix.numerics import ExactComplex, Polynomial, PowerSeries, _reduced
-from spinmix.partition import (Params, QSpinParams, _activity_term, _check_feasible, _fold,
-                               _horner, hardcore_params, z_brute, z_qspin_tree, z_tree)
+from spinmix.partition import (Params, QSpinParams, TreeMessages, _absorb, _activity_term,
+                               _chain, _check_feasible, _fold, _horner, _pass_table, _pin,
+                               hardcore_params, z_brute, z_qspin_tree, z_tree)
 
 
 def z_naive(g: Graph, p: Pinning, params: Params) -> ExactComplex:
@@ -136,6 +143,83 @@ def qspin_det_by_passes(t: Graph, p: Pinning, u: int, v: int,
         for row in qp.matrix:
             rhs = rhs * sum((a * z for a, z in zip(row, zs)), ExactComplex(0))
     return lhs, rhs
+
+
+def absorb_loop(matrix, vec, child):
+    """vec times a child's edge factors sum_j a_kj c_j, k = 1..q, for any q."""
+    out = []
+    for (vr, vi), row in zip(vec, matrix):
+        re = im = 0
+        for (ar, ai), (cr, ci) in zip(row, child):
+            re += ar * cr - ai * ci
+            im += ar * ci + ai * cr
+        out.append((vr * re - vi * im, vr * im + vi * re))
+    return out
+
+
+def edge_product(msgs: TreeMessages, ys) -> ExactComplex:
+    """TreeMessages.edge_product reduced: the product over ys and the spins
+    k of sum_j a_kj Z^j_y."""
+    (re, im), e = msgs.edge_product(ys)
+    return _reduced(re, im, msgs.denom ** e)
+
+
+def cd_sides_reference(t: Graph, p: Pinning, u: int, v: int, params: Params) -> CdReport:
+    """cd_sides on reduced values: lhs is the pair matrix's determinant
+    reduced over D^(2e); rhs the ExactComplex product of the path's fields,
+    (beta gamma - 1)^d and edge_product; each single-pin form multiplies
+    and subtracts the reduced Z, Z+-_u, Z+-_v and pair values."""
+    path = t.tree_path(u, v)
+    z, msgs = z_tree(t, p, params, root=u, held=path)
+    columns = [msgs.chain(path[::-1], {v: s}) for s in (0, 1)]
+    scale = msgs.denom ** msgs.msgs[u][1]
+    lhs = _reduced(*_det(list(zip(*columns))), scale ** 2)
+    d = len(path) - 1
+    hits = any(w in p for w in path)
+    if hits:
+        rhs = ExactComplex(0)
+    else:
+        lams = params.field_vector(t.n)
+        hanging = [y for x in path for y in t.neighbors(x) if y not in path]
+        rhs = (math.prod(lams[w] for w in path)
+               * (params.beta * params.gamma - ExactComplex(1)) ** d
+               * edge_product(msgs, hanging))
+    zpp, zmm = _reduced(*columns[0][0], scale), _reduced(*columns[1][1], scale)
+    zp_u, zm_u = msgs.at(u)
+    zp_v, zm_v = (_reduced(re, im, scale) for re, im in msgs.chain(path))
+    forms = z * zpp - zp_u * zp_v == lhs and z * zmm - zm_u * zm_v == lhs
+    return CdReport(lhs=lhs, rhs=rhs, distance=d, path_hits_pinning=hits,
+                    equal=lhs == rhs, forms_equal=forms)
+
+
+def gutman_sides_reference(t: Graph, u: int, v: int, lam) -> CdReport:
+    """gutman_sides on reduced values: every Z_{T-S} is reduced over the
+    root's D^e, and each side is an ExactComplex product and difference."""
+    params = hardcore_params(lam)
+    path = t.tree_path(u, v)
+    d = len(path) - 1
+    z_t, msgs = z_tree(t, Pinning(), params, root=u, held=path)
+    scale = msgs.denom ** msgs.msgs[u][1]
+
+    def z(vec):
+        return _reduced(*map(sum, zip(*vec)), scale)
+
+    toward_u = path[::-1]
+    minus_v = msgs.chain(toward_u, {v: 1})
+    lhs = z_t * _reduced(*minus_v[1], scale) - msgs.at(u)[1] * z(minus_v)
+    _, mat, start = _pass_table(params, t.n)
+    on_path = set(path)
+    closed = []
+    for w in toward_u:
+        part = _pin(start[w], 1)
+        for y in t.neighbors(w):
+            if y not in on_path:
+                part = _absorb(mat, part, _pin(msgs.msgs[y][0], 1))
+        closed.append(part)
+    rhs = (-((-params.field) ** (d + 1)) * z(msgs.chain(toward_u, dict.fromkeys(path, 1)))
+           * z(_chain(mat, closed)))
+    return CdReport(lhs=lhs, rhs=rhs, distance=d, path_hits_pinning=False,
+                    equal=lhs == rhs)
 
 
 def _tree_root_marginal(g: Graph, st: SawTree, pins: Pinning, params: Params,

@@ -884,3 +884,26 @@ def test_max_vertices_below_two_exits_2(command, value, tmp_path, capsys, monkey
     assert err == f"config error: --max-vertices must be at least 2, got {value}\n"
     assert list(tmp_path.iterdir()) == []
 
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_region_non_finite_span_exits_2(value, tmp_path, capsys, monkeypatch):
+    # a non-finite span printed NaN rows, which are no JSON, and exited 0
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["region", "--grid", "3", f"--span={value}"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"config error: --span must be finite, got {float(value)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_region_grid_below_one_exits_2(value, tmp_path, capsys, monkeypatch):
+    # a grid below 1 printed no rows and exited 0
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["region", "--grid", value], capsys)
+    assert code == 2 and out == ""
+    assert err == f"config error: --grid must be at least 1, got {value}\n"
+    assert list(tmp_path.iterdir()) == []
+    code, out, _ = run_cli(["region", "--grid", "1", "--max-vertices", "3"], capsys)
+    rows = [json.loads(line) for line in out.splitlines()[:-1]]
+    assert code == 0 and rows == [{"im": 0.0, "min_modulus": 1.0, "re": 0.0}]

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (gutman_by_passes, qspin_det_by_passes, remapped, restricted, scalar,
-                      z_naive, z_naive_qspin, z_pair)
+from conftest import (cd_sides_reference, gutman_by_passes, gutman_sides_reference,
+                      qspin_det_by_passes, remapped, restricted, scalar, z_naive,
+                      z_naive_qspin, z_pair)
 from spinmix import cli, partition
 from spinmix.corpus import (PARAM_MODES, rand_feasible_pinning, rand_params,
                             rand_qspin_params, rand_qspin_pinning, rand_tree,
@@ -679,6 +680,41 @@ def test_gutman_sides_equals_the_per_pass_route():
         rep = gutman_sides(t, u, v, lam)
         assert (rep.lhs, rep.rhs) == gutman_by_passes(t, u, v, lam), (t, u, v, lam)
         assert rep.equal and rep.distance == len(t.tree_path(u, v)) - 1
+    assert seen["adjacent"] >= 20 and seen["leaf endpoint"] >= 40
+
+
+def test_cd_sides_equals_the_reduced_value_route():
+    """The sides and both verdicts, taken on numerators and reduced once,
+    equal those taken on reduced values, bit for bit, in every parameter
+    mode, on paths that meet a pin, at d = 1 and with non-uniform fields."""
+    seen = Counter()
+    for trial, (rng, t, u, v, cases) in enumerate(chain_route_instances(5011, 360)):
+        mode = PARAM_MODES[trial % len(PARAM_MODES)]
+        params = rand_params(rng, mode, t.n)
+        pins = rand_feasible_pinning(rng, t, params.beta_is_zero, params.gamma_is_zero,
+                                     exclude=(u, v), pin_prob=(0.3, 0.6)[trial % 2])
+        rep = cd_sides(t, pins, u, v, params)
+        ref = cd_sides_reference(t, pins, u, v, params)
+        assert rep == ref, (t, pins, u, v, params)
+        assert (rep.lhs._abd, rep.rhs._abd) == (ref.lhs._abd, ref.rhs._abd)
+        assert (str(rep.lhs), str(rep.rhs)) == (str(ref.lhs), str(ref.rhs))
+        assert rep.equal and rep.forms_equal
+        seen[mode] += 1
+        seen["hits"] += rep.path_hits_pinning
+        seen["d = 1"] += rep.distance == 1
+        seen["non-uniform, path clear"] += not (params.uniform or rep.path_hits_pinning)
+    assert all(seen[mode] == 60 for mode in PARAM_MODES)
+    assert seen["hits"] >= 60 and seen["d = 1"] >= 40
+    assert seen["non-uniform, path clear"] >= 20 and cases["leaf endpoint"] >= 60
+
+
+def test_gutman_sides_equals_the_reduced_value_route():
+    for rng, t, u, v, seen in chain_route_instances(5023, 200):
+        lam = scalar(rng, nonzero=True, complex_prob=0.3)
+        rep = gutman_sides(t, u, v, lam)
+        ref = gutman_sides_reference(t, u, v, lam)
+        assert rep == ref, (t, u, v, lam)
+        assert (rep.lhs._abd, rep.rhs._abd) == (ref.lhs._abd, ref.rhs._abd)
     assert seen["adjacent"] >= 20 and seen["leaf endpoint"] >= 40
 
 

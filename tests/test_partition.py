@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (edge_activity_series, random_graph, remapped, restricted, scalar,
-                      z_naive, z_naive_qspin, z_pair)
+from conftest import (absorb_loop, edge_activity_series, edge_product, random_graph, remapped,
+                      restricted, scalar, z_naive, z_naive_qspin, z_pair)
 from spinmix import partition
 from spinmix.corpus import (rand_feasible_pinning, rand_params,
                             rand_qspin_params, rand_qspin_pinning, rand_tree)
@@ -683,7 +683,7 @@ class TestIntegerPass:
             for y in ys:
                 zp, zm = msgs.at(y)
                 expected = expected * (params.beta * zp + zm) * (zp + params.gamma * zm)
-            assert msgs.edge_product(ys) == expected
+            assert edge_product(msgs, ys) == expected
 
     def test_held_path_leaves_z_and_messages(self):
         """Holding the u-v path back changes neither Z nor any message. The
@@ -710,6 +710,32 @@ class TestIntegerPass:
     def test_held_vertices_must_be_a_path_from_the_root(self, held):
         with pytest.raises(ValueError, match="path from a root"):
             z_tree(PATH3, Pinning(), Params(2, 3, 1), root=0, held=held)
+
+
+def _gaussian(rng: random.Random) -> tuple[int, int]:
+    """A Gaussian integer with parts of up to 600 bits, either part zero at times."""
+    def part():
+        if rng.random() < 0.15:
+            return 0
+        return rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 600))
+    return part(), part()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_absorb_equals_the_generic_loop(q):
+    """The unrolled 2-spin absorb and the loop it replaces agree on every
+    entry; q = 3 and 4 take the loop."""
+    rng = random.Random(211 + q)
+    zeros = 0
+    for _ in range(300):
+        matrix = [[_gaussian(rng) for _ in range(q)] for _ in range(q)]
+        vec, child = [_gaussian(rng) for _ in range(q)], [_gaussian(rng) for _ in range(q)]
+        if rng.random() < 0.1:
+            vec[rng.randrange(q)] = (0, 0)
+        out = partition._absorb(matrix, vec, child)
+        assert out == absorb_loop(matrix, vec, child) and len(out) == q
+        zeros += (0, 0) in vec
+    assert zeros >= 20
 
 
 def test_forest_order_kept_on_the_graph():
