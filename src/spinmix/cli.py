@@ -470,6 +470,9 @@ def _run_decay(cfg: argparse.Namespace) -> int:
     kmin = cfg.kmin
     if params.beta_is_zero and cfg.mode in ("ssm", "psm") and kmin < 2:
         kmin = 2
+    if cfg.kmax < kmin:
+        raised = f" (--kmin {cfg.kmin} is raised to 2 at beta = 0)" if kmin != cfg.kmin else ""
+        raise ValueError(f"--kmax {cfg.kmax} is below kmin {kmin}{raised}")
     prof = decay_profile(path_decay_instances(cfg.kmax, cfg.mode, kmin), params)
     if cfg.out:
         rows = [{"k": r.k, "gap": r.gap, "log_gap": r.log_gap} for r in prof.rows]
@@ -516,6 +519,11 @@ def run(cfg: argparse.Namespace) -> int:
             raise ValueError(f"--span must be finite, got {cfg.span}")
         if cfg.command == "region" and cfg.grid < 1:
             raise ValueError(f"--grid must be at least 1, got {cfg.grid}")
+        # the grid's largest intermediate, 2 * span * (grid - 1), must be
+        # finite; a grid of side 1 never computes it
+        if (cfg.command == "region" and cfg.grid > 1
+                and not math.isfinite(2 * cfg.span * (cfg.grid - 1))):
+            raise ValueError(f"--span {cfg.span} overflows a grid of side {cfg.grid}")
         if cfg.command == "decay":
             code = _run_decay(cfg)
         elif cfg.command == "region":

@@ -77,13 +77,16 @@ def _connected_edges(rng: random.Random, n: int, attempts: int,
                      dmax: int | None = None) -> tuple:
     """The edges of the first Erdos-Renyi draw that is connected and, with
     ``dmax``, has maximum degree <= dmax. Each draw is decided on its bits
-    and edge list; no Graph is built. With n <= 1 nothing is drawn."""
+    and edge list; no Graph is built. With n <= 1 nothing is drawn. A draw
+    of more than n * dmax / 2 edges has a degree above dmax, so it is
+    rejected on its edge count before the per-vertex test."""
     pairs, top, incident = _pair_draw(n)
     width = 64 * len(pairs)
     for _ in range(attempts):
         bits = ~rng.getrandbits(width) & top
-        if dmax is not None and any((bits & mask).bit_count() > dmax
-                                    for mask in incident):
+        if dmax is not None and (2 * bits.bit_count() > n * dmax
+                                 or any((bits & mask).bit_count() > dmax
+                                        for mask in incident)):
             continue
         edges = tuple(itertools.compress(pairs, bits.to_bytes(width // 8, "little")[3::8]))
         if edges_connected(n, edges):

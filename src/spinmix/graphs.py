@@ -61,8 +61,23 @@ class Graph:
             if any(x.is_zero() for x in flds):
                 raise GraphFormatError("field values must be nonzero")
             object.__setattr__(self, "fields", flds)
+        self._index()
+
+    @classmethod
+    def _validated(cls, n: int, edges: tuple[tuple[int, int], ...],
+                   fields: tuple[ExactComplex, ...] | None) -> "Graph":
+        """The Graph of edges that are already valid, distinct and sorted and
+        of fields already coerced and nonzero, built without checking them
+        again."""
+        g = object.__new__(cls)
+        for name, value in (("n", n), ("edges", edges), ("fields", fields), ("_forests", {})):
+            object.__setattr__(g, name, value)
+        g._index()
+        return g
+
+    def _index(self):
         # sorted edges list each vertex's neighbours in ascending order
-        adj = [[] for _ in range(n)]
+        adj = [[] for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
@@ -140,7 +155,10 @@ class Graph:
     # -- derived graphs ------------------------------------------------------
 
     def delete_vertices(self, vs: Iterable[int]) -> tuple["Graph", dict[int, int]]:
-        """Induced subgraph on the complement of ``vs`` plus the old->new map."""
+        """Induced subgraph on the complement of ``vs`` plus the old->new map.
+
+        The map is increasing, so the kept edges stay valid, distinct and
+        sorted once mapped, and the subgraph is not validated again."""
         drop = set(vs)
         keep = [v for v in range(self.n) if v not in drop]
         remap = {old: new for new, old in enumerate(keep)}
@@ -149,7 +167,7 @@ class Graph:
         flds = None
         if self.fields is not None:
             flds = tuple(self.fields[v] for v in keep)
-        return Graph(len(keep), edges, flds), remap
+        return Graph._validated(len(keep), edges, flds), remap
 
     def tree_path(self, u: int, v: int) -> list[int]:
         """Vertices of the u-v path in the BFS forest rooted at u: the unique

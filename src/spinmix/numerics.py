@@ -139,16 +139,22 @@ class ExactComplex:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise TypeError("only integer powers are exact")
+        a, b, d = self._abd
         if k < 0:
-            return (ExactComplex(1) / self) ** (-k)
-        out = ExactComplex(1)
-        base = self
+            if not (a or b):
+                raise ZeroDivisionError("division by exact zero")
+            # 1/x = d (a - bi) / (a^2 + b^2)
+            k, a, b, d = -k, a * d, -b * d, a * a + b * b
+        # (a + bi)^k by squaring on the Gaussian integer, over d^k, reduced once
+        den = d ** k
+        re, im = 1, 0
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                re, im = re * a - im * b, re * b + im * a
             k >>= 1
-        return out
+            if k:
+                a, b = a * a - b * b, 2 * a * b
+        return _reduced(re, im, den)
 
     # -- predicates and conversions -----------------------------------------
 
@@ -518,6 +524,40 @@ def _monic(a: list) -> Polynomial:
     return Polynomial.over(a, a[-1][0])
 
 
+# A prime p = 1 (mod 4) below 2^30, so that its residues are one-digit ints,
+# and a square root of -1 modulo it: 3 generates the units mod p, so
+# 3^((p - 1)/4) has order 4.
+_PRIME = 998244353
+_I_MOD = pow(3, (_PRIME - 1) // 4, _PRIME)
+
+
+def _coprime_mod_prime(w: list) -> bool:
+    """Whether w and w' have a constant gcd modulo _PRIME, i sent to _I_MOD,
+    with neither lead vanishing there: a certificate that gcd(w, w') is
+    constant over Q(i) (the one-prime test of Brown 1971)."""
+    p = _PRIME
+    a = [(x + y * _I_MOD) % p for x, y in w]
+    b = [k * c % p for k, c in enumerate(a)][1:]
+    if not a[-1] or not b[-1]:
+        return False
+    # Euclid over Z/p: a mod b by the monic b, until b is a constant or zero
+    while len(b) > 1:
+        t = pow(b[-1], -1, p)
+        low = [c * t % p for c in b[:-1]]
+        r = a[:]
+        for k in range(len(a) - len(b), -1, -1):
+            q = r.pop()
+            if q:
+                for j, c in enumerate(low, k):
+                    r[j] = (r[j] - q * c) % p
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return False
+        a, b = b, r
+    return True
+
+
 def square_free_factors(p: Polynomial) -> list[tuple[Polynomial, int]]:
     """Yun decomposition p = c prod f_i^i with each monic f_i square-free.
 
@@ -526,10 +566,22 @@ def square_free_factors(p: Polynomial) -> list[tuple[Polynomial, int]]:
     certain. Each gcd a gets a positive integer lead L, and Yun's pair (w, z)
     is divided by it at once, both times L^k to keep the quotients integral
     and then over their joint integer content, so the ratio stays the same.
+
+    Most field polynomials are square-free, and a gcd modulo one prime
+    proves it first. Reduction modulo p = _PRIME = 998244353 (p = 1 mod 4),
+    with i sent to a square root of -1 mod p, is a ring map from Z[i] onto
+    Z/p. If g is the primitive gcd of w and w' in Z[i][x], it divides both
+    there, and so its image divides both images. When w's lead survives the
+    map, g's lead does too, so the image has g's degree. A constant gcd of
+    the images (with both leads surviving) thus makes g constant, and w is
+    returned as the one factor at once. In every other case, including a
+    lead divisible by p, the subresultant route below decides.
     """
     if p.degree < 1:
         return []
     w = _primitive(list(p.numerators))
+    if _coprime_mod_prime(w):
+        return [(_monic(w), 1)]
     z = _derivative(w)
     a = _primitive(_gcd(w, z))
     if len(a) == 1:
@@ -650,11 +702,12 @@ def _aberth_simple(p: Polynomial) -> list[complex]:
                     continue
             newton = pz / dpz
             s = 0j
-            for zj in z[:i] + z[i + 1:]:
-                d = zi - zj
-                if d == 0:
-                    d = 1e-14
-                s += 1.0 / d
+            for j in range(deg):
+                if j != i:
+                    d = zi - z[j]
+                    if d == 0:
+                        d = 1e-14
+                    s += 1.0 / d
             denom = 1.0 - newton * s
             step = newton if denom == 0 else newton / denom
             z[i] = zi = zi - step

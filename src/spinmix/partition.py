@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -147,9 +146,14 @@ def two_spin_embedding(params: Params) -> QSpinParams:
 def _powers(x: ExactComplex, n: int) -> list[tuple[int, int]]:
     """x^0..x^n as Gaussian-integer numerators over d ** n, d that of x."""
     a, b, d = x._abd
-    out = [(d ** n, 0)]
+    dn = [1]  # d^0..d^n
     for _ in range(n):
-        out.append(tuple(c // d for c in _gmul(out[-1], (a, b))))
+        dn.append(dn[-1] * d)
+    out = []
+    re, im = 1, 0  # (a + bi)^j
+    for j in range(n, -1, -1):
+        out.append((re * dn[j], im * dn[j]))
+        re, im = re * a - im * b, re * b + im * a
     return out
 
 
@@ -684,7 +688,9 @@ def eliminate_pins(g: Graph, p: Pinning, beta,
     surviving field is multiplied by beta^{(# + pinned neighbors) - (# -
     pinned neighbors)}; the prefactor collects beta powers from edges inside
     the pinned set and from (-)-pin boundary edges, times the fields of +
-    pins. Edge weights are (beta, beta); beta must be nonzero.
+    pins. Edge weights are (beta, beta); beta must be nonzero. Each
+    distinct power of beta is formed once, and the subgraph keeps G's
+    validated edges.
     """
     beta = ExactComplex._coerce(beta)
     if beta.is_zero():
@@ -715,12 +721,8 @@ def eliminate_pins(g: Graph, p: Pinning, beta,
         if s == PLUS:
             prefactor = prefactor * fields[v]
     reduced, remap = g.delete_vertices(assigned)
-    keep = sorted(remap, key=remap.get)
-    # beta^lo .. beta^hi, one product each
-    lo = min(shift, default=0)
-    powers = list(itertools.accumulate([beta] * (max(shift, default=0) - lo),
-                                       ExactComplex.__mul__, initial=beta ** lo))
-    new_fields = tuple(fields[v] * powers[shift[v] - lo] for v in keep)
+    powers = {k: beta ** k for k in {shift[v] for v in remap}}
+    new_fields = tuple(fields[v] * powers[shift[v]] for v in remap)
     return reduced, new_fields, prefactor
 
 

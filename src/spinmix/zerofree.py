@@ -102,7 +102,12 @@ def pinned_annulus_check(g: Graph, p: Pinning, beta, d: int | None = None) -> Ro
     polynomials have the same roots, so agreeing routes share one root
     solve; only when they differ are the eliminated polynomial's
     roots found separately and matched in floats. The report records the
-    violation count and the worst cross-check mismatch.
+    violation count and the worst cross-check mismatch. The elimination's
+    fields are powers of beta, one per distinct exponent, and its prefactor
+    is not read. A square-free polynomial's split ends at
+    its certificate, one gcd modulo a prime, so the subresultant sequence
+    runs only on a polynomial with a repeated factor or one that prime
+    cannot decide.
     """
     beta = ExactComplex._coerce(beta)
     if not beta.is_real() or beta.re <= 1:

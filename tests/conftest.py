@@ -26,6 +26,10 @@ every partition value reduced to an ExactComplex first, then multiplied and
 subtracted as one, with the right-hand side's edge factors from
 ``edge_product``, the reducing read of TreeMessages.edge_product.
 ``absorb_loop`` is the generic q-loop edge factor the 2-spin absorb unrolls.
+``eliminate_pins_reference`` is pin elimination as the library took it
+before it formed the powers of beta on integers and kept the subgraph's
+edges unvalidated: ExactComplex powers and products, and a Graph built by
+its constructor.
 ``ldc_reference`` is the locality route the library took before it read each
 verdict off cross-multiplied integer numerators: build both marginal series,
 reduced and divided by series_div, and compare them coefficient by
@@ -479,6 +483,40 @@ def z_naive_qspin(g, p, qp):
             w = w * qp.matrix[combo[u] - 1][combo[v] - 1]
         total = total + w
     return total
+
+
+def eliminate_pins_reference(g: Graph, p: Pinning, beta, fields):
+    """eliminate_pins in ExactComplex arithmetic, as the library took it
+    before it formed the powers of beta on integers: beta ** k for the
+    prefactor and the lowest shift, one product per step up to the highest,
+    every field multiplied in, and the subgraph through the Graph
+    constructor."""
+    beta = ExactComplex._coerce(beta)
+    fields = tuple(ExactComplex._coerce(x) for x in fields)
+    assigned = p.as_dict()
+    inside_agree = minus_boundary = 0
+    shift = [0] * g.n
+    for u, v in g.edges:
+        su, sv = assigned.get(u), assigned.get(v)
+        if su is not None and sv is not None:
+            inside_agree += su == sv
+        elif su is not None or sv is not None:
+            pinned, free = (su, v) if su is not None else (sv, u)
+            shift[free] += 1 if pinned == PLUS else -1
+            minus_boundary += pinned == MINUS
+    prefactor = beta ** (inside_agree + minus_boundary)
+    for v, s in p.items():
+        if s == PLUS:
+            prefactor = prefactor * fields[v]
+    keep = [v for v in range(g.n) if v not in assigned]
+    remap = {old: new for new, old in enumerate(keep)}
+    edges = tuple((remap[u], remap[v]) for u, v in g.edges if u in remap and v in remap)
+    flds = None if g.fields is None else tuple(g.fields[v] for v in keep)
+    lo = min(shift, default=0)
+    powers = list(itertools.accumulate([beta] * (max(shift, default=0) - lo),
+                                       ExactComplex.__mul__, initial=beta ** lo))
+    rescaled = tuple(fields[v] * powers[shift[v] - lo] for v in keep)
+    return Graph(len(keep), edges, flds), rescaled, prefactor
 
 
 def is_connected(g: Graph) -> bool:

@@ -907,3 +907,48 @@ def test_region_grid_below_one_exits_2(value, tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(["region", "--grid", "1", "--max-vertices", "3"], capsys)
     rows = [json.loads(line) for line in out.splitlines()[:-1]]
     assert code == 0 and rows == [{"im": 0.0, "min_modulus": 1.0, "re": 0.0}]
+
+
+@pytest.mark.parametrize("span,grid", [("1e308", "2"), ("5e307", "3")])
+def test_region_overflowing_span_exits_2(span, grid, tmp_path, capsys, monkeypatch):
+    # a finite span whose grid formula overflows, 2 * span * i at i = grid - 1,
+    # printed NaN and Infinity cells and exited 0
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["region", "--grid", grid, "--span", span,
+                              "--out", "region.csv"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"config error: --span {float(span)} overflows a grid of side {grid}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_region_grid_of_side_1_never_reads_the_span(capsys):
+    # the one cell is 0, so a span whose doubling overflows is still accepted
+    code, out, _ = run_cli(["region", "--grid", "1", "--span", "1e308",
+                            "--max-vertices", "3"], capsys)
+    rows = [json.loads(line) for line in out.splitlines()[:-1]]
+    assert code == 0 and rows == [{"im": 0.0, "min_modulus": 1.0, "re": 0.0}]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--kmax", "0"], "--kmax 0 is below kmin 2 (--kmin 1 is raised to 2 at beta = 0)"),
+    (["--kmin", "5", "--kmax", "2"], "--kmax 2 is below kmin 5"),
+    (["--kmin", "1", "--kmax", "1"], "--kmax 1 is below kmin 2 (--kmin 1 is raised to 2 at beta = 0)"),
+    (["--beta", "2", "--kmax", "-3"], "--kmax -3 is below kmin 1"),
+], ids=["kmax-0", "kmin-5-kmax-2", "kmin-1-kmax-1", "kmax-negative"])
+def test_decay_kmax_below_kmin_exits_2(argv, message, tmp_path, capsys, monkeypatch):
+    # an empty distance range wrote an empty report with a null rate and exited 0
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["decay", *argv, "--out", "decay.csv"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"config error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["region", "--grid", "3"], "c609c144cd37ee16ce99a70878a366378a45fafef9eb605efae3af4d4093e2d4"),
+    (["decay", "--kmax", "3"], "0f3ed0d52a0b945f299fcaeb54f41db11158087abae22fcc90a134e7356039b9"),
+], ids=["region", "decay"])
+def test_range_checks_keep_valid_reports(argv, digest, capsys):
+    # the SHA-256 of each report's stdout before the span and kmax checks
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest

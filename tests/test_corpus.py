@@ -41,6 +41,18 @@ def reference_rand_tree(rng, n):
     return Graph(n, tuple(edges))
 
 
+def reference_rand_bounded_degree_graph(rng, n, dmax, attempts):
+    """The bounded-degree draw on a Graph built for every Erdos-Renyi
+    candidate, one rng.random() per pair: the degree test, then
+    connectivity."""
+    for _ in range(attempts):
+        g = Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                           if rng.random() < 0.5))
+        if g.max_degree() <= dmax and is_connected(g):
+            return g
+    raise RuntimeError(f"no degree-{dmax} connected graph on {n} vertices")
+
+
 def reference_rand_scalar(rng, nonzero=False, complex_prob=0.0):
     """The scalar draw through Fraction."""
     for _ in range(corpus.DRAW_LIMIT):
@@ -61,6 +73,28 @@ def test_tree_same_trees_and_stream_as_reference():
         assert t == reference_rand_tree(theirs, n)
         assert (is_connected(t) and len(t.edges) == n - 1) or n == 0
         assert mine.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("dmax", [2, 3, 4])
+def test_bounded_degree_same_graphs_and_stream_as_reference(dmax):
+    # attempts is small so that the sparse bounds (n = 10 at dmax = 2 has no
+    # connected draw in reach) also compare the streams of exhausted loops
+    drawn = exhausted = 0
+    for n in range(2, 11):
+        for seed in range(4):
+            mine, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                try:
+                    g = corpus.rand_bounded_degree_graph(mine, n, dmax, attempts=300)
+                except RuntimeError:
+                    with pytest.raises(RuntimeError):
+                        reference_rand_bounded_degree_graph(theirs, n, dmax, 300)
+                    exhausted += 1
+                else:
+                    assert g == reference_rand_bounded_degree_graph(theirs, n, dmax, 300)
+                    drawn += 1
+                assert mine.getstate() == theirs.getstate()
+    assert drawn >= 40 and exhausted >= 1
 
 
 @pytest.mark.parametrize("nonzero", [False, True])

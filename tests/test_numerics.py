@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (_poly_gcd, aberth_reference, root_bits, series_div_naive,
                       square_free_reference)
+from spinmix import cli, numerics
 from spinmix.errors import RootConvergenceError, SeriesDivisionError
 from spinmix.graphs import Graph, Pinning
 from spinmix.numerics import (ExactComplex, Polynomial, PowerSeries, _common_numerators, _gcd,
                               _reduced, match_roots, parse_scalar, poly_roots,
                               series_div, square_free_factors)
-from spinmix.partition import z_poly_lambda
+from spinmix.partition import eliminate_pins, z_poly_lambda
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=10)
 exacts = st.builds(ExactComplex, rationals, rationals)
@@ -163,6 +164,11 @@ class TestExactComplexAgainstFractionPairs:
         assert ex.to_complex() == complex(float(x[0]), float(x[1]))
         if k >= 0 or x != (0, 0):
             assert pair(ex ** k) == ref_pow(x, k)
+            # the triple comes out canonical
+            assert (ex ** k)._abd == ExactComplex(*ref_pow(x, k))._abd
+        else:
+            with pytest.raises(ZeroDivisionError, match="division by exact zero"):
+                ex ** k
 
     @given(ref_pairs, ref_pairs)
     @settings(max_examples=150)
@@ -437,6 +443,96 @@ def planted_polynomials() -> list[tuple[list[ExactComplex], list[ExactComplex]]]
             coeffs = nxt
         out.append((planted, coeffs))
     return out
+
+
+def annulus_field_polynomials():
+    """Every field polynomial of the annulus corpora at seeds 0-5, degree
+    bounds 3 and 4: the pinned polynomial and the pin-eliminated one of each
+    instance, each over its lowest nonzero power."""
+    parser = cli._build_parser()
+    for seed in range(6):
+        for bound in (["--degree-bound", "3"], ["--degree-bound", "4", "--max-vertices", "9"]):
+            cfg = parser.parse_args(["annulus", "--seed", str(seed), *bound])
+            rng = random.Random(seed)
+            for trial in range(cfg.trials):
+                inst = cli._gen_annulus(cfg, rng, trial)
+                g, pins, beta = inst["graph"], inst["pins"], inst["beta"]
+                reduced, rescaled, _ = eliminate_pins(g, pins, beta, (ExactComplex(1),) * g.n)
+                for p in (z_poly_lambda(g, pins, beta, beta),
+                          z_poly_lambda(reduced, Pinning(), beta, beta, scale=rescaled)):
+                    if p.degree >= 1:
+                        yield p.shifted_down(p.valuation())
+
+
+class TestSquareFreeCertificate:
+    """The one-prime coprimality test ahead of the subresultant route."""
+
+    @staticmethod
+    def counted_gcd(monkeypatch) -> list:
+        calls = []
+
+        def gcd(a, b):
+            calls.append(1)
+            return _gcd(a, b)
+
+        monkeypatch.setattr(numerics, "_gcd", gcd)
+        return calls
+
+    def test_prime_and_square_root_of_minus_one(self):
+        p = numerics._PRIME
+        assert p % 4 == 1 and p < 2 ** 30
+        assert all(p % k for k in range(2, math.isqrt(p) + 1))
+        assert numerics._I_MOD ** 2 % p == p - 1
+
+    def test_annulus_field_polynomials(self, monkeypatch):
+        calls = self.counted_gcd(monkeypatch)
+        certified = total = 0
+        for p in annulus_field_polynomials():
+            before = len(calls)
+            factors = square_free_factors(p)
+            assert factors == square_free_reference(p), p
+            # the certificate returns without a gcd, and only for square-free p
+            if len(calls) == before:
+                certified += 1
+                assert len(factors) == 1 and factors[0][1] == 1
+            total += 1
+        assert total >= 1000 and certified >= 0.8 * total
+
+    def test_planted_repeated_factors(self, monkeypatch):
+        calls = self.counted_gcd(monkeypatch)
+        rng = random.Random(26)
+
+        def poly(degree):
+            out = [ExactComplex(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                                Fraction(rng.randint(-9, 9), rng.randint(1, 9)) * rng.randint(0, 1))
+                   for _ in range(degree)]
+            return out + [ExactComplex(rng.randint(1, 9), rng.randint(-9, 9))]
+
+        for _ in range(300):
+            f, g = poly(rng.randint(1, 3)), poly(rng.randint(0, 4))
+            coeffs = g
+            for _ in range(rng.randint(2, 4)):
+                coeffs = _mul(coeffs, f)
+            p = Polynomial(coeffs)
+            before = len(calls)
+            factors = square_free_factors(p)
+            assert len(calls) > before
+            assert any(m > 1 for _, m in factors)
+            assert factors == square_free_reference(p), p
+
+    @pytest.mark.parametrize("coeffs", [
+        # the lead vanishes modulo the prime P, and so does the derivative's
+        [1, 1, numerics._PRIME],
+        [(2, 3), (0, -1), (5, 0), (numerics._PRIME, 0)],
+        # leads survive, but the roots 0 and P meet modulo P
+        [0, -numerics._PRIME, 1],
+    ], ids=["real-lead", "gaussian-lead", "roots-meet"])
+    def test_fallback_when_the_prime_cannot_decide(self, coeffs, monkeypatch):
+        calls = self.counted_gcd(monkeypatch)
+        p = Polynomial([ExactComplex(*c) if isinstance(c, tuple) else c for c in coeffs])
+        factors = square_free_factors(p)
+        assert calls and factors == square_free_reference(p)
+        assert len(factors) == 1 and factors[0][1] == 1
 
 
 class TestPolyRoots:

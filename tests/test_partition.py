@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (absorb_loop, edge_activity_series, edge_product, random_graph, remapped,
-                      restricted, scalar, z_naive, z_naive_qspin, z_pair)
+from conftest import (absorb_loop, edge_activity_series, edge_product, eliminate_pins_reference,
+                      random_graph, remapped, restricted, scalar, z_naive, z_naive_qspin,
+                      z_pair)
 from spinmix import partition
 from spinmix.corpus import (rand_feasible_pinning, rand_params,
                             rand_qspin_params, rand_qspin_pinning, rand_tree)
@@ -12,7 +13,7 @@ from spinmix.errors import (CapExceededError, NotATreeError, PinningError,
                             ZeroPartitionError)
 from spinmix.graphs import Graph, MINUS, PLUS, Pinning
 from spinmix.mixing import marginal, marginal_series_beta, marginal_series_lambda
-from spinmix.numerics import ExactComplex, _reduced
+from spinmix.numerics import ONE, ExactComplex, _reduced
 from spinmix.partition import (Params, QSpinParams, _monomial_counts, eliminate_pins,
                                hardcore_params, spin_reversal, two_spin_embedding,
                                z_brute, z_poly_lambda, z_qspin_tree, z_tree)
@@ -310,6 +311,34 @@ class TestEliminatePins:
     def test_zero_beta_rejected(self):
         with pytest.raises(ValueError):
             eliminate_pins(EDGE, Pinning(), 0, (ExactComplex(1), ExactComplex(1)))
+
+    def test_matches_the_exact_complex_route(self):
+        # complex beta, non-uniform fields with some exactly 1, graphs with
+        # and without a field vector, and pins of both spins
+        rng = random.Random(26)
+        seen = {"mixed pins": 0, "negative shift": 0, "graph fields": 0, "ones": 0}
+        for _ in range(400):
+            n = rng.randint(1, 9)
+            g = random_graph(rng, n, connected=False)
+            if rng.random() < 0.3:
+                g = Graph(n, g.edges, tuple(scalar(rng, nonzero=True) for _ in range(n)))
+                seen["graph fields"] += 1
+            beta = scalar(rng, nonzero=True, complex_prob=0.5)
+            fields = tuple(ONE if rng.random() < 0.4 else
+                           scalar(rng, nonzero=True, complex_prob=0.3) for _ in range(n))
+            pins = rand_feasible_pinning(rng, g, False, False, pin_prob=0.4)
+            reduced, rescaled, pre = eliminate_pins(g, pins, beta, fields)
+            ref_graph, ref_rescaled, ref_pre = eliminate_pins_reference(g, pins, beta, fields)
+            assert reduced == ref_graph and reduced._adj == ref_graph._adj
+            assert reduced.bfs() == ref_graph.bfs()
+            assert [x._abd for x in rescaled] == [x._abd for x in ref_rescaled]
+            assert pre._abd == ref_pre._abd
+            spins = {s for _, s in pins.items()}
+            seen["mixed pins"] += spins == {PLUS, MINUS}
+            seen["negative shift"] += any(MINUS == pins.get(u) and v not in pins
+                                          for e in g.edges for u, v in (e, e[::-1]))
+            seen["ones"] += ONE in fields
+        assert min(seen.values()) >= 40, seen
 
 
 class TestSpinReversal:
