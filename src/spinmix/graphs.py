@@ -256,7 +256,7 @@ def parse_graph(document: str | dict) -> Graph:
             if rd == 0 or im_d == 0:
                 raise GraphFormatError("zero denominator in field entry")
             fields.append(ExactComplex(Fraction(rn, rd), Fraction(im_n, im_d)))
-    return Graph(document["n"], tuple(edges), tuple(fields) if fields else None)
+    return Graph(document["n"], tuple(edges), None if fields is None else tuple(fields))
 
 
 # ---------------------------------------------------------------------------

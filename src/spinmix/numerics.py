@@ -2,10 +2,11 @@
 
 Every value this package compares or reports is an :class:`ExactComplex`,
 a Gaussian rational (a + b*i)/d held as three arbitrary-precision integers
-in lowest terms, so equalities are bit-exact. The tree pass, the enumeration
-folds, ``series_div`` and the square-free split run on Gaussian-integer
-numerators over one denominator instead, and reduce each value once, when it
-is read.
+in lowest terms, so equalities are bit-exact. Its operators are the plain
+field formulas, each reduced once; canonical triples make any correct formula
+give the same bits. The tree pass, the enumeration folds and the square-free
+split run on Gaussian-integer numerators over one denominator instead, and
+reduce each value once, when it is read.
 Floating point appears only in root finding and decay fitting.
 """
 
@@ -80,53 +81,33 @@ class ExactComplex:
         return ExactComplex(x)
 
     def __add__(self, other):
-        if not isinstance(other, ExactComplex):
-            other = ExactComplex(other)
         a, b, d = self._abd
-        c, e, f = other._abd
-        if d == f:
-            return _reduced(a + c, b + e, d)
+        c, e, f = self._coerce(other)._abd
         return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, ExactComplex):
-            other = ExactComplex(other)
         a, b, d = self._abd
-        c, e, f = other._abd
-        if d == f:
-            return _reduced(a - c, b - e, d)
+        c, e, f = self._coerce(other)._abd
         return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        if not isinstance(other, ExactComplex):
-            # an int, such as a configuration count, is already canonical
-            other = _exact(other, 0, 1) if type(other) is int else ExactComplex(other)
         a, b, d = self._abd
-        c, e, f = other._abd
-        if not b and not e:
-            n, m = a * c, d * f
-            g = gcd(n, m)
-            return _exact(n // g, 0, m // g)
+        c, e, f = self._coerce(other)._abd
         return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if not isinstance(other, ExactComplex):
-            other = ExactComplex(other)
         a, b, d = self._abd
-        c, e, f = other._abd
-        if not e:
-            if not c:
-                raise ZeroDivisionError("division by exact zero")
-            if c < 0:
-                c, f = -c, -f
-            return _reduced(a * f, b * f, d * c)
+        c, e, f = self._coerce(other)._abd
+        if not (c or e):
+            raise ZeroDivisionError("division by exact zero")
+        # (a + bi)/d over (c + ei)/f: f (a + bi)(c - ei) / (d (c^2 + e^2))
         return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
 
     def __rtruediv__(self, other):
@@ -139,22 +120,16 @@ class ExactComplex:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise TypeError("only integer powers are exact")
-        a, b, d = self._abd
         if k < 0:
-            if not (a or b):
-                raise ZeroDivisionError("division by exact zero")
-            # 1/x = d (a - bi) / (a^2 + b^2)
-            k, a, b, d = -k, a * d, -b * d, a * a + b * b
-        # (a + bi)^k by squaring on the Gaussian integer, over d^k, reduced once
-        den = d ** k
-        re, im = 1, 0
+            return ONE / self ** -k
+        out, x = ONE, self
         while k:
             if k & 1:
-                re, im = re * a - im * b, re * b + im * a
+                out = out * x
             k >>= 1
             if k:
-                a, b = a * a - b * b, 2 * a * b
-        return _reduced(re, im, den)
+                x = x * x
+        return out
 
     # -- predicates and conversions -----------------------------------------
 
@@ -312,8 +287,6 @@ class PowerSeries:
         n = min(self.order, other.order)
         out = [ZERO] * n
         for i, a in enumerate(self.coefficients[:n]):
-            if a.is_zero():
-                continue
             for j, b in enumerate(other.coefficients[: n - i]):
                 out[i + j] = out[i + j] + a * b
         return PowerSeries(out)
@@ -344,8 +317,8 @@ def series_div(num: PowerSeries, den: PowerSeries) -> PowerSeries:
     The result order shrinks by the cancelled valuation. Raises
     SeriesDivisionError when den vanishes through its order or when num has
     a smaller valuation than den (the quotient would not be a power series).
-    Fraction-free: R_i = q_i d_0^(i+1) on Gaussian-integer numerators (their
-    common denominator cancels); q_i = R_i conj(d_0)^(i+1) / |d_0|^(2(i+1)).
+    Each coefficient comes from the recurrence
+    q_i = (n_i - sum_{j>=1} d_j q_{i-j}) / d_0.
     """
     k = den.valuation()
     if k is None:
@@ -357,22 +330,13 @@ def series_div(num: PowerSeries, den: PowerSeries) -> PowerSeries:
                 f"valuation mismatch: numerator x^{vn} vs denominator x^{k}")
         num = num.shifted_down(k) if vn is not None else PowerSeries(num.coefficients[k:])
         den = den.shifted_down(k)
-    size = min(num.order, den.order)
-    # over the lcm of all denominators; den's constant term even when num is empty
-    ns = _common_numerators(num.coefficients[:size] + den.coefficients[:max(size, 1)])
-    ns, ds = ns[:size], ns[size:]
-    # d_0^i, and e_j = d_j d_0^(j-1): R_i = n_i d_0^i - sum_{j>=1} e_j R_{i-j}
-    pw = list(itertools.accumulate([ds[0]] * size, _gmul, initial=(1, 0)))
-    es = list(map(_gmul, ds[1:], pw))
-    norm = ds[0][0] ** 2 + ds[0][1] ** 2
-    rs, out = [], []
-    for i in range(size):
-        re, im = _gmul(ns[i], pw[i])
-        for (er, ei), (xr, xi) in zip(es, reversed(rs)):
-            re, im = re - er * xr + ei * xi, im - er * xi - ei * xr
-        rs.append((re, im))
-        pr, pi = pw[i + 1]
-        out.append(_reduced(re * pr + im * pi, im * pr - re * pi, norm ** (i + 1)))
+    ns, ds = num.coefficients, den.coefficients
+    out: list[ExactComplex] = []
+    for i in range(min(len(ns), len(ds))):
+        acc = ns[i]
+        for j in range(1, i + 1):
+            acc = acc - ds[j] * out[i - j]
+        out.append(acc / ds[0])
     return PowerSeries(out)
 
 

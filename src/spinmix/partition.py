@@ -316,11 +316,17 @@ def _lambda_tables(g: Graph, beta, gamma,
     if scale is not None and len(scale) != g.n:
         raise ValueError("scale vector length must equal vertex count")
     m = len(g.edges)
-    pow_b = _powers(beta, m)
-    pow_g = pow_b if gamma == beta else _powers(gamma, m)
+    if gamma == beta:
+        # beta^(m+) gamma^(m-) over d^(2m) is entry m+ + m- of one table
+        pow_bb = _powers(beta, 2 * m)
 
-    def term(mp, mm, k):
-        return k, _gmul(pow_b[mp], pow_g[mm])
+        def term(mp, mm, k):
+            return k, pow_bb[mp + mm]
+    else:
+        pow_b, pow_g = _powers(beta, m), _powers(gamma, m)
+
+        def term(mp, mm, k):
+            return k, _gmul(pow_b[mp], pow_g[mm])
     dw = 1 if scale is None else math.lcm(*[w._abd[2] for w in scale])
     return term, (beta._abd[2] * gamma._abd[2]) ** m, dw
 

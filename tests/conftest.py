@@ -8,8 +8,8 @@ identities took before they read pinned values from root messages; tests
 keep them as references. ``gutman_by_passes`` and ``qspin_det_by_passes``
 are the routes those identities took before one pass held the u-v path
 back: a tree pass rooted at u per pinned or deleted set, each value read
-from u's root message. ``series_div_naive`` is the series division the
-library ran before it went fraction-free: an ExactComplex inverse series
+from u's root message. ``series_div_naive`` is a second series division,
+independent of the library's recurrence: an ExactComplex inverse series
 times the numerator, each coefficient reduced after every operation.
 ``saw_marginal_tree`` and ``weitz_marginal_tree`` are the explicit SAW-tree
 route the library took before it walked g instead: build the tree, pin the
@@ -27,9 +27,9 @@ subtracted as one, with the right-hand side's edge factors from
 ``edge_product``, the reducing read of TreeMessages.edge_product.
 ``absorb_loop`` is the generic q-loop edge factor the 2-spin absorb unrolls.
 ``eliminate_pins_reference`` is pin elimination as the library took it
-before it formed the powers of beta on integers and kept the subgraph's
-edges unvalidated: ExactComplex powers and products, and a Graph built by
-its constructor.
+before it formed each distinct power of beta once and kept the subgraph's
+edges unvalidated: a run of ExactComplex products from the lowest power up,
+and a Graph built by its constructor.
 ``ldc_reference`` is the locality route the library took before it read each
 verdict off cross-multiplied integer numerators: build both marginal series,
 reduced and divided by series_div, and compare them coefficient by
@@ -486,8 +486,8 @@ def z_naive_qspin(g, p, qp):
 
 
 def eliminate_pins_reference(g: Graph, p: Pinning, beta, fields):
-    """eliminate_pins in ExactComplex arithmetic, as the library took it
-    before it formed the powers of beta on integers: beta ** k for the
+    """eliminate_pins as the library took it before it formed each
+    distinct power of beta once: beta ** k for the
     prefactor and the lowest shift, one product per step up to the highest,
     every field multiplied in, and the subgraph through the Graph
     constructor."""

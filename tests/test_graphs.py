@@ -45,6 +45,12 @@ class TestParseGraph:
         with pytest.raises(GraphFormatError):
             parse_graph('{"n":1,"edges":[],"fields":[[0,1,0,1]]}')
 
+    def test_empty_field_list_is_an_empty_vector(self):
+        # an empty list is not an absent one: Graph's length check rejects it
+        with pytest.raises(GraphFormatError, match="field vector length"):
+            parse_graph('{"n":2,"edges":[[0,1]],"fields":[]}')
+        assert parse_graph('{"n":0,"edges":[],"fields":[]}').fields == ()
+
     def test_round_trip(self):
         g = parse_graph('{"n":3,"edges":[[0,2],[0,1]],"fields":[[1,1,0,1],[2,1,0,1],[1,3,0,1]]}')
         assert parse_graph(g.to_json()) == g
