@@ -11,7 +11,8 @@ dump/replay wire format, written when an instance fails and decoded by
 assertion passed, 1 on a contract failure (the first failing instance is
 dumped as JSON for `replay`), 2 on usage errors (argparse rejects a
 malformed --beta, --gamma or --lambda, or roots without --beta), on
-configuration errors, on arithmetic that cannot finish (a vanishing
+configuration errors (a corpus run given a flag that only --graph runs
+read is one), on arithmetic that cannot finish (a vanishing
 partition value, an undefined series division, a root iteration that does
 not converge) and on a draw loop that reaches its bound; 141 (128 +
 SIGPIPE), with nothing on stderr, when the reader of stdout closes it
@@ -39,7 +40,7 @@ from .identities import cd_sides, gutman_sides, qspin_det_sides
 from .mixing import (decay_profile, ldc_report, ldc_report_beta, marginal,
                      path_decay_instances, verify_saw_marginal,
                      weitz_approx_marginal)
-from .numerics import ExactComplex, ONE, parse_scalar
+from .numerics import ExactComplex, ONE, ZERO, parse_scalar
 from .partition import Params, QSpinParams
 from .zerofree import lambda_root_scan, pinned_annulus_check, region_min_modulus
 
@@ -435,6 +436,10 @@ def _run_single_file_command(cfg: argparse.Namespace) -> int:
         ok, row = eval_annulus(inst)
         return _finish(cfg, [row], [] if ok else [(0, inst, row)])
 
+    # the documented defaults of the flags only these runs read (cfg.graph_only)
+    beta = ZERO if cfg.beta is None else cfg.beta
+    gamma = ONE if cfg.gamma is None else cfg.gamma
+
     if cfg.command == "ldc":
         rows = []
         failures = []
@@ -444,7 +449,7 @@ def _run_single_file_command(cfg: argparse.Namespace) -> int:
                     continue
                 for spin in (PLUS, MINUS):
                     inst = {"graph": g, "pins_a": pins, "pins_b": pins.with_pin(u, spin),
-                            "beta": cfg.beta, "gamma": cfg.gamma, "v": v}
+                            "beta": beta, "gamma": gamma, "v": v}
                     ok, row = eval_ldc(inst)
                     row = {"v": v, "u": u, "pin": spin, **row}
                     rows.append(row)
@@ -459,8 +464,9 @@ def _run_single_file_command(cfg: argparse.Namespace) -> int:
         field = g.fields
     else:
         raise ValueError("--lambda conflicts with per-vertex fields in the graph file")
-    inst = {"graph": g, "pins": pins, "params": Params(cfg.beta, cfg.gamma, field),
-            "v": cfg.vertex, "depth": g.n if cfg.depth is None else cfg.depth}
+    inst = {"graph": g, "pins": pins, "params": Params(beta, gamma, field),
+            "v": 0 if cfg.vertex is None else cfg.vertex,
+            "depth": g.n if cfg.depth is None else cfg.depth}
     ok, row = eval_weitz(inst)
     return _finish(cfg, [row], [] if ok else [(0, inst, row)], echo=True)
 
@@ -531,6 +537,11 @@ def run(cfg: argparse.Namespace) -> int:
         elif getattr(cfg, "graph", None) is not None:
             code = _run_single_file_command(cfg)
         else:
+            given = [flag for flag, name in getattr(cfg, "graph_only", ())
+                     if getattr(cfg, name) is not None]
+            if given:
+                raise ValueError(f"only --graph runs read {', '.join(given)}; "
+                                 f"a seeded {cfg.command} corpus draws its own")
             code = _run_corpus_command(cfg)
         # a closed pipe surfaces here, not in the flush at shutdown
         sys.stdout.flush()
@@ -607,16 +618,28 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", type=str, default=None)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    def add_params(sp, beta="0", gamma="1", lam="1"):
-        """--beta, --gamma and --lambda with this command's defaults; a None
-        default leaves the flag unset, and makes --beta required."""
-        sp.add_argument("--beta", type=parse_scalar, default=beta, required=beta is None,
-                        help=("rational p/q, optionally p/q,p/q for a complex value; "
-                              "give a negative value as --beta=-p/q"))
-        sp.add_argument("--gamma", type=parse_scalar, default=gamma,
-                        help="as --beta; a negative value as --gamma=-p/q")
-        sp.add_argument("--lambda", dest="lam", type=parse_scalar, default=lam,
-                        help="as --beta; a negative value as --lambda=-p/q")
+    def add_scalar(sp, flag, default=None, note="", required=False):
+        """A scalar flag (--beta, --gamma or --lambda, read as cfg.lam); a
+        None default leaves it unset."""
+        return sp.add_argument(flag, type=parse_scalar, default=default, required=required,
+                               dest="lam" if flag == "--lambda" else None,
+                               help=(f"rational p/q, optionally p/q,p/q for a complex value; "
+                                     f"give a negative value as {flag}=-p/q{note}"))
+
+    def add_graph_run(sp, *scalars, vertex=False):
+        """--graph, and the flags only a --graph run reads: --pins, the
+        scalars given as (flag, default) and, with ``vertex``, --vertex.
+        Each is unset by default, and cfg.graph_only lists them as (flag,
+        attribute), so a corpus run given one is a configuration error;
+        _run_single_file_command fills in the defaults."""
+        sp.add_argument("--graph", type=str, default=None)
+        only = [sp.add_argument("--pins", type=str, default=None, help="--graph runs only")]
+        only += [add_scalar(sp, flag, note=f" (--graph runs only; default {default})")
+                 for flag, default in scalars]
+        if vertex:
+            only.append(sp.add_argument("--vertex", type=int, default=None,
+                                        help="--graph runs only (default 0)"))
+        sp.set_defaults(graph_only=tuple((a.option_strings[0], a.dest) for a in only))
 
     sp = sub.add_parser("cd-check", help="pair-difference identity corpus on trees")
     add_common(sp, 200, 14)
@@ -629,42 +652,41 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sp, 100, 9)
     sp = sub.add_parser("ldc", help="field-series coefficient locality")
     add_common(sp, 100, 8)
-    add_params(sp)
-    sp.add_argument("--graph", type=str, default=None)
-    sp.add_argument("--pins", type=str, default=None)
+    add_graph_run(sp, ("--beta", "0"), ("--gamma", "1"))
     sp = sub.add_parser("ldc-beta", help="edge-activity series locality at 1/gamma")
     add_common(sp, 100, 7)
     sp = sub.add_parser("decay", help="gap decay profile on path families")
     add_common(sp)
-    add_params(sp)
+    add_scalar(sp, "--beta", "0")
+    add_scalar(sp, "--gamma", "1")
+    add_scalar(sp, "--lambda", "1")
     sp.add_argument("--mode", choices=("ssm", "psm", "msm"), default="ssm")
     sp.add_argument("--kmax", type=int, default=10)
     sp.add_argument("--kmin", type=int, default=1)
     sp = sub.add_parser("roots", help="field-polynomial root scan of one instance")
     add_common(sp)
-    add_params(sp, beta=None, gamma=None)
+    add_scalar(sp, "--beta", required=True)
+    add_scalar(sp, "--gamma", note=" (default: beta)")
     sp.add_argument("--graph", type=str, required=True)
     sp.add_argument("--pins", type=str, default=None)
     sp = sub.add_parser("annulus", help="pinned root-modulus band checks")
     add_common(sp, 50, 8)
     sp.add_argument("--beta", type=parse_scalar, default="3/2",
                     help="rational p/q; give a negative value as --beta=-p/q")
-    sp.add_argument("--graph", type=str, default=None)
-    sp.add_argument("--pins", type=str, default=None)
+    add_graph_run(sp)
     sp.add_argument("--degree-bound", type=int, default=3)
     sp = sub.add_parser("region", help="min |Z| table over a field grid")
     add_common(sp, max_vertices=10)
-    add_params(sp)
+    add_scalar(sp, "--beta", "0")
+    add_scalar(sp, "--gamma", "1")
     sp.add_argument("--grid", type=int, default=9, help="grid points per axis")
     sp.add_argument("--span", type=float, default=0.4)
     sp = sub.add_parser("weitz", help="truncated-SAW marginal approximation")
     add_common(sp, 50, 9)
-    add_params(sp, lam=None)
-    sp.add_argument("--graph", type=str, default=None)
-    sp.add_argument("--pins", type=str, default=None)
+    add_graph_run(sp, ("--beta", "0"), ("--gamma", "1"),
+                  ("--lambda", "1, or the graph file's fields"), vertex=True)
     sp.add_argument("--depth", type=int, default=None,
                     help="SAW truncation depth, at least 1 (default: vertex count)")
-    sp.add_argument("--vertex", type=int, default=0)
     sp = sub.add_parser("replay", help="re-execute a dumped failing instance")
     sp.add_argument("dump", type=str)
     return parser

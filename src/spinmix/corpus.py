@@ -84,13 +84,16 @@ def _connected_edges(rng: random.Random, n: int, attempts: int,
     width = 64 * len(pairs)
     for _ in range(attempts):
         bits = ~rng.getrandbits(width) & top
-        if dmax is not None and (2 * bits.bit_count() > n * dmax
-                                 or any((bits & mask).bit_count() > dmax
-                                        for mask in incident)):
+        if dmax is not None and 2 * bits.bit_count() > n * dmax:
             continue
-        edges = tuple(itertools.compress(pairs, bits.to_bytes(width // 8, "little")[3::8]))
-        if edges_connected(n, edges):
-            return edges
+        # the per-vertex test runs on every candidate: a plain loop, no generator
+        for mask in incident if dmax is not None else ():
+            if (bits & mask).bit_count() > dmax:
+                break
+        else:
+            edges = tuple(itertools.compress(pairs, bits.to_bytes(width // 8, "little")[3::8]))
+            if edges_connected(n, edges):
+                return edges
     if dmax is None:
         raise RuntimeError(f"no connected graph on {n} vertices after {attempts} draws")
     raise RuntimeError(f"no degree-{dmax} connected graph on {n} vertices")

@@ -201,17 +201,44 @@ def gutman_sides(t: Graph, u: int, v: int, lam) -> CdReport:
 
 
 def _det(rows) -> tuple[int, int]:
-    """Determinant of a square matrix of Gaussian integers (re, im): Laplace
-    expansion along the first row, intended for the small q used here."""
-    if len(rows) == 1:
-        return rows[0][0]
-    re = im = 0
-    for j, (ar, ai) in enumerate(rows[0]):
-        mr, mi = _det([row[:j] + row[j + 1:] for row in rows[1:]])
-        sign = -1 if j % 2 else 1
-        re += sign * (ar * mr - ai * mi)
-        im += sign * (ar * mi + ai * mr)
-    return re, im
+    """Determinant of a square matrix of Gaussian integers (re, im), by
+    fraction-free elimination (Bareiss 1968).
+
+    Step k replaces each entry x right of and below the pivot p by
+    (x p - y z) / p', y its row's entry in the pivot column, z its column's
+    entry in the pivot row and p' the previous pivot: an exact division, so
+    every entry stays a Gaussian integer (a minor of the matrix), and the
+    last pivot is the determinant. A zero pivot swaps in a lower row with a
+    nonzero entry in its column, flipping the sign; with none, det = 0.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    sign = 1
+    qr, qi = 1, 0  # the previous pivot
+    for k in range(n - 1):
+        pivot = a[k]
+        if pivot[k] == (0, 0):
+            for i in range(k + 1, n):
+                if a[i][k] != (0, 0):
+                    a[k], a[i] = a[i], pivot
+                    pivot = a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0, 0
+        pr, pi = pivot[k]
+        norm = qr * qr + qi * qi
+        for row in a[k + 1:]:
+            yr, yi = row[k]
+            for j in range(k + 1, n):
+                (xr, xi), (zr, zi) = row[j], pivot[j]
+                tr = xr * pr - xi * pi - yr * zr + yi * zi
+                ti = xr * pi + xi * pr - yr * zi - yi * zr
+                # t / (qr + qi i) = t (qr - qi i) / norm; the first divisor is 1
+                row[j] = ((tr * qr + ti * qi) // norm, (ti * qr - tr * qi) // norm) if k else (tr, ti)
+        qr, qi = pr, pi
+    re, im = a[-1][-1]
+    return sign * re, sign * im
 
 
 def exact_determinant(matrix: Sequence[Sequence[ExactComplex]]) -> ExactComplex:

@@ -143,9 +143,10 @@ def two_spin_embedding(params: Params) -> QSpinParams:
                        (params.field, ONE))
 
 
-def _powers(x: ExactComplex, n: int) -> list[tuple[int, int]]:
-    """x^0..x^n as Gaussian-integer numerators over d ** n, d that of x."""
-    a, b, d = x._abd
+def _powers(abd: tuple[int, int, int], n: int) -> list[tuple[int, int]]:
+    """x^0..x^n as Gaussian-integer numerators over d ** n, for the scalar x
+    of canonical triple abd = (a, b, d)."""
+    a, b, d = abd
     dn = [1]  # d^0..d^n
     for _ in range(n):
         dn.append(dn[-1] * d)
@@ -155,6 +156,14 @@ def _powers(x: ExactComplex, n: int) -> list[tuple[int, int]]:
         out.append((re * dn[j], im * dn[j]))
         re, im = re * a - im * b, re * b + im * a
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _ising_powers(abd: tuple[int, int, int], n: int) -> tuple[tuple[int, int], ...]:
+    """_powers(abd, n) as a tuple, kept for the last few (abd, n): every
+    fold at gamma == beta reads one, and annulus' beta is one constant of
+    its run. The other callers draw fresh scalars, so they are not kept."""
+    return tuple(_powers(abd, n))
 
 
 def _check_cap(g: Graph):
@@ -186,6 +195,21 @@ def _check_qspin_pins(g: Graph, p: Pinning, q: int):
 # ---------------------------------------------------------------------------
 
 
+# A walk runs in blocks of at most 2^STEP_BLOCK steps, each read from one
+# cached ruler table, so no table grows with the walk's width
+STEP_BLOCK = 10
+_RULERS: dict[int, tuple[int, ...]] = {}
+
+
+def _ruler(width: int) -> tuple[int, ...]:
+    """The trailing-zero counts of 1 .. 2^width - 1, the flip order of a
+    reflected Gray walk over width bits (Gray 1953); width <= STEP_BLOCK."""
+    steps = _RULERS.get(width)
+    if steps is None:
+        steps = _RULERS[width] = tuple((i & -i).bit_length() - 1 for i in range(1, 1 << width))
+    return steps
+
+
 def _monomial_counts(g: Graph, p: Pinning,
                      weights: Sequence[ExactComplex] | None = None,
                      probe: int | None = None
@@ -201,10 +225,14 @@ def _monomial_counts(g: Graph, p: Pinning,
     [table of the extensions with probe -, table of those with probe +].
     This is the one 2-spin enumeration, and it enforces the enumeration cap.
 
-    The extensions are walked in reflected Gray order: step i flips free[j],
-    j the number of trailing zeros of i, so (m+, m-, #+) is updated from that
-    vertex's neighbours alone. The probe is the last free vertex, which flips
-    once, halfway through the walk.
+    The extensions are walked in reflected Gray order from the all-minus
+    one: step i flips free[j], j the number of trailing zeros of i, so
+    (m+, m-, #+) is updated from that vertex's neighbours alone. The walk
+    runs in blocks of 2^width steps over the first ``width`` free vertices,
+    their flips read from _ruler(width); block b > 0 is entered by flipping
+    free[width + tz(b)], so the blocks together follow the ruler over every
+    free vertex. The probe is the last free vertex and is left out of the
+    width, so its one flip enters the second half of the blocks.
     """
     _check_cap(g)
     _check_pins_in_range(g, p)
@@ -233,10 +261,13 @@ def _monomial_counts(g: Graph, p: Pinning,
         for w in g.neighbors(v):
             nbrs |= 1 << w
         flips.append((1 << v, nbrs, g.degree(v)))
-    split = 1 << (len(free) - 1) if probe is not None else 0
-    table: dict = {}
-    tables = [table]
-    if weights is not None:
+    width = min(len(free) - (probe is not None), STEP_BLOCK)
+    steps = _ruler(width)
+    blocks = 1 << (len(free) - width)
+    split = blocks >> 1 if probe is not None else 0
+    if weights is None:
+        table: dict = {(mp, mm, k): 1}
+    else:
         # one product per extension: of the + weights among the low half of the
         # free vertices (and the + pins) and among the high half, both tabulated
         # and indexed by the Gray code of the step
@@ -246,12 +277,18 @@ def _monomial_counts(g: Graph, p: Pinning,
         plus = functools.reduce(_gmul, [nums[v] for v, s in p.items() if s == PLUS], (1, 0))
         low = _subset_products([nums[v] for v in free[:half]], plus)
         high = _subset_products([nums[v] for v in free[half:]], (1, 0))
-    gray = 0
-    for i in range(1 << len(free)):
-        if i:
-            j = (i & -i).bit_length() - 1
+        gray = 0
+        table = {(mp, mm, k): plus}
+    tables = [table]
+    block = [0, *steps]
+    for b in range(blocks):
+        if b:
+            block[0] = width + (b & -b).bit_length() - 1
+            if b == split:
+                table = {}
+                tables.append(table)
+        for j in block if b else steps:
             bit, nbrs, deg = flips[j]
-            gray ^= 1 << j
             state ^= bit
             up = (state & nbrs).bit_count()
             if state & bit:
@@ -262,16 +299,14 @@ def _monomial_counts(g: Graph, p: Pinning,
                 mp -= up
                 mm += deg - up
                 k -= 1
-            if i == split:
-                table = {}
-                tables.append(table)
-        key = (mp, mm, k)
-        if weights is None:
-            table[key] = table.get(key, 0) + 1
-        else:
-            (ar, ai), (br, bi) = low[gray & low_mask], high[gray >> half]
-            re, im = table.get(key, (0, 0))
-            table[key] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
+            key = (mp, mm, k)
+            if weights is None:
+                table[key] = table.get(key, 0) + 1
+            else:
+                gray ^= 1 << j
+                (ar, ai), (br, bi) = low[gray & low_mask], high[gray >> half]
+                re, im = table.get(key, (0, 0))
+                table[key] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
     if weights is None:
         return [{key: (c, 0) for key, c in t.items()} for t in tables]
     return tables
@@ -318,12 +353,12 @@ def _lambda_tables(g: Graph, beta, gamma,
     m = len(g.edges)
     if gamma == beta:
         # beta^(m+) gamma^(m-) over d^(2m) is entry m+ + m- of one table
-        pow_bb = _powers(beta, 2 * m)
+        pow_bb = _ising_powers(beta._abd, 2 * m)
 
         def term(mp, mm, k):
             return k, pow_bb[mp + mm]
     else:
-        pow_b, pow_g = _powers(beta, m), _powers(gamma, m)
+        pow_b, pow_g = _powers(beta._abd, m), _powers(gamma._abd, m)
 
         def term(mp, mm, k):
             return k, _gmul(pow_b[mp], pow_g[mm])
@@ -336,7 +371,7 @@ def _activity_term(g: Graph, gamma: ExactComplex | None, lam: ExactComplex):
     activities, tied, with gamma None) at field lam, numerators over the
     returned den; the power tables serve every pinning of g."""
     m = len(g.edges)
-    pow_l, pow_g = _powers(lam, g.n), _powers(ONE if gamma is None else gamma, m)
+    pow_l, pow_g = _powers(lam._abd, g.n), _powers(ONE._abd if gamma is None else gamma._abd, m)
 
     def term(mp, mm, k):
         return (mp + mm if gamma is None else mp), _gmul(pow_g[mm], pow_l[k])

@@ -110,7 +110,9 @@ def pinned_annulus_check(g: Graph, p: Pinning, beta, d: int | None = None) -> Ro
     cannot decide.
     """
     beta = ExactComplex._coerce(beta)
-    if not beta.is_real() or beta.re <= 1:
+    # on beta's canonical triple (a, im, den), den > 0: beta > 1 iff im == 0 and a > den
+    a, im, den = beta._abd
+    if im or a <= den:
         raise ValueError("the annulus statement needs a real edge activity > 1")
     if d is None:
         d = max(2, g.max_degree())
@@ -132,7 +134,8 @@ def pinned_annulus_check(g: Graph, p: Pinning, beta, d: int | None = None) -> Ro
             via_elimination.extend(_poly_root_multiset(reduced_poly))
     mismatch = match_roots(direct, via_elimination)
 
-    b = float(beta.re)
+    # int / int rounds correctly, as float(Fraction(a, den)) does
+    b = a / den
     return _report(direct, band=(b ** (-d), b ** d), cross_check_mismatch=mismatch)
 
 

@@ -36,6 +36,12 @@ reduced and divided by series_div, and compare them coefficient by
 coefficient. ``edge_activity_series`` is the reduced edge-activity series of
 Z that route divided: the library's fold and Horner pass, each coefficient
 reduced.
+``monomial_counts_reference`` is the monomial table of the library's Gray
+walk taken one configuration at a time: itertools.product over the free
+spins, each configuration's edge counts and weight recomputed from scratch.
+``det_laplace`` is the determinant the library took before Bareiss
+elimination: Laplace expansion along the first row, O(q!) products;
+``exact_determinant_laplace`` applies it to an ExactComplex matrix.
 """
 
 from __future__ import annotations
@@ -469,6 +475,57 @@ def _aberth_reference_simple(coeffs: list[complex]) -> list[complex]:
     if converged:
         return z
     raise RootConvergenceError(f"root iteration did not reach tol={tol}")
+
+
+def monomial_counts_reference(g: Graph, p: Pinning, weights=None, probe=None
+                              ) -> list[dict[tuple[int, int, int], tuple[int, int]]]:
+    """_monomial_counts one configuration at a time: each extension of p adds
+    its weight, 1 or the product of weights[v] over its + vertices scaled by
+    dw ** #+ (dw the lcm of the weights' denominators), under its key
+    (m+, m-, #+); with a probe, into the table of the probe's spin."""
+    free = [v for v in range(g.n) if v not in p]
+    dw = 1 if weights is None else math.lcm(*[w._abd[2] for w in weights])
+    tables = [{} for _ in range(1 if probe is None else 2)]
+    for spins in itertools.product((MINUS, PLUS), repeat=len(free)):
+        sigma = dict(p.items())
+        sigma.update(zip(free, spins))
+        mp = sum(1 for a, b in g.edges if sigma[a] == sigma[b] == PLUS)
+        mm = sum(1 for a, b in g.edges if sigma[a] == sigma[b] == MINUS)
+        plus = [v for v in range(g.n) if sigma[v] == PLUS]
+        if weights is None:
+            w = (1, 0)
+        else:
+            x = math.prod((weights[v] for v in plus), start=ExactComplex(1)) * dw ** len(plus)
+            assert x._abd[2] == 1
+            w = x._abd[:2]
+        table = tables[probe is not None and sigma[probe] == PLUS]
+        re, im = table.get((mp, mm, len(plus)), (0, 0))
+        table[mp, mm, len(plus)] = (re + w[0], im + w[1])
+    return tables
+
+
+def det_laplace(rows) -> tuple[int, int]:
+    """Determinant of a square matrix of Gaussian integers (re, im): Laplace
+    expansion along the first row."""
+    if len(rows) == 1:
+        return tuple(rows[0][0])
+    re = im = 0
+    for j, (ar, ai) in enumerate(rows[0]):
+        mr, mi = det_laplace([row[:j] + row[j + 1:] for row in rows[1:]])
+        sign = -1 if j % 2 else 1
+        re += sign * (ar * mr - ai * mi)
+        im += sign * (ar * mi + ai * mr)
+    return re, im
+
+
+def exact_determinant_laplace(matrix) -> ExactComplex:
+    """det_laplace of an ExactComplex matrix's numerators over the lcm D of
+    its denominators, over D^q."""
+    q = len(matrix)
+    den = math.lcm(*[x._abd[2] for row in matrix for x in row])
+    rows = [[(a * (den // d), b * (den // d)) for a, b, d in (x._abd for x in row)]
+            for row in matrix]
+    return _reduced(*det_laplace(rows), den ** q)
 
 
 def z_naive_qspin(g, p, qp):

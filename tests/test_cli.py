@@ -793,6 +793,52 @@ class TestUsageErrors:
         code, out, _ = run_cli([*argv, "--seed", "4"], capsys)
         assert code == 0 and out.endswith(" fail=0 seed=4\n")
 
+    @pytest.mark.parametrize("argv", [["ldc", "--trials", "3"],
+                                      ["roots", "--graph", "K2", "--beta", "2/1"],
+                                      ["region", "--grid", "3"]],
+                             ids=["ldc", "roots", "region"])
+    def test_lambda_is_not_a_flag_of(self, argv, k2, tmp_path, capsys, monkeypatch):
+        # none of these runs reads a field activity
+        monkeypatch.chdir(tmp_path)
+        argv = [str(k2) if a == "K2" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--lambda", "2"])
+        assert exc.value.code == 2
+        assert "error: unrecognized arguments: --lambda 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [k2]
+
+    @pytest.mark.parametrize("argv", [
+        ["ldc", "--beta", "7/2", "--gamma", "5/3"], ["ldc", "--pins", "K2"],
+        ["annulus", "--pins", "/nonexistent"],
+        ["weitz", "--beta", "2"], ["weitz", "--gamma", "2"], ["weitz", "--lambda", "2"],
+        ["weitz", "--vertex", "0"], ["weitz", "--pins", "K2"]])
+    def test_graph_only_flag_in_a_corpus_run_is_config_error(self, argv, k2, tmp_path,
+                                                              capsys, monkeypatch):
+        # a seeded corpus draws its own scalars, pins and vertex, so it would
+        # not read the flag
+        monkeypatch.chdir(tmp_path)
+        argv = [str(k2) if a == "K2" else a for a in argv]
+        code, out, err = run_cli([*argv, "--trials", "2", "--out", "r.csv"], capsys)
+        flags = ", ".join(a for a in argv[1::2])
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"config error: only --graph runs read {flags}; "
+                                    f"a seeded {argv[0]} corpus draws its own"]
+        assert list(tmp_path.iterdir()) == [k2]
+
+    @pytest.mark.parametrize("argv", [["ldc", "--beta", "0", "--gamma", "1"],
+                                      ["weitz", "--beta", "0", "--gamma", "1", "--lambda", "1",
+                                       "--vertex", "0"]], ids=["ldc", "weitz"])
+    def test_graph_run_defaults_are_the_documented_ones(self, argv, tmp_path, capsys):
+        graph = tmp_path / "c4.json"
+        graph.write_text('{"n":4,"edges":[[0,1],[1,2],[2,3],[3,0]]}')
+        reports = []
+        for args in (argv[:1], argv):
+            report = tmp_path / f"r{len(reports)}.csv"
+            code, _, _ = run_cli([*args, "--graph", str(graph), "--out", str(report)], capsys)
+            assert code == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+
 
 # Exact-valued single-file reports, recorded before the parsed arguments
 # became the run configuration: (graph, pins, argv, SHA-256 of the CSV report)

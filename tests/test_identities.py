@@ -6,16 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (cd_sides_reference, gutman_by_passes, gutman_sides_reference,
-                      qspin_det_by_passes, remapped, restricted, scalar, z_naive,
-                      z_naive_qspin, z_pair)
+from conftest import (cd_sides_reference, det_laplace, exact_determinant_laplace,
+                      gutman_by_passes, gutman_sides_reference, qspin_det_by_passes,
+                      remapped, restricted, scalar, z_naive, z_naive_qspin, z_pair)
 from spinmix import cli, partition
 from spinmix.corpus import (PARAM_MODES, rand_feasible_pinning, rand_params,
                             rand_qspin_params, rand_qspin_pinning, rand_tree,
                             rand_unpinned_pair)
 from spinmix.errors import NotATreeError, PinningError
 from spinmix.graphs import Graph, MINUS, PLUS, Pinning, is_feasible
-from spinmix.identities import (cd_equivalent_forms, cd_sides,
+from spinmix.identities import (_det, cd_equivalent_forms, cd_sides,
                                 exact_determinant, gutman_sides,
                                 qspin_det_sides)
 from spinmix.numerics import ExactComplex
@@ -257,7 +257,7 @@ def test_exact_determinant_matches_leibniz_2x2():
     assert exact_determinant(m) == ExactComplex(-2)
 
 
-@pytest.mark.parametrize("q", [1, 2, 3, 4])
+@pytest.mark.parametrize("q", range(1, 13))
 def test_exact_determinant_matches_vandermonde_product(q):
     # det [x_i^j] = prod_{i<j} (x_j - x_i), an oracle sharing no code with
     # any expansion; a repeated node makes the product, and the determinant, 0
@@ -277,6 +277,44 @@ def test_exact_determinant_matches_vandermonde_product(q):
             for j in range(i + 1, q):
                 expected = expected * (xs[j] - xs[i])
         assert exact_determinant(rows) == expected, xs
+
+
+@pytest.mark.parametrize("rows,det", [
+    ([[(0, 0), (1, 0)], [(1, 0), (0, 0)]], (-1, 0)),
+    # the second pivot vanishes after the first step: rows 1 and 2 swap
+    ([[(1, 0), (2, 0), (3, 0)], [(2, 0), (4, 0), (5, 0)], [(3, 0), (5, 0), (6, 0)]], (-1, 0)),
+    ([[(0, 0), (0, 1), (2, 0)], [(0, 0), (1, 0), (0, 0)], [(0, 2), (0, 0), (1, 1)]], (0, -4)),
+    # no row has a nonzero entry in the first column
+    ([[(0, 0), (1, 0)], [(0, 0), (2, 0)]], (0, 0)),
+])
+def test_det_swaps_a_zero_pivot(rows, det):
+    assert _det(rows) == det_laplace(rows) == det
+
+
+def test_det_matches_laplace_on_sparse_gaussian_matrices():
+    # many zero entries make zero pivots, and swaps, common
+    rng = random.Random(77)
+    for _ in range(300):
+        q = rng.randint(1, 6)
+        rows = [[(rng.randint(-9, 9), rng.randint(-9, 9)) if rng.random() < 0.5 else (0, 0)
+                 for _ in range(q)] for _ in range(q)]
+        assert _det(rows) == det_laplace(rows), rows
+
+
+def test_qspin_det_sides_at_q5_matches_the_laplace_determinant():
+    rng = random.Random(505)
+    for _ in range(20):
+        n = rng.randint(2, 6)
+        t = rand_tree(rng, n)
+        qp = rand_qspin_params(rng, 5)
+        u, v = rng.sample(range(n), 2)
+        pins = rand_qspin_pinning(rng, t, 5, exclude=(u, v))
+        rep = qspin_det_sides(t, pins, u, v, qp)
+        columns = [z_qspin_tree(t, pins.with_pin(v, s), qp, root=u)[1].at(u)
+                   for s in range(1, 6)]
+        assert rep.lhs == exact_determinant_laplace(list(zip(*columns))), (t, pins, u, v)
+        assert exact_determinant(qp.matrix) == exact_determinant_laplace(qp.matrix)
+        assert rep.equal
 
 
 def hanging_subtrees(t: Graph, path: list[int]) -> list[tuple[Graph, dict[int, int], int]]:

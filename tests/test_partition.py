@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (absorb_loop, edge_activity_series, edge_product, eliminate_pins_reference,
-                      random_graph, remapped, restricted, scalar, z_naive, z_naive_qspin,
-                      z_pair)
+                      monomial_counts_reference, random_graph, remapped, restricted, scalar,
+                      z_naive, z_naive_qspin, z_pair)
 from spinmix import partition
 from spinmix.corpus import (rand_feasible_pinning, rand_params,
                             rand_qspin_params, rand_qspin_pinning, rand_tree)
@@ -545,6 +545,35 @@ PATH25 = Graph(25, tuple((i, i + 1) for i in range(24)))
 def test_every_enumeration_is_capped(enumerate_):
     with pytest.raises(CapExceededError):
         enumerate_(PATH25)
+
+
+class TestGrayWalk:
+    """The walk against one count per configuration at every free width up
+    to 12: one step block, two, and four (STEP_BLOCK is 10)."""
+
+    @pytest.mark.parametrize("width", range(13))
+    def test_matches_per_configuration_count(self, width):
+        rng = random.Random(700 + width)
+        for pinned in (False, True):
+            n = width + 2 * pinned
+            g = random_graph(rng, n, connected=False)
+            pins = Pinning()
+            if pinned:
+                pins = Pinning.of(dict(zip(rng.sample(range(n), 2), rng.choices((PLUS, MINUS), k=2))))
+            # complex weights with distinct denominators
+            weights = [scalar(rng, nonzero=True, complex_prob=0.5) for _ in range(n)]
+            free = [v for v in range(n) if v not in pins]
+            for probe in (None, rng.choice(free)) if free else (None,):
+                for w in (None, weights):
+                    assert (_monomial_counts(g, pins, w, probe)
+                            == monomial_counts_reference(g, pins, w, probe)), (g, pins, probe)
+
+    def test_step_tables_stay_bounded(self):
+        g = Graph(12, tuple((i, i + 1) for i in range(11)))
+        for probe in (None, 11):
+            _monomial_counts(g, Pinning(), probe=probe)
+        assert max(partition._RULERS) == partition.STEP_BLOCK
+        assert all(len(steps) < 2 ** partition.STEP_BLOCK for steps in partition._RULERS.values())
 
 
 class TestProbePair:
