@@ -11,13 +11,13 @@ dump/replay wire format, written when an instance fails and decoded by
 assertion passed, 1 on a contract failure (the first failing instance is
 dumped as JSON for `replay`), 2 on usage errors (argparse rejects a
 malformed --beta, --gamma or --lambda, or roots without --beta), on
-configuration errors (a corpus run given a flag that only --graph runs
-read is one), on arithmetic that cannot finish (a vanishing
-partition value, an undefined series division, a root iteration that does
-not converge) and on a draw loop that reaches its bound; 141 (128 +
-SIGPIPE), with nothing on stderr, when the reader of stdout closes it
-early, as `| head` does. The saw-check, weitz and ldc-beta corpora leave
-out instances whose partition value vanishes: the driver draws such a
+configuration errors (a flag only the other kind of run reads, --beta in a
+corpus run or --trials in a --graph run, is one), on arithmetic that cannot
+finish (a vanishing partition value, an undefined series division, a root
+iteration that does not converge) and on a draw loop that reaches its bound;
+141 (128 + SIGPIPE), with nothing on stderr, when the reader of stdout
+closes it early, as `| head` does. The saw-check, weitz and ldc-beta corpora
+leave out instances whose partition value vanishes: the driver draws such a
 candidate again, at most corpus.DRAW_LIMIT times a trial.
 """
 
@@ -34,7 +34,7 @@ from pathlib import Path
 
 from . import corpus
 from .errors import DrawLimitError, PinningError, RootConvergenceError, ZeroPartitionError
-from .graphs import (Graph, MINUS, PLUS, Pinning, is_proper, parse_graph,
+from .graphs import (Graph, MINUS, PLUS, Pinning, is_feasible, is_proper, parse_graph,
                      parse_pinning, saw_shape)
 from .identities import cd_sides, gutman_sides, qspin_det_sides
 from .mixing import (decay_profile, ldc_report, ldc_report_beta, marginal,
@@ -184,7 +184,7 @@ def eval_weitz(inst: dict) -> tuple[bool, dict]:
 def eval_annulus(inst: dict) -> tuple[bool, dict]:
     g = inst["graph"]
     rep = pinned_annulus_check(g, inst["pins"], inst["beta"], inst.get("degree_bound"))
-    ok = rep.annulus_violations == 0 and (rep.cross_check_mismatch or 0.0) < 1e-9
+    ok = rep.annulus_violations == 0 and rep.cross_check_mismatch == 0.0
     row = {"n": g.n, "degree_bound": inst.get("degree_bound"),
            "violations": rep.annulus_violations,
            "cross_check_mismatch": rep.cross_check_mismatch,
@@ -386,6 +386,10 @@ def _finish(cfg: argparse.Namespace, rows: list[dict],
 
 
 def _run_corpus_command(cfg: argparse.Namespace) -> int:
+    # the documented defaults of the flags only these runs read (cfg.corpus_only)
+    for _, name, default in getattr(cfg, "corpus_only", ()):
+        if getattr(cfg, name) is None:
+            setattr(cfg, name, default)
     rng = random.Random(cfg.seed)
     gen = GENERATORS[cfg.command]
     evaluate = EVALUATORS[cfg.command]
@@ -434,13 +438,14 @@ def _run_single_file_command(cfg: argparse.Namespace) -> int:
     if cfg.command == "annulus":
         inst = {"graph": g, "pins": pins, "beta": cfg.beta, "degree_bound": cfg.degree_bound}
         ok, row = eval_annulus(inst)
-        return _finish(cfg, [row], [] if ok else [(0, inst, row)])
+        return _finish(cfg, [row], [] if ok else [(0, inst, row)], echo=True)
 
     # the documented defaults of the flags only these runs read (cfg.graph_only)
     beta = ZERO if cfg.beta is None else cfg.beta
     gamma = ONE if cfg.gamma is None else cfg.gamma
 
     if cfg.command == "ldc":
+        hard = beta.is_zero(), gamma.is_zero()
         rows = []
         failures = []
         for v in range(g.n):
@@ -448,7 +453,12 @@ def _run_single_file_command(cfg: argparse.Namespace) -> int:
                 if u == v or u in pins or v in pins:
                     continue
                 for spin in (PLUS, MINUS):
-                    inst = {"graph": g, "pins_a": pins, "pins_b": pins.with_pin(u, spin),
+                    pinned = pins.with_pin(u, spin)
+                    # skip an extension only u's pin makes infeasible, as the corpus
+                    # (rand_pinning_pair) draws none; infeasible --pins still fail
+                    if is_feasible(g, pins, *hard) and not is_feasible(g, pinned, *hard):
+                        continue
+                    inst = {"graph": g, "pins_a": pins, "pins_b": pinned,
                             "beta": beta, "gamma": gamma, "v": v}
                     ok, row = eval_ldc(inst)
                     row = {"v": v, "u": u, "pin": spin, **row}
@@ -517,9 +527,18 @@ EXIT_BROKEN_PIPE = 141
 def run(cfg: argparse.Namespace) -> int:
     """Execute one parsed command; returns the process exit code."""
     try:
-        if "max_vertices" in cfg and cfg.max_vertices < 2:
+        graph_run = getattr(cfg, "graph", None) is not None
+        only = getattr(cfg, "corpus_only" if graph_run else "graph_only", ())
+        given = [flag for flag, name, *_ in only if getattr(cfg, name) is not None]
+        if given and graph_run:
+            raise ValueError(f"only seeded corpus runs read {', '.join(given)}; "
+                             f"a --graph {cfg.command} run reads one graph file")
+        if given:
+            raise ValueError(f"only --graph runs read {', '.join(given)}; "
+                             f"a seeded {cfg.command} corpus draws its own")
+        if getattr(cfg, "max_vertices", None) is not None and cfg.max_vertices < 2:
             raise ValueError(f"--max-vertices must be at least 2, got {cfg.max_vertices}")
-        if "trials" in cfg and cfg.trials < 0:
+        if getattr(cfg, "trials", None) is not None and cfg.trials < 0:
             raise ValueError(f"--trials must be at least 0, got {cfg.trials}")
         if cfg.command == "region" and not math.isfinite(cfg.span):
             raise ValueError(f"--span must be finite, got {cfg.span}")
@@ -534,14 +553,9 @@ def run(cfg: argparse.Namespace) -> int:
             code = _run_decay(cfg)
         elif cfg.command == "region":
             code = _run_region(cfg)
-        elif getattr(cfg, "graph", None) is not None:
+        elif graph_run:
             code = _run_single_file_command(cfg)
         else:
-            given = [flag for flag, name in getattr(cfg, "graph_only", ())
-                     if getattr(cfg, name) is not None]
-            if given:
-                raise ValueError(f"only --graph runs read {', '.join(given)}; "
-                                 f"a seeded {cfg.command} corpus draws its own")
             code = _run_corpus_command(cfg)
         # a closed pipe surfaces here, not in the flush at shutdown
         sys.stdout.flush()
@@ -631,7 +645,12 @@ def _build_parser() -> argparse.ArgumentParser:
         scalars given as (flag, default) and, with ``vertex``, --vertex.
         Each is unset by default, and cfg.graph_only lists them as (flag,
         attribute), so a corpus run given one is a configuration error;
-        _run_single_file_command fills in the defaults."""
+        _run_single_file_command fills in the defaults. The other way round,
+        --trials and --max-vertices become unset, cfg.corpus_only lists them
+        as (flag, attribute, default) and _run_corpus_command fills them in."""
+        corpus_only = tuple((f"--{name.replace('_', '-')}", name, sp.get_default(name))
+                            for name in ("trials", "max_vertices"))
+        sp.set_defaults(corpus_only=corpus_only, trials=None, max_vertices=None)
         sp.add_argument("--graph", type=str, default=None)
         only = [sp.add_argument("--pins", type=str, default=None, help="--graph runs only")]
         only += [add_scalar(sp, flag, note=f" (--graph runs only; default {default})")

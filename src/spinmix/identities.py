@@ -26,15 +26,14 @@ D^(2e), with no reduction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NotATreeError, PinningError
 from .graphs import Graph, Pinning
 from .numerics import ONE, ZERO, ExactComplex, _common_numerators, _gmul, _reduced
-from .partition import (Params, QSpinParams, TreeMessages, _absorb, _chain,
-                        _pass_table, _pin, hardcore_params, z_qspin_tree, z_tree)
+from .partition import (Params, QSpinParams, TreeMessages, _absorb, _chain, _pin,
+                        hardcore_params, z_qspin_tree, z_tree)
 
 
 @dataclass(frozen=True)
@@ -50,20 +49,19 @@ class CdReport:
     forms_equal: bool | None = None
 
 
-def _require_tree(t: Graph, u: int):
-    """The forest rooted at u, which tree_path and the pass read too, has
-    one root and n - 1 edges."""
-    if len(t.bfs(u)[0]) != 1 or len(t.edges) != t.n - 1:
-        raise NotATreeError("identity requires a connected acyclic graph")
-
-
-def _require_unpinned(t: Graph, p: Pinning, u: int, v: int):
+def _checked_path(t: Graph, p: Pinning, u: int, v: int) -> list[int]:
+    """The u-v path of an identity call, after its checks: u and v distinct,
+    in range and unpinned, and t a tree (the forest rooted at u, which
+    tree_path and the pass read too, has one root and n - 1 edges)."""
     if u == v:
         raise ValueError("u and v must be distinct")
     if not (0 <= u < t.n and 0 <= v < t.n):
         raise PinningError(f"u={u} or v={v} is out of range 0..{t.n - 1}")
     if u in p or v in p:
         raise PinningError("u and v must be unpinned")
+    if len(t.bfs(u)[0]) != 1 or len(t.edges) != t.n - 1:
+        raise NotATreeError("identity requires a connected acyclic graph")
+    return t.tree_path(u, v)
 
 
 def _scale(msgs: TreeMessages, u: int) -> int:
@@ -83,7 +81,7 @@ def _cross(a, b, c, d) -> tuple[int, int]:
 
 
 def _det_sides(t: Graph, p: Pinning, path: list[int], det: tuple[int, int],
-               msgs: TreeMessages, det_a: ExactComplex, weights,
+               msgs: TreeMessages, det_a: ExactComplex,
                forms_equal: bool | None = None) -> CdReport:
     """Both sides of det [Z with u = i, v = j]_{i,j} on a tree.
 
@@ -92,10 +90,10 @@ def _det_sides(t: Graph, p: Pinning, path: list[int], det: tuple[int, int],
     pass rooted at u under p that held ``path`` (u first) back and D^e its
     root's scale. lhs is det, reduced once. When the path avoids the pinned
     set, rhs = det_a^d * Phi * the edge factors of each subtree hanging off
-    the path, Phi being the product over the path of every entry of
-    ``weights[w]`` (the pass table's weights over D; the 2-spin ones are
-    (lambda_w, 1)): one numerator product, reduced once. When the path
-    meets a pin, rhs = 0. ``forms_equal`` goes into the report.
+    the path, Phi being the product over the path of every entry of the
+    pass's weights[w] (over D; the 2-spin ones are (lambda_w, 1)): one
+    numerator product, reduced once. When the path meets a pin, rhs = 0.
+    ``forms_equal`` goes into the report.
     """
     q = len(msgs.matrix)
     lhs = _reduced(*det, _scale(msgs, path[0]) ** q)
@@ -111,7 +109,7 @@ def _det_sides(t: Graph, p: Pinning, path: list[int], det: tuple[int, int],
         for _ in range(d):
             num = _gmul(num, (a, b))
         for w in path:
-            for x in weights[w]:
+            for x in msgs.weights[w]:
                 num = _gmul(num, x)
         rhs = _reduced(*num, msgs.denom ** (e + q * (d + 1)) * den ** d)
     return CdReport(lhs=lhs, rhs=rhs, distance=d, path_hits_pinning=hits,
@@ -131,9 +129,7 @@ def cd_sides(t: Graph, p: Pinning, u: int, v: int, params: Params) -> CdReport:
     the root's D^e, so each single-pin form and the determinant lie over
     D^(2e).
     """
-    _require_unpinned(t, p, u, v)
-    _require_tree(t, u)
-    path = t.tree_path(u, v)
+    path = _checked_path(t, p, u, v)
     msgs = z_tree(t, p, params, root=u, held=path)[1]
     # the chain toward u with v pinned to s is column s of the pair matrix
     (zpp, zmp), (zpm, zmm) = (msgs.chain(path[::-1], {v: s}) for s in (0, 1))
@@ -142,7 +138,6 @@ def cd_sides(t: Graph, p: Pinning, u: int, v: int, params: Params) -> CdReport:
     zp_v, zm_v = msgs.chain(path)
     z = _total(root)
     return _det_sides(t, p, path, det, msgs, params.beta * params.gamma - ONE,
-                      _pass_table(params, t.n)[2],
                       _cross(z, zpp, zp_u, zp_v) == det == _cross(z, zmm, zm_u, zm_v))
 
 
@@ -167,10 +162,8 @@ def gutman_sides(t: Graph, u: int, v: int, lam) -> CdReport:
     entry of u's message is then Z_{T-S-u}. Every Z_{T-S} is a numerator
     over the root's D^e, so each side is one numerator, reduced once.
     """
-    _require_unpinned(t, Pinning(), u, v)
-    _require_tree(t, u)
+    path = _checked_path(t, Pinning(), u, v)
     params = hardcore_params(lam)
-    path = t.tree_path(u, v)
     d = len(path) - 1
     msgs = z_tree(t, Pinning(), params, root=u, held=path)[1]
     scale = _scale(msgs, u)
@@ -179,20 +172,19 @@ def gutman_sides(t: Graph, u: int, v: int, lam) -> CdReport:
     minus_v = msgs.chain(toward_u, {v: 1})
     lhs = _reduced(*_cross(_total(root), minus_v[1], root[1], _total(minus_v)), scale * scale)
     # T - N[path]: the parts rebuilt with the hanging children pinned - too
-    _, mat, start = _pass_table(params, t.n)
     on_path = set(path)
     closed = []
     for w in toward_u:
-        part = _pin(start[w], 1)
+        part = _pin(msgs.weights[w], 1)
         for y in t.neighbors(w):
             if y not in on_path:
-                part = _absorb(mat, part, _pin(msgs.msgs[y][0], 1))
+                part = _absorb(msgs.matrix, part, _pin(msgs.msgs[y][0], 1))
         closed.append(part)
     num = _gmul(_total(msgs.chain(toward_u, dict.fromkeys(path, 1))),
-                _total(_chain(mat, closed)))
+                _total(_chain(msgs.matrix, closed)))
     # -(-lambda)^{d+1} = (-1)^d lambda^{d+1}, lambda over D
     for w in path:
-        num = _gmul(num, start[w][0])
+        num = _gmul(num, msgs.weights[w][0])
     if d % 2:
         num = -num[0], -num[1]
     rhs = _reduced(*num, scale * scale * msgs.denom ** (d + 1))
@@ -245,10 +237,8 @@ def exact_determinant(matrix: Sequence[Sequence[ExactComplex]]) -> ExactComplex:
     """Determinant of a square matrix: _det of the entries' numerators over
     their common denominator D, reduced once over D^q."""
     q = len(matrix)
-    flat = [x for row in matrix for x in row]
-    nums = _common_numerators(flat)
-    rows = [nums[i * q:(i + 1) * q] for i in range(q)]
-    return _reduced(*_det(rows), math.lcm(*[x._abd[2] for x in flat]) ** q)
+    nums, den = _common_numerators([x for row in matrix for x in row])
+    return _reduced(*_det([nums[i * q:(i + 1) * q] for i in range(q)]), den ** q)
 
 
 def qspin_det_sides(t: Graph, p: Pinning, u: int, v: int, qp: QSpinParams) -> CdReport:
@@ -260,11 +250,8 @@ def qspin_det_sides(t: Graph, p: Pinning, u: int, v: int, qp: QSpinParams) -> Cd
     field power reads the product of all q field values raised to d+1, the
     reading validated against the brute-force determinant oracle.
     """
-    _require_unpinned(t, p, u, v)
-    _require_tree(t, u)
-    path = t.tree_path(u, v)
+    path = _checked_path(t, p, u, v)
     msgs = z_qspin_tree(t, p, qp, root=u, held=path)[1]
     # the chains are the pair matrix's columns; a determinant is transpose-free
     det = _det([msgs.chain(path[::-1], {v: s}) for s in range(qp.q)])
-    return _det_sides(t, p, path, det, msgs, exact_determinant(qp.matrix),
-                      _pass_table(qp, t.n)[2])
+    return _det_sides(t, p, path, det, msgs, exact_determinant(qp.matrix))

@@ -18,8 +18,8 @@ from .errors import NotATreeError, PinningError, SeriesDivisionError, ZeroPartit
 from .graphs import (Graph, MINUS, PLUS, Pinning, _check_saw_root,
                      disagreement_distance, is_proper)
 from .numerics import ONE, ZERO, ExactComplex, PowerSeries, _gmul, _reduced, series_div
-from .partition import (Params, _activity_term, _fold, _horner, _lambda_tables,
-                        _walk_pass, z_brute, z_tree)
+from .partition import (Params, _fold, _horner, _lambda_tables, _term, _walk_pass,
+                        z_brute, z_tree)
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ def _beta_vectors(g: Graph, ps: Sequence[Pinning], v: int, gamma, lam, center,
             elif center != ONE and center != -ONE:
                 raise ValueError("tied (Ising) activities need center 1 or -1")
             order = _default_order(g) if order is None else order
-            term, den = _activity_term(g, gamma, lam)
+            term, den = _term(g, None, gamma, lam)
             over = [den * center._abd[2] ** len(g.edges)] * order
         # at least the constant term, so that Z at the center is always checked
         zs, zp = [_horner(w, center, max(order, 1))

@@ -228,10 +228,11 @@ def _gmul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-def _common_numerators(coeffs: Sequence[ExactComplex]) -> list[tuple[int, int]]:
-    """The coefficients as Gaussian integers over the lcm of their denominators."""
+def _common_numerators(coeffs: Sequence[ExactComplex]) -> tuple[list[tuple[int, int]], int]:
+    """The coefficients as Gaussian integers over den, the lcm of their
+    denominators, and den."""
     den = math.lcm(*[c._abd[2] for c in coeffs])
-    return [(a * (den // d), b * (den // d)) for a, b, d in (c._abd for c in coeffs)]
+    return [(a * k, b * k) for a, b, d in (c._abd for c in coeffs) for k in [den // d]], den
 
 
 ZERO = ExactComplex(0)
@@ -357,8 +358,7 @@ class Polynomial:
     __slots__ = ("numerators", "den")
 
     def __init__(self, coefficients: Iterable):
-        coeffs = [ExactComplex._coerce(c) for c in coefficients]
-        self._store(_common_numerators(coeffs), math.lcm(*[c._abd[2] for c in coeffs]))
+        self._store(*_common_numerators([ExactComplex._coerce(c) for c in coefficients]))
 
     @classmethod
     def over(cls, numerators: list[tuple[int, int]], den: int) -> "Polynomial":
@@ -548,8 +548,6 @@ def square_free_factors(p: Polynomial) -> list[tuple[Polynomial, int]]:
         return [(_monic(w), 1)]
     z = _derivative(w)
     a = _primitive(_gcd(w, z))
-    if len(a) == 1:
-        return [(_monic(w), 1)]
     out, i = [], 0
     while True:
         s = a[-1][0] ** (len(w) - len(a) + 1)
@@ -699,15 +697,12 @@ def _aberth_simple(p: Polynomial) -> list[complex]:
 def match_roots(found: Sequence[complex], expected: Sequence[complex]) -> float:
     """Minimum over pairings of the largest |found_i - expected_sigma(i)|.
 
-    Two multisets that are equal once sorted by (re, im) match at 0.0
-    without a search; otherwise the assignment is exact, by bitmask DP,
-    intended for the small root multisets produced here (degree <= ~20).
+    The assignment is exact, by bitmask DP, intended for small root
+    multisets (degree <= ~20).
     """
     n = len(expected)
     if len(found) != n:
         raise ValueError("root multisets differ in size")
-    if sorted(found, key=_re_im) == sorted(expected, key=_re_im):
-        return 0.0
     dist = [[abs(f - e) for e in expected] for f in found]
     full = (1 << n) - 1
     best = {0: 0.0}

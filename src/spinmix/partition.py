@@ -273,7 +273,7 @@ def _monomial_counts(g: Graph, p: Pinning,
         # and indexed by the Gray code of the step
         half = len(free) // 2
         low_mask = (1 << half) - 1
-        nums = _common_numerators(weights)
+        nums, _ = _common_numerators(weights)
         plus = functools.reduce(_gmul, [nums[v] for v, s in p.items() if s == PLUS], (1, 0))
         low = _subset_products([nums[v] for v in free[:half]], plus)
         high = _subset_products([nums[v] for v in free[half:]], (1, 0))
@@ -339,43 +339,47 @@ def _fold(g: Graph, p: Pinning, weights: Sequence[ExactComplex] | None,
     return vectors
 
 
-def _lambda_tables(g: Graph, beta, gamma,
-                   scale: Sequence[ExactComplex] | None = None):
-    """z_poly_lambda's argument checks, then the _fold term of Z's lambda^k
-    coefficients at (beta, gamma) with den and dw: coefficient k's numerator
-    lies over den * dw ** k. The power tables serve every pinning of g."""
-    # the cap error precedes the argument checks
-    _check_cap(g)
-    beta = ExactComplex._coerce(beta)
-    gamma = ExactComplex._coerce(gamma)
-    if scale is not None and len(scale) != g.n:
-        raise ValueError("scale vector length must equal vertex count")
+def _term(g: Graph, beta, gamma, lam):
+    """The _fold term of Z's coefficients in the activity passed as None: lam
+    (index #+), beta (index m+), or beta and gamma tied (index m+ + m-); with
+    den, which every numerator lies over. The tables serve every pinning of g."""
     m = len(g.edges)
-    if gamma == beta:
+    if lam is None and gamma == beta:
         # beta^(m+) gamma^(m-) over d^(2m) is entry m+ + m- of one table
         pow_bb = _ising_powers(beta._abd, 2 * m)
 
         def term(mp, mm, k):
             return k, pow_bb[mp + mm]
-    else:
+    elif lam is None:
         pow_b, pow_g = _powers(beta._abd, m), _powers(gamma._abd, m)
 
         def term(mp, mm, k):
             return k, _gmul(pow_b[mp], pow_g[mm])
+    elif gamma is None:
+        pow_l = _powers(lam._abd, g.n)
+
+        def term(mp, mm, k):
+            return mp + mm, pow_l[k]
+    else:
+        pow_l, pow_g = _powers(lam._abd, g.n), _powers(gamma._abd, m)
+
+        def term(mp, mm, k):
+            return mp, _gmul(pow_g[mm], pow_l[k])
+    db, dg, dl = [1 if x is None else x._abd[2] for x in (beta, gamma, lam)]
+    return term, (db * dg) ** m * dl ** g.n
+
+
+def _lambda_tables(g: Graph, beta, gamma,
+                   scale: Sequence[ExactComplex] | None = None):
+    """z_poly_lambda's argument checks, then _term in lambda and dw:
+    coefficient k's numerator lies over den * dw ** k."""
+    # the cap error precedes the argument checks
+    _check_cap(g)
+    beta, gamma = ExactComplex._coerce(beta), ExactComplex._coerce(gamma)
+    if scale is not None and len(scale) != g.n:
+        raise ValueError("scale vector length must equal vertex count")
     dw = 1 if scale is None else math.lcm(*[w._abd[2] for w in scale])
-    return term, (beta._abd[2] * gamma._abd[2]) ** m, dw
-
-
-def _activity_term(g: Graph, gamma: ExactComplex | None, lam: ExactComplex):
-    """The _fold term of Z's coefficients in the (+,+) edge activity (both
-    activities, tied, with gamma None) at field lam, numerators over the
-    returned den; the power tables serve every pinning of g."""
-    m = len(g.edges)
-    pow_l, pow_g = _powers(lam._abd, g.n), _powers(ONE._abd if gamma is None else gamma._abd, m)
-
-    def term(mp, mm, k):
-        return (mp + mm if gamma is None else mp), _gmul(pow_g[mm], pow_l[k])
-    return term, lam._abd[2] ** g.n * (1 if gamma is None else gamma._abd[2] ** m)
+    return (*_term(g, beta, gamma, None), dw)
 
 
 def _horner(vec: list[tuple[int, int]], center: ExactComplex,
@@ -433,7 +437,8 @@ class TreeMessages:
     The tuple at w is the partition value of the subtree rooted at w (under
     the chosen roots) with w pinned to each spin: + and -, or 1..q. It is
     kept as Gaussian-integer numerators (re, im) over denom ** e, with
-    msgs[w] = (numerators, e), and reduced when read. ``held`` maps each
+    msgs[w] = (numerators, e), and reduced when read; ``matrix`` and
+    ``weights`` are the pass table it started from. ``held`` maps each
     vertex the pass held back to its part: the numerators of its message
     before its held child was absorbed.
     """
@@ -441,6 +446,7 @@ class TreeMessages:
     msgs: list[tuple[list[tuple[int, int]], int]]
     denom: int
     matrix: list[list[tuple[int, int]]]
+    weights: list[list[tuple[int, int]]]
     held: dict[int, list[tuple[int, int]]] = dataclasses.field(default_factory=dict)
 
     def at(self, v: int) -> tuple[ExactComplex, ...]:
@@ -524,12 +530,12 @@ def _numerators(matrix, weights) -> tuple[int, list, list]:
     by several vertices (a uniform field) is converted once.
     """
     distinct = {id(w): w for w in weights}
-    denom = math.lcm(*[x._abd[2] for xs in (*matrix, *distinct.values()) for x in xs])
-
-    def over(xs):
-        return [(a * k, b * k) for x in xs for a, b, d in [x._abd] for k in [denom // d]]
-    start = {i: over(w) for i, w in distinct.items()}
-    return denom, [over(row) for row in matrix], [start[id(w)] for w in weights]
+    q = len(matrix)
+    nums, denom = _common_numerators([x for xs in (*matrix, *distinct.values()) for x in xs])
+    # every row and weight tuple has q entries
+    rows = [nums[i:i + q] for i in range(0, len(nums), q)]
+    start = dict(zip(distinct, rows[q:]))
+    return denom, rows[:q], [start[id(w)] for w in weights]
 
 
 def _two_spin(params: Params, n: int):
@@ -599,7 +605,7 @@ def _tree_pass(pins: dict[int, int], table, forest, held: Sequence[int] = ()
         re, im = re * sr - im * si, re * si + im * sr
         e += exps[r]
     return (_reduced(re, im, denom ** e),
-            TreeMessages(list(zip(vecs, exps)), denom, mat, parts))
+            TreeMessages(list(zip(vecs, exps)), denom, mat, start, parts))
 
 
 def _walk_pass(g: Graph, p: Pinning, params: Params, root: int,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import PinningError
 from .graphs import Graph, MINUS, PLUS, Pinning
-from .numerics import ExactComplex, ONE, Polynomial, _gmul, match_roots, poly_roots
+from .numerics import ExactComplex, ONE, Polynomial, _gmul, poly_roots
 from .partition import eliminate_pins, z_poly_lambda
 
 MODULUS_TOL = 1e-9
@@ -99,10 +99,9 @@ def pinned_annulus_check(g: Graph, p: Pinning, beta, d: int | None = None) -> Ro
     [beta^-d, beta^d]. The polynomial is recomputed through the
     pin-elimination route and compared exactly: one zero root per + pin,
     times the eliminated polynomial up to a constant factor. Proportional
-    polynomials have the same roots, so agreeing routes share one root
-    solve; only when they differ are the eliminated polynomial's
-    roots found separately and matched in floats. The report records the
-    violation count and the worst cross-check mismatch. The elimination's
+    polynomials have the same roots, so the routes share one root solve.
+    The report records the violation count and a cross-check mismatch of
+    0.0 when the routes agree, None when they differ. The elimination's
     fields are powers of beta, one per distinct exponent, and its prefactor
     is not read. A square-free polynomial's split ends at
     its certificate, one gcd modulo a prime, so the subresultant sequence
@@ -119,24 +118,16 @@ def pinned_annulus_check(g: Graph, p: Pinning, beta, d: int | None = None) -> Ro
     elif g.max_degree() > d:
         raise ValueError(f"graph degree {g.max_degree()} exceeds the bound {d}")
     poly = z_poly_lambda(g, p, beta, beta)
-    direct = _poly_root_multiset(poly)
-
-    ones = (ONE,) * g.n
-    reduced, rescaled, _prefactor = eliminate_pins(g, p, beta, ones)
+    roots = _poly_root_multiset(poly)
+    reduced, rescaled, _prefactor = eliminate_pins(g, p, beta, (ONE,) * g.n)
     plus_pins = sum(1 for _, s in p.items() if s == PLUS)
     reduced_poly = z_poly_lambda(reduced, Pinning(), beta, beta, scale=rescaled)
-    if (poly.valuation() == plus_pins
-            and _proportional(poly.shifted_down(plus_pins), reduced_poly)):
-        via_elimination = direct
-    else:
-        via_elimination = [0j] * plus_pins
-        if reduced_poly.degree >= 1:
-            via_elimination.extend(_poly_root_multiset(reduced_poly))
-    mismatch = match_roots(direct, via_elimination)
-
+    agree = (poly.valuation() == plus_pins
+             and _proportional(poly.shifted_down(plus_pins), reduced_poly))
     # int / int rounds correctly, as float(Fraction(a, den)) does
     b = a / den
-    return _report(direct, band=(b ** (-d), b ** d), cross_check_mismatch=mismatch)
+    return _report(roots, band=(b ** (-d), b ** d),
+                   cross_check_mismatch=0.0 if agree else None)
 
 
 def single_pin_check(g: Graph, p: Pinning, beta, side: str = "auto") -> RootReport:
@@ -149,7 +140,8 @@ def single_pin_check(g: Graph, p: Pinning, beta, side: str = "auto") -> RootRepo
     falsify the implementation rather than the statement.
     """
     beta = ExactComplex._coerce(beta)
-    if not beta.is_real() or beta.re <= 1:
+    a, im, den = beta._abd  # beta > 1, read as in pinned_annulus_check
+    if im or a <= den:
         raise ValueError("the single-pin statement needs a real edge activity > 1")
     n_plus = sum(1 for _, s in p.items() if s == PLUS)
     n_minus = sum(1 for _, s in p.items() if s == MINUS)
@@ -162,7 +154,7 @@ def single_pin_check(g: Graph, p: Pinning, beta, side: str = "auto") -> RootRepo
     if side not in ("small", "large"):
         raise ValueError(f"unknown side {side!r}")
 
-    b = float(beta.re)
+    b = a / den
     band = (1 / b, math.inf) if side == "small" else (0.0, b)
     return _report(_poly_root_multiset(z_poly_lambda(g, p, beta, beta)), band=band)
 

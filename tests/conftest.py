@@ -42,6 +42,8 @@ spins, each configuration's edge counts and weight recomputed from scratch.
 ``det_laplace`` is the determinant the library took before Bareiss
 elimination: Laplace expansion along the first row, O(q!) products;
 ``exact_determinant_laplace`` applies it to an ExactComplex matrix.
+``corpus_config`` is the configuration of a seeded corpus run: the parsed
+arguments with the corpus flags' defaults filled in, as the CLI fills them.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ import math
 import random
 from fractions import Fraction
 
+from spinmix import cli
 from spinmix.errors import (NotATreeError, PinningError, RootConvergenceError,
                             SeriesDivisionError, ZeroPartitionError)
 from spinmix.graphs import (Graph, MINUS, PLUS, Pinning, SawTree, build_saw_tree,
@@ -60,8 +63,8 @@ from spinmix.graphs import (Graph, MINUS, PLUS, Pinning, SawTree, build_saw_tree
 from spinmix.identities import CdReport, _det, exact_determinant
 from spinmix.mixing import LdcReport
 from spinmix.numerics import ExactComplex, Polynomial, PowerSeries, _reduced
-from spinmix.partition import (Params, QSpinParams, TreeMessages, _absorb, _activity_term,
-                               _chain, _check_feasible, _fold, _horner, _pass_table, _pin,
+from spinmix.partition import (Params, QSpinParams, TreeMessages, _absorb, _chain,
+                               _check_feasible, _fold, _horner, _pass_table, _pin, _term,
                                hardcore_params, z_brute, z_qspin_tree, z_tree)
 
 
@@ -308,7 +311,7 @@ def edge_activity_series(g: Graph, p: Pinning, gamma: ExactComplex | None,
     """First ``order`` (>= 1) coefficients of Z in t, where the (+,+) edge
     activity (both, tied, with gamma None) is center + t; with a probe, the
     pair (Z's, Z+_probe's) from one sweep."""
-    term, den = _activity_term(g, gamma, lam)
+    term, den = _term(g, None, gamma, lam)
     over = den * center._abd[2] ** len(g.edges)
     series = [[_reduced(re, im, over) for re, im in _horner(w, center, order)]
               for w in _fold(g, p, None, probe, len(g.edges) + 1, term)]
@@ -615,3 +618,14 @@ def random_graph(rng: random.Random, n: int, connected=True) -> Graph:
         g = Graph(n, edges)
         if not connected or is_connected(g):
             return g
+
+
+def corpus_config(argv: list[str]):
+    """cli._build_parser().parse_args(argv) for a corpus run, each unset
+    corpus flag (cfg.corpus_only) at its default, as
+    cli._run_corpus_command fills them in."""
+    cfg = cli._build_parser().parse_args(argv)
+    for _, name, default in getattr(cfg, "corpus_only", ()):
+        if getattr(cfg, name) is None:
+            setattr(cfg, name, default)
+    return cfg

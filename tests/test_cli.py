@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import corpus_config
 from spinmix import cli, corpus, mixing, numerics
 from spinmix.errors import DrawLimitError, ZeroPartitionError
 from spinmix.numerics import ExactComplex
@@ -175,7 +176,7 @@ def test_saw_and_weitz_build_only_the_instance_graph(monkeypatch):
     monkeypatch.setattr(cli.Graph, "__post_init__", counted)
     rng = random.Random(3)
     for command, trials in (("saw-check", 10), ("weitz", 6)):
-        cfg = cli._build_parser().parse_args([command])
+        cfg = corpus_config([command])
         for trial in range(trials):
             inst = cli.GENERATORS[command](cfg, rng, trial)
             built.clear()
@@ -464,9 +465,10 @@ def test_locality_verdicts_divide_no_series(tmp_path, capsys, monkeypatch, k2):
     for module in (mixing, numerics):
         for name in ("series_div", "PowerSeries"):
             monkeypatch.setattr(module, name, refused)
-    for argv in (["ldc", "--seed", "1"], ["ldc-beta", "--seed", "3"],
+    for argv in (["ldc", "--seed", "1", "--trials", "40"],
+                 ["ldc-beta", "--seed", "3", "--trials", "40"],
                  ["ldc", "--graph", str(k2), "--beta", "3/2", "--gamma", "2/3"]):
-        code, out, _ = run_cli([*argv, "--trials", "40"], capsys)
+        code, out, _ = run_cli(argv, capsys)
         assert code == 0 and " fail=0 " in out.splitlines()[-1], argv
 
 
@@ -739,6 +741,57 @@ class TestGraphFailureDump:
         assert Path("ldc_failure.json").exists()
 
 
+class TestGraphRuns:
+    """What a --graph run of ldc and annulus evaluates and prints."""
+
+    @pytest.fixture
+    def p3(self, tmp_path):
+        path = tmp_path / "p3.json"
+        path.write_text('{"n":3,"edges":[[0,1],[1,2]]}')
+        return path
+
+    def test_ldc_skips_infeasible_extensions(self, p3, tmp_path, capsys):
+        # at beta = 0 the sweep's own pin + next to the + pin at 0 is
+        # infeasible, and is skipped as the corpus never draws it
+        pins = tmp_path / "pin0.json"
+        pins.write_text('{"pins":{"0":"+"}}')
+        code, out, err = run_cli(["ldc", "--graph", str(p3), "--pins", str(pins)], capsys)
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        rows = [json.loads(line) for line in lines[:-1]]
+        assert [(r["v"], r["u"], r["pin"]) for r in rows] == [(1, 2, "+"), (1, 2, "-"),
+                                                             (2, 1, "-")]
+        assert lines[-1] == "ldc pass=3 fail=0 seed=0"
+        # at beta = 1 every extension is feasible
+        code, out, _ = run_cli(["ldc", "--graph", str(p3), "--pins", str(pins),
+                                "--beta", "1/1"], capsys)
+        assert code == 0 and out.splitlines()[-1] == "ldc pass=4 fail=0 seed=0"
+
+    def test_ldc_infeasible_pins_file_stays_an_error(self, tmp_path, capsys, monkeypatch):
+        # every extension of an infeasible pinning is infeasible too: none is
+        # skipped, and the pinning's partition polynomial vanishes
+        monkeypatch.chdir(tmp_path)
+        graph, pins = tmp_path / "p4.json", tmp_path / "pins.json"
+        graph.write_text('{"n":4,"edges":[[0,1],[1,2],[2,3]]}')
+        pins.write_text('{"pins":{"0":"+","1":"+"}}')
+        code, out, err = run_cli(["ldc", "--graph", str(graph), "--pins", str(pins)], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: ZeroPartitionError: partition polynomial is identically zero\n"
+        assert sorted(tmp_path.iterdir()) == [graph, pins]
+
+    def test_annulus_prints_its_row_without_out(self, k2, tmp_path, capsys):
+        code, out, _ = run_cli(["annulus", "--graph", str(k2)], capsys)
+        row, summary = out.splitlines()
+        assert code == 0 and summary == "annulus pass=1 fail=0 seed=0"
+        row = json.loads(row)
+        assert row["violations"] == 0 and row["cross_check_mismatch"] == 0.0 and row["pass"]
+        report = tmp_path / "annulus.json"
+        code, out, _ = run_cli(["annulus", "--graph", str(k2), "--out", str(report),
+                                "--format", "json"], capsys)
+        assert code == 0 and out == f"{summary}\n"
+        assert json.loads(report.read_text()) == [row]
+
+
 class TestUsageErrors:
     """A malformed scalar, or roots without --beta, is an argparse usage error."""
 
@@ -835,6 +888,36 @@ class TestUsageErrors:
         for args in (argv[:1], argv):
             report = tmp_path / f"r{len(reports)}.csv"
             code, _, _ = run_cli([*args, "--graph", str(graph), "--out", str(report)], capsys)
+            assert code == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("command", ["ldc", "annulus", "weitz"])
+    @pytest.mark.parametrize("flags", [["--trials", "7"], ["--max-vertices", "3"],
+                                       ["--trials", "7", "--max-vertices", "3"],
+                                       ["--max-vertices", "1"]],
+                             ids=["trials", "max-vertices", "both", "max-vertices-1"])
+    def test_corpus_flag_in_a_graph_run_is_config_error(self, command, flags, k2, tmp_path,
+                                                        capsys, monkeypatch):
+        # a --graph run evaluates its one graph, so it would not read the flag
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli([command, "--graph", str(k2), *flags, "--out", "t.csv"],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"config error: only seeded corpus runs read "
+                                    f"{', '.join(flags[::2])}; a --graph {command} run "
+                                    f"reads one graph file"]
+        assert list(tmp_path.iterdir()) == [k2]
+
+    @pytest.mark.parametrize("argv", [["ldc", "--trials", "100", "--max-vertices", "8"],
+                                      ["annulus", "--trials", "50", "--max-vertices", "8"],
+                                      ["weitz", "--trials", "50", "--max-vertices", "9"]],
+                             ids=["ldc", "annulus", "weitz"])
+    def test_corpus_run_defaults_are_the_documented_ones(self, argv, tmp_path, capsys):
+        reports = []
+        for args in (argv[:1], argv):
+            report = tmp_path / f"r{len(reports)}.csv"
+            code, _, _ = run_cli([*args, "--seed", "2", "--out", str(report)], capsys)
             assert code == 0
             reports.append(report.read_bytes())
         assert reports[0] == reports[1]

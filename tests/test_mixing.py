@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (is_connected, ldc_reference, random_graph, saw_marginal_tree, scalar,
-                      series_div_naive, weitz_marginal_tree, z_naive)
+from conftest import (corpus_config, is_connected, ldc_reference, random_graph, saw_marginal_tree,
+                      scalar, series_div_naive, weitz_marginal_tree, z_naive)
 from spinmix import cli, mixing, partition
 from spinmix.corpus import rand_feasible_pinning, rand_params, rand_pinning_pair
 from spinmix.errors import PinningError, SeriesDivisionError, ZeroPartitionError
@@ -585,7 +585,7 @@ class TestLdcVerdict:
 
     @pytest.mark.parametrize("command", ["ldc", "ldc-beta"])
     def test_corpus_matches_reference(self, command):
-        cfg = cli._build_parser().parse_args([command])
+        cfg = corpus_config([command])
         results = set()
         for seed in (1, 2):
             rng = random.Random(seed)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (_poly_gcd, aberth_reference, root_bits, series_div_naive,
+from conftest import (_poly_gcd, aberth_reference, corpus_config, root_bits, series_div_naive,
                       square_free_reference)
 from spinmix import cli, numerics
 from spinmix.errors import RootConvergenceError, SeriesDivisionError
@@ -334,7 +334,7 @@ class TestPolynomial:
             shared = sparse(rng.randint(0, 3))
             a = _mul(shared, sparse(rng.randint(0, 6)))
             b = _mul(shared, sparse(rng.randint(0, 6)))
-            g = _gcd(_common_numerators(a), _common_numerators(b))
+            g = _gcd(_common_numerators(a)[0], _common_numerators(b)[0])
             lead = ExactComplex(*g[-1])
             monic = [ExactComplex(*c) / lead for c in g]
             assert monic == _poly_gcd(a, b)
@@ -450,10 +450,9 @@ def annulus_field_polynomials():
     """Every field polynomial of the annulus corpora at seeds 0-5, degree
     bounds 3 and 4: the pinned polynomial and the pin-eliminated one of each
     instance, each over its lowest nonzero power."""
-    parser = cli._build_parser()
     for seed in range(6):
         for bound in (["--degree-bound", "3"], ["--degree-bound", "4", "--max-vertices", "9"]):
-            cfg = parser.parse_args(["annulus", "--seed", str(seed), *bound])
+            cfg = corpus_config(["annulus", "--seed", str(seed), *bound])
             rng = random.Random(seed)
             for trial in range(cfg.trials):
                 inst = cli._gen_annulus(cfg, rng, trial)
@@ -534,6 +533,18 @@ class TestSquareFreeCertificate:
         factors = square_free_factors(p)
         assert calls and factors == square_free_reference(p)
         assert len(factors) == 1 and factors[0][1] == 1
+
+    def test_yun_alone_without_the_certificate(self, monkeypatch):
+        # a square-free polynomial the certificate would have returned runs
+        # the whole Yun loop, which ends with the same one factor
+        monkeypatch.setattr(numerics, "_coprime_mod_prime", lambda w: False)
+        square_free = 0
+        for p in itertools.chain(seeded_polynomials(29, 300),
+                                 itertools.islice(annulus_field_polynomials(), 300)):
+            factors = square_free_factors(p)
+            assert factors == square_free_reference(p), p
+            square_free += len(factors) == 1 and factors[0][1] == 1
+        assert square_free >= 300
 
 
 class TestPolyRoots:

@@ -13,7 +13,7 @@ from spinmix.errors import (CapExceededError, NotATreeError, PinningError,
                             ZeroPartitionError)
 from spinmix.graphs import Graph, MINUS, PLUS, Pinning
 from spinmix.mixing import marginal, marginal_series_beta, marginal_series_lambda
-from spinmix.numerics import ONE, ExactComplex, _reduced
+from spinmix.numerics import ONE, ExactComplex, _gmul, _reduced
 from spinmix.partition import (Params, QSpinParams, _monomial_counts, eliminate_pins,
                                hardcore_params, spin_reversal, two_spin_embedding,
                                z_brute, z_poly_lambda, z_qspin_tree, z_tree)
@@ -531,6 +531,25 @@ def test_table_folds_match_naive_oracle():
         if not beta.is_zero():
             tied = edge_activity_series(g, pins, None, params.field, beta, 3)
             assert tied[0] == z_naive(g, pins, Params(beta, beta, params.field))
+
+
+def test_tied_edge_activity_term_drops_only_a_table_of_ones():
+    # the tied term (gamma None) as it was built before: the untied product
+    # with a table of powers of 1 in gamma's place, over den * 1 ** m; the
+    # same index, numerators and den, for every key the sweep can produce
+    ones = (1, 0, 1)
+    for g, _, params in fold_instances():
+        if not params.uniform:
+            continue
+        lam, m = params.field, len(g.edges)
+        term, den = partition._term(g, None, None, lam)
+        pow_one, pow_l = partition._powers(ones, m), partition._powers(lam._abd, g.n)
+        assert pow_one == [(1, 0)] * (m + 1)
+        assert den == lam._abd[2] ** g.n * ones[2] ** m
+        for mp in range(m + 1):
+            for mm in range(m + 1 - mp):
+                for k in range(g.n + 1):
+                    assert term(mp, mm, k) == (mp + mm, _gmul(pow_one[mm], pow_l[k]))
 
 
 PATH25 = Graph(25, tuple((i, i + 1) for i in range(24)))

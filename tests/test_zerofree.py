@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import aberth_reference, is_connected, random_graph, root_bits
+from conftest import aberth_reference, corpus_config, is_connected, random_graph, root_bits
 from spinmix import cli, numerics, zerofree
 from spinmix.corpus import (rand_bounded_degree_graph, rand_connected_graph,
                             rand_feasible_pinning)
@@ -105,8 +105,7 @@ class TestPinnedAnnulus:
 def test_annulus_roots_match_the_reference_route(bound):
     # every field polynomial of `annulus --trials 50 --seed 1`, direct and
     # through pin elimination, solved to the floats of the ExactComplex route
-    cfg = cli._build_parser().parse_args(
-        ["annulus", "--trials", "50", "--seed", "1", "--degree-bound", str(bound)])
+    cfg = corpus_config(["annulus", "--trials", "50", "--seed", "1", "--degree-bound", str(bound)])
     rng = random.Random(cfg.seed)
     solved = 0
     for trial in range(cfg.trials):
@@ -123,8 +122,9 @@ def test_annulus_roots_match_the_reference_route(bound):
 
 
 class TestAnnulusCrossCheck:
-    """The pin-elimination route is compared exactly; its roots are solved
-    and matched separately only when the two polynomials differ."""
+    """The pin-elimination route is compared exactly, and the pinned
+    polynomial's roots are solved once: the routes agree (mismatch 0.0) or
+    they differ (mismatch None, a failing row); no root is matched in floats."""
 
     P4 = Graph(4, ((0, 1), (1, 2), (2, 3)))
     PINS = Pinning.of({0: PLUS, 3: MINUS})
@@ -143,16 +143,17 @@ class TestAnnulusCrossCheck:
 
         counted(zerofree, "poly_roots")
         counted(numerics, "square_free_factors")
-        counted(zerofree, "match_roots")
+        counted(numerics, "match_roots")
         return counts
 
     def test_agreeing_routes_solve_once(self, calls):
         rep = pinned_annulus_check(self.P4, self.PINS, Fraction(3, 2))
-        assert calls == {"poly_roots": 1, "square_free_factors": 1, "match_roots": 1}
+        assert calls == {"poly_roots": 1, "square_free_factors": 1, "match_roots": 0}
         assert rep.cross_check_mismatch == 0.0
+        assert rep.to_json()["cross_check_mismatch"] == 0.0
         assert rep.roots.count(0j) == 1
 
-    def test_disagreeing_routes_solve_twice_and_fail(self, calls, monkeypatch):
+    def test_disagreeing_routes_solve_once_and_fail(self, calls, monkeypatch):
         eliminate = zerofree.eliminate_pins
 
         def perturbed(*args):
@@ -160,13 +161,32 @@ class TestAnnulusCrossCheck:
             return reduced, (rescaled[0] * 2, *rescaled[1:]), prefactor
         monkeypatch.setattr(zerofree, "eliminate_pins", perturbed)
         rep = pinned_annulus_check(self.P4, self.PINS, Fraction(3, 2))
-        assert calls == {"poly_roots": 2, "square_free_factors": 2, "match_roots": 1}
-        assert rep.cross_check_mismatch > 1e-9
+        assert calls == {"poly_roots": 1, "square_free_factors": 1, "match_roots": 0}
+        assert rep.cross_check_mismatch is None
+        assert rep.annulus_violations == 0
+        assert "cross_check_mismatch" not in rep.to_json()
         ok, row = cli.eval_annulus({"graph": self.P4, "pins": self.PINS,
                                     "beta": ExactComplex(Fraction(3, 2)),
                                     "degree_bound": 3})
         assert not ok and not row["pass"]
-        assert row["cross_check_mismatch"] > 1e-9
+        assert row["cross_check_mismatch"] is None
+
+    @pytest.mark.parametrize("bound,max_vertices", [("3", "8"), ("4", "9")])
+    def test_seeded_corpus_routes_agree_exactly(self, bound, max_vertices):
+        # every instance of the annulus corpora at seeds 0-3 agrees exactly,
+        # so no seeded row depends on the removed float matching
+        agreed = 0
+        for seed in range(4):
+            cfg = corpus_config(["annulus", "--seed", str(seed), "--degree-bound", bound,
+                                 "--max-vertices", max_vertices])
+            rng = random.Random(seed)
+            for trial in range(cfg.trials):
+                inst = cli._gen_annulus(cfg, rng, trial)
+                rep = pinned_annulus_check(inst["graph"], inst["pins"], inst["beta"],
+                                           inst["degree_bound"])
+                assert rep.cross_check_mismatch == 0.0, (seed, trial)
+                agreed += 1
+        assert agreed == 4 * cfg.trials
 
 
 def _graph_first_bounded_degree_graph(rng, n, dmax, attempts=20000):
