@@ -446,6 +446,9 @@ def _run_single_file_command(cfg: argparse.Namespace) -> int:
 
     if cfg.command == "ldc":
         hard = beta.is_zero(), gamma.is_zero()
+        # an infeasible --pins file is an error even when it leaves no (v, u) pair
+        if not is_feasible(g, pins, *hard):
+            raise ZeroPartitionError("partition polynomial is identically zero")
         rows = []
         failures = []
         for v in range(g.n):
@@ -454,9 +457,9 @@ def _run_single_file_command(cfg: argparse.Namespace) -> int:
                     continue
                 for spin in (PLUS, MINUS):
                     pinned = pins.with_pin(u, spin)
-                    # skip an extension only u's pin makes infeasible, as the corpus
-                    # (rand_pinning_pair) draws none; infeasible --pins still fail
-                    if is_feasible(g, pins, *hard) and not is_feasible(g, pinned, *hard):
+                    # skip an extension u's pin makes infeasible, as the corpus
+                    # (rand_pinning_pair) draws none
+                    if not is_feasible(g, pinned, *hard):
                         continue
                     inst = {"graph": g, "pins_a": pins, "pins_b": pinned,
                             "beta": beta, "gamma": gamma, "v": v}

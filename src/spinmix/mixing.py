@@ -116,8 +116,8 @@ def _lambda_vectors(g: Graph, ps: Sequence[Pinning], v: int, beta, gamma,
             raise PinningError(f"vertex {v} is pinned")
         if term is None:
             order = _default_order(g) if order is None else order
-            term, den, dw = _lambda_tables(g, beta, gamma, scale)
-        zs, zp = _fold(g, p, scale, v, g.n + 1, term)
+            term, den, nums, dw = _lambda_tables(g, beta, gamma, scale)
+        zs, zp = _fold(g, p, nums, v, g.n + 1, term)
         k = next((i for i, c in enumerate(zs) if c != (0, 0)), None)
         if k is None:
             raise ZeroPartitionError("partition polynomial is identically zero")

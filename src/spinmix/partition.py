@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -211,17 +210,17 @@ def _ruler(width: int) -> tuple[int, ...]:
 
 
 def _monomial_counts(g: Graph, p: Pinning,
-                     weights: Sequence[ExactComplex] | None = None,
+                     nums: Sequence[tuple[int, int]] | None = None,
                      probe: int | None = None
-                     ) -> list[dict[tuple[int, int, int], tuple[int, int]]]:
+                     ) -> list[dict[tuple[int, int, int], int | tuple[int, int]]]:
     """Coefficients of Z(beta, gamma, lambda) over the extensions of p.
 
     Each table maps (m+, m-, #+) to the number of extensions of p with m+
-    (+,+) edges, m- (-,-) edges and #+ plus vertices, pins included, as a
-    Gaussian integer (re, im). With ``weights`` (numerators over dw, the lcm
-    of their denominators), each extension contributes the product of
-    weights[v] over its + vertices instead of 1, which lies over dw ** #+.
-    Returns [table]; with a free ``probe`` vertex,
+    (+,+) edges, m- (-,-) edges and #+ plus vertices, pins included, an int.
+    With ``nums``, the vertex weights as Gaussian-integer numerators over
+    one dw (_common_numerators), each extension contributes the product of
+    nums[v] over its + vertices instead of 1, a Gaussian integer (re, im)
+    over dw ** #+. Returns [table]; with a free ``probe`` vertex,
     [table of the extensions with probe -, table of those with probe +].
     This is the one 2-spin enumeration, and it enforces the enumeration cap.
 
@@ -265,7 +264,7 @@ def _monomial_counts(g: Graph, p: Pinning,
     steps = _ruler(width)
     blocks = 1 << (len(free) - width)
     split = blocks >> 1 if probe is not None else 0
-    if weights is None:
+    if nums is None:
         table: dict = {(mp, mm, k): 1}
     else:
         # one product per extension: of the + weights among the low half of the
@@ -273,7 +272,6 @@ def _monomial_counts(g: Graph, p: Pinning,
         # and indexed by the Gray code of the step
         half = len(free) // 2
         low_mask = (1 << half) - 1
-        nums, _ = _common_numerators(weights)
         plus = functools.reduce(_gmul, [nums[v] for v, s in p.items() if s == PLUS], (1, 0))
         low = _subset_products([nums[v] for v in free[:half]], plus)
         high = _subset_products([nums[v] for v in free[half:]], (1, 0))
@@ -300,15 +298,13 @@ def _monomial_counts(g: Graph, p: Pinning,
                 mm += deg - up
                 k -= 1
             key = (mp, mm, k)
-            if weights is None:
+            if nums is None:
                 table[key] = table.get(key, 0) + 1
             else:
                 gray ^= 1 << j
                 (ar, ai), (br, bi) = low[gray & low_mask], high[gray >> half]
                 re, im = table.get(key, (0, 0))
                 table[key] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
-    if weights is None:
-        return [{key: (c, 0) for key, c in t.items()} for t in tables]
     return tables
 
 
@@ -320,19 +316,87 @@ def _subset_products(ws: list[tuple[int, int]], start: tuple[int, int]) -> list:
     return out
 
 
-def _fold(g: Graph, p: Pinning, weights: Sequence[ExactComplex] | None,
-          probe: int | None, size: int, term) -> list[list[tuple[int, int]]]:
-    """The sweep's tables folded into vectors of ``size`` Gaussian integers, each
-    entry adding its value times x, term(m+, m-, #+) = (index, x). Returns [Z's];
-    with a probe, [Z's, Z+_probe's], Z's being the sum of the probe's halves."""
-    vectors = []
-    for table in _monomial_counts(g, p, weights, probe):
-        re, im = [0] * size, [0] * size
+# The activities a fold leaves symbolic, each a mode of _term: the field
+# alone at beta == gamma, the field, beta and gamma tied, and beta
+ISING_LAMBDA, LAMBDA, TIED_BETA, BETA = range(4)
+
+
+def _fold_counts(table: dict, term, size: int) -> list[tuple[int, int]]:
+    """A count table folded into ``size`` Gaussian integers: entry (m+, m-,
+    #+) adds its count times the term's value at the term's index,
+    one loop per mode (_term)."""
+    mode, powers = term
+    re, im = [0] * size, [0] * size
+    if mode == ISING_LAMBDA:
+        (pw,) = powers
+        for (mp, mm, k), c in table.items():
+            xr, xi = pw[mp + mm]
+            re[k] += c * xr
+            im[k] += c * xi
+    elif mode == LAMBDA:
+        pb, pg = powers
+        for (mp, mm, k), c in table.items():
+            (br, bi), (gr, gi) = pb[mp], pg[mm]
+            re[k] += c * (br * gr - bi * gi)
+            im[k] += c * (br * gi + bi * gr)
+    elif mode == TIED_BETA:
+        (pl,) = powers
+        for (mp, mm, k), c in table.items():
+            xr, xi = pl[k]
+            i = mp + mm
+            re[i] += c * xr
+            im[i] += c * xi
+    else:
+        pg, pl = powers
+        for (mp, mm, k), c in table.items():
+            (gr, gi), (lr, li) = pg[mm], pl[k]
+            re[mp] += c * (gr * lr - gi * li)
+            im[mp] += c * (gr * li + gi * lr)
+    return list(zip(re, im))
+
+
+def _fold_weighted(table: dict, term, size: int) -> list[tuple[int, int]]:
+    """_fold_counts for a table of Gaussian integers (re, im)."""
+    mode, powers = term
+    re, im = [0] * size, [0] * size
+    if mode == ISING_LAMBDA:
+        (pw,) = powers
         for (mp, mm, k), (cr, ci) in table.items():
-            i, (xr, xi) = term(mp, mm, k)
+            xr, xi = pw[mp + mm]
+            re[k] += cr * xr - ci * xi
+            im[k] += cr * xi + ci * xr
+    elif mode == LAMBDA:
+        pb, pg = powers
+        for (mp, mm, k), (cr, ci) in table.items():
+            (br, bi), (gr, gi) = pb[mp], pg[mm]
+            xr, xi = br * gr - bi * gi, br * gi + bi * gr
+            re[k] += cr * xr - ci * xi
+            im[k] += cr * xi + ci * xr
+    elif mode == TIED_BETA:
+        (pl,) = powers
+        for (mp, mm, k), (cr, ci) in table.items():
+            xr, xi = pl[k]
+            i = mp + mm
             re[i] += cr * xr - ci * xi
             im[i] += cr * xi + ci * xr
-        vectors.append(list(zip(re, im)))
+    else:
+        pg, pl = powers
+        for (mp, mm, k), (cr, ci) in table.items():
+            (gr, gi), (lr, li) = pg[mm], pl[k]
+            xr, xi = gr * lr - gi * li, gr * li + gi * lr
+            re[mp] += cr * xr - ci * xi
+            im[mp] += cr * xi + ci * xr
+    return list(zip(re, im))
+
+
+def _fold(g: Graph, p: Pinning, nums: Sequence[tuple[int, int]] | None,
+          probe: int | None, size: int, term) -> list[list[tuple[int, int]]]:
+    """The sweep's tables, with the weight numerators ``nums`` when given,
+    folded into vectors of ``size`` Gaussian integers by a _term. Returns
+    [Z's]; with a probe, [Z's, Z+_probe's], Z's being the sum of the probe's
+    halves."""
+    fold = _fold_counts if nums is None else _fold_weighted
+    vectors = [fold(table, term, size) for table in _monomial_counts(g, p, nums, probe)]
     if probe is not None:
         minus, plus = vectors
         vectors = [[(a + c, b + d) for (a, b), (c, d) in zip(minus, plus)], plus]
@@ -340,46 +404,37 @@ def _fold(g: Graph, p: Pinning, weights: Sequence[ExactComplex] | None,
 
 
 def _term(g: Graph, beta, gamma, lam):
-    """The _fold term of Z's coefficients in the activity passed as None: lam
-    (index #+), beta (index m+), or beta and gamma tied (index m+ + m-); with
-    den, which every numerator lies over. The tables serve every pinning of g."""
+    """The _fold term of Z's coefficients in the activity passed as None, as
+    (mode, power tables): lam (index #+; ISING_LAMBDA at gamma == beta, with
+    one table of beta's powers, else LAMBDA), beta and gamma tied (TIED_BETA,
+    index m+ + m-), or beta (BETA, index m+); with den, which every numerator
+    lies over. The tables serve every pinning of g."""
     m = len(g.edges)
     if lam is None and gamma == beta:
         # beta^(m+) gamma^(m-) over d^(2m) is entry m+ + m- of one table
-        pow_bb = _ising_powers(beta._abd, 2 * m)
-
-        def term(mp, mm, k):
-            return k, pow_bb[mp + mm]
+        term = ISING_LAMBDA, (_ising_powers(beta._abd, 2 * m),)
     elif lam is None:
-        pow_b, pow_g = _powers(beta._abd, m), _powers(gamma._abd, m)
-
-        def term(mp, mm, k):
-            return k, _gmul(pow_b[mp], pow_g[mm])
+        term = LAMBDA, (_powers(beta._abd, m), _powers(gamma._abd, m))
     elif gamma is None:
-        pow_l = _powers(lam._abd, g.n)
-
-        def term(mp, mm, k):
-            return mp + mm, pow_l[k]
+        term = TIED_BETA, (_powers(lam._abd, g.n),)
     else:
-        pow_l, pow_g = _powers(lam._abd, g.n), _powers(gamma._abd, m)
-
-        def term(mp, mm, k):
-            return mp, _gmul(pow_g[mm], pow_l[k])
+        term = BETA, (_powers(gamma._abd, m), _powers(lam._abd, g.n))
     db, dg, dl = [1 if x is None else x._abd[2] for x in (beta, gamma, lam)]
     return term, (db * dg) ** m * dl ** g.n
 
 
 def _lambda_tables(g: Graph, beta, gamma,
                    scale: Sequence[ExactComplex] | None = None):
-    """z_poly_lambda's argument checks, then _term in lambda and dw:
-    coefficient k's numerator lies over den * dw ** k."""
+    """z_poly_lambda's argument checks, then _term in lambda, and scale's
+    numerators over dw (None and 1 with no scale): coefficient k's numerator
+    lies over den * dw ** k."""
     # the cap error precedes the argument checks
     _check_cap(g)
     beta, gamma = ExactComplex._coerce(beta), ExactComplex._coerce(gamma)
     if scale is not None and len(scale) != g.n:
         raise ValueError("scale vector length must equal vertex count")
-    dw = 1 if scale is None else math.lcm(*[w._abd[2] for w in scale])
-    return (*_term(g, beta, gamma, None), dw)
+    nums, dw = (None, 1) if scale is None else _common_numerators(scale)
+    return (*_term(g, beta, gamma, None), nums, dw)
 
 
 def _horner(vec: list[tuple[int, int]], center: ExactComplex,
@@ -391,17 +446,31 @@ def _horner(vec: list[tuple[int, int]], center: ExactComplex,
     With center = C / cd and s = cd t, cd^m times the sum is
     sum_k vec[k] cd^(m-k) (C + s)^k: Horner's rule in C + s from the top
     exponent, on integers; the coefficient of t^i is that of s^i times cd^i.
+    A real center (the common case) takes no product by its zero imaginary part.
     """
     cr, ci, cd = center._abd
     re, im = [0] * order, [0] * order
+    dj = 1  # cd ** j
     for j, (wr, wi) in enumerate(reversed(vec)):
         # after j steps only the first j coefficients can be nonzero
-        for i in range(min(j, order - 1), 0, -1):
-            re[i], im[i] = (re[i] * cr - im[i] * ci + re[i - 1],
-                            re[i] * ci + im[i] * cr + im[i - 1])
-        re[0], im[0] = (re[0] * cr - im[0] * ci + wr * cd ** j,
-                        re[0] * ci + im[0] * cr + wi * cd ** j)
-    return [(re[i] * cd ** i, im[i] * cd ** i) for i in range(order)]
+        if ci:
+            for i in range(min(j, order - 1), 0, -1):
+                re[i], im[i] = (re[i] * cr - im[i] * ci + re[i - 1],
+                                re[i] * ci + im[i] * cr + im[i - 1])
+            re[0], im[0] = (re[0] * cr - im[0] * ci + wr * dj,
+                            re[0] * ci + im[0] * cr + wi * dj)
+        else:
+            for i in range(min(j, order - 1), 0, -1):
+                re[i] = re[i] * cr + re[i - 1]
+                im[i] = im[i] * cr + im[i - 1]
+            re[0] = re[0] * cr + wr * dj
+            im[0] = im[0] * cr + wi * dj
+        dj *= cd
+    out, di = [], 1  # di = cd ** i
+    for i in range(order):
+        out.append((re[i] * di, im[i] * di))
+        di *= cd
+    return out
 
 
 def z_brute(g: Graph, p: Pinning, params: Params, probe: int | None = None
@@ -416,8 +485,8 @@ def z_brute(g: Graph, p: Pinning, params: Params, probe: int | None = None
     _check_cap(g)
     _check_feasible(g, p, params)
     weights = None if params.uniform else params.field_vector(g.n)
-    term, den, dw = _lambda_tables(g, params.beta, params.gamma, weights)
-    vectors = _fold(g, p, weights, probe, g.n + 1, term)
+    term, den, nums, dw = _lambda_tables(g, params.beta, params.gamma, weights)
+    vectors = _fold(g, p, nums, probe, g.n + 1, term)
     # the sum at lambda / dw, lambda = 1 when a per-vertex field is in the table
     lam = params.field if params.uniform else _reduced(1, 0, dw)
     over = den * lam._abd[2] ** g.n
@@ -711,8 +780,8 @@ def z_poly_lambda(g: Graph, p: Pinning, beta, gamma,
     (scale_v * lambda)_v; this serves pin elimination and the single-variable
     scan of non-uniform fields.
     """
-    term, den, dw = _lambda_tables(g, beta, gamma, scale)
-    (vec,) = _fold(g, p, scale, None, g.n + 1, term)
+    term, den, nums, dw = _lambda_tables(g, beta, gamma, scale)
+    (vec,) = _fold(g, p, nums, None, g.n + 1, term)
     # coefficient k lies over den * dw ** k: bring every one over den * dw ** n
     n = len(vec) - 1
     return Polynomial.over([(a * dw ** (n - k), b * dw ** (n - k))

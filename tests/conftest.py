@@ -39,6 +39,12 @@ reduced.
 ``monomial_counts_reference`` is the monomial table of the library's Gray
 walk taken one configuration at a time: itertools.product over the free
 spins, each configuration's edge counts and weight recomputed from scratch.
+``term_reference``, ``fold_reference`` and ``horner_reference`` are the fold
+and Taylor shift the library took before one loop per term mode: a term
+closure called per table entry, each count table copied into (c, 0) pairs
+and multiplied as Gaussian integers, and a Horner pass that recomputes
+powers of the center's denominator and multiplies by its imaginary part
+whether or not it is zero.
 ``det_laplace`` is the determinant the library took before Bareiss
 elimination: Laplace expansion along the first row, O(q!) products;
 ``exact_determinant_laplace`` applies it to an ExactComplex matrix.
@@ -62,9 +68,10 @@ from spinmix.graphs import (Graph, MINUS, PLUS, Pinning, SawTree, build_saw_tree
                             is_feasible, is_proper)
 from spinmix.identities import CdReport, _det, exact_determinant
 from spinmix.mixing import LdcReport
-from spinmix.numerics import ExactComplex, Polynomial, PowerSeries, _reduced
+from spinmix.numerics import ExactComplex, Polynomial, PowerSeries, _common_numerators, _gmul, _reduced
 from spinmix.partition import (Params, QSpinParams, TreeMessages, _absorb, _chain,
-                               _check_feasible, _fold, _horner, _pass_table, _pin, _term,
+                               _check_feasible, _fold, _horner, _ising_powers,
+                               _monomial_counts, _pass_table, _pin, _powers, _term,
                                hardcore_params, z_brute, z_qspin_tree, z_tree)
 
 
@@ -318,6 +325,66 @@ def edge_activity_series(g: Graph, p: Pinning, gamma: ExactComplex | None,
     return series[0] if probe is None else tuple(series)
 
 
+def term_reference(g: Graph, beta, gamma, lam):
+    """_term as a closure term(m+, m-, #+) = (index, value), with den."""
+    m = len(g.edges)
+    if lam is None and gamma == beta:
+        pow_bb = _ising_powers(beta._abd, 2 * m)
+
+        def term(mp, mm, k):
+            return k, pow_bb[mp + mm]
+    elif lam is None:
+        pow_b, pow_g = _powers(beta._abd, m), _powers(gamma._abd, m)
+
+        def term(mp, mm, k):
+            return k, _gmul(pow_b[mp], pow_g[mm])
+    elif gamma is None:
+        pow_l = _powers(lam._abd, g.n)
+
+        def term(mp, mm, k):
+            return mp + mm, pow_l[k]
+    else:
+        pow_l, pow_g = _powers(lam._abd, g.n), _powers(gamma._abd, m)
+
+        def term(mp, mm, k):
+            return mp, _gmul(pow_g[mm], pow_l[k])
+    db, dg, dl = [1 if x is None else x._abd[2] for x in (beta, gamma, lam)]
+    return term, (db * dg) ** m * dl ** g.n
+
+
+def fold_reference(g: Graph, p: Pinning, weights, probe, size: int, term):
+    """_fold with a term_reference closure and ExactComplex ``weights``: every
+    table entry (c, 0) or (re, im) times the closure's value at its index."""
+    nums = None if weights is None else _common_numerators(weights)[0]
+    vectors = []
+    for table in _monomial_counts(g, p, nums, probe):
+        if nums is None:
+            table = {key: (c, 0) for key, c in table.items()}
+        re, im = [0] * size, [0] * size
+        for (mp, mm, k), (cr, ci) in table.items():
+            i, (xr, xi) = term(mp, mm, k)
+            re[i] += cr * xr - ci * xi
+            im[i] += cr * xi + ci * xr
+        vectors.append(list(zip(re, im)))
+    if probe is not None:
+        minus, plus = vectors
+        vectors = [[(a + c, b + d) for (a, b), (c, d) in zip(minus, plus)], plus]
+    return vectors
+
+
+def horner_reference(vec, center: ExactComplex, order: int):
+    """_horner with cd ** j formed at every step and every product by ci taken."""
+    cr, ci, cd = center._abd
+    re, im = [0] * order, [0] * order
+    for j, (wr, wi) in enumerate(reversed(vec)):
+        for i in range(min(j, order - 1), 0, -1):
+            re[i], im[i] = (re[i] * cr - im[i] * ci + re[i - 1],
+                            re[i] * ci + im[i] * cr + im[i - 1])
+        re[0], im[0] = (re[0] * cr - im[0] * ci + wr * cd ** j,
+                        re[0] * ci + im[0] * cr + wi * cd ** j)
+    return [(re[i] * cd ** i, im[i] * cd ** i) for i in range(order)]
+
+
 def _poly_trim(c: list[ExactComplex]) -> list[ExactComplex]:
     while c and c[-1].is_zero():
         c.pop()
@@ -485,7 +552,8 @@ def monomial_counts_reference(g: Graph, p: Pinning, weights=None, probe=None
     """_monomial_counts one configuration at a time: each extension of p adds
     its weight, 1 or the product of weights[v] over its + vertices scaled by
     dw ** #+ (dw the lcm of the weights' denominators), under its key
-    (m+, m-, #+); with a probe, into the table of the probe's spin."""
+    (m+, m-, #+); with a probe, into the table of the probe's spin. With no
+    weights the entries are int counts, else Gaussian integers (re, im)."""
     free = [v for v in range(g.n) if v not in p]
     dw = 1 if weights is None else math.lcm(*[w._abd[2] for w in weights])
     tables = [{} for _ in range(1 if probe is None else 2)]
@@ -504,6 +572,8 @@ def monomial_counts_reference(g: Graph, p: Pinning, weights=None, probe=None
         table = tables[probe is not None and sigma[probe] == PLUS]
         re, im = table.get((mp, mm, len(plus)), (0, 0))
         table[mp, mm, len(plus)] = (re + w[0], im + w[1])
+    if weights is None:
+        return [{key: c for key, (c, _) in t.items()} for t in tables]
     return tables
 
 

@@ -768,16 +768,20 @@ class TestGraphRuns:
         assert code == 0 and out.splitlines()[-1] == "ldc pass=4 fail=0 seed=0"
 
     def test_ldc_infeasible_pins_file_stays_an_error(self, tmp_path, capsys, monkeypatch):
-        # every extension of an infeasible pinning is infeasible too: none is
-        # skipped, and the pinning's partition polynomial vanishes
+        # the pinning's partition polynomial vanishes, also on the 3-vertex
+        # path, where the pins leave no free (v, u) pair to sweep
         monkeypatch.chdir(tmp_path)
-        graph, pins = tmp_path / "p4.json", tmp_path / "pins.json"
-        graph.write_text('{"n":4,"edges":[[0,1],[1,2],[2,3]]}')
+        pins = tmp_path / "pins.json"
         pins.write_text('{"pins":{"0":"+","1":"+"}}')
-        code, out, err = run_cli(["ldc", "--graph", str(graph), "--pins", str(pins)], capsys)
-        assert code == 2 and out == ""
-        assert err == "error: ZeroPartitionError: partition polynomial is identically zero\n"
-        assert sorted(tmp_path.iterdir()) == [graph, pins]
+        for n in (4, 3):
+            graph = tmp_path / f"p{n}.json"
+            edges = ",".join(f"[{i},{i + 1}]" for i in range(n - 1))
+            graph.write_text(f'{{"n":{n},"edges":[{edges}]}}')
+            code, out, err = run_cli(["ldc", "--graph", str(graph), "--pins", str(pins)], capsys)
+            assert code == 2 and out == "", n
+            assert err == "error: ZeroPartitionError: partition polynomial is identically zero\n"
+            graph.unlink()
+            assert sorted(tmp_path.iterdir()) == [pins]
 
     def test_annulus_prints_its_row_without_out(self, k2, tmp_path, capsys):
         code, out, _ = run_cli(["annulus", "--graph", str(k2)], capsys)

@@ -1,10 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import (absorb_loop, edge_activity_series, edge_product, eliminate_pins_reference,
-                      monomial_counts_reference, random_graph, remapped, restricted, scalar,
+                      fold_reference, horner_reference, monomial_counts_reference,
+                      random_graph, rational, remapped, restricted, scalar, term_reference,
                       z_naive, z_naive_qspin, z_pair)
 from spinmix import partition
 from spinmix.corpus import (rand_feasible_pinning, rand_params,
@@ -13,8 +15,9 @@ from spinmix.errors import (CapExceededError, NotATreeError, PinningError,
                             ZeroPartitionError)
 from spinmix.graphs import Graph, MINUS, PLUS, Pinning
 from spinmix.mixing import marginal, marginal_series_beta, marginal_series_lambda
-from spinmix.numerics import ONE, ExactComplex, _gmul, _reduced
-from spinmix.partition import (Params, QSpinParams, _monomial_counts, eliminate_pins,
+from spinmix.numerics import ONE, ExactComplex, _common_numerators, _gmul, _reduced
+from spinmix.partition import (BETA, ISING_LAMBDA, LAMBDA, TIED_BETA, Params, QSpinParams,
+                               _monomial_counts, eliminate_pins,
                                hardcore_params, spin_reversal, two_spin_embedding,
                                z_brute, z_poly_lambda, z_qspin_tree, z_tree)
 
@@ -65,6 +68,31 @@ class TestZBrute:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             z_brute(Graph(25, ()), Pinning(), Params(1, 1, 1))
+
+    def test_per_vertex_fields_take_one_lcm(self, monkeypatch):
+        # the field vector is brought over one denominator once, and the walk
+        # reads those numerators: one conversion and one lcm of its denominators
+        calls, lcms = [], []
+        real, real_lcm = partition._common_numerators, math.lcm
+
+        def counted(coeffs):
+            calls.append(tuple(coeffs))
+            return real(coeffs)
+
+        def counted_lcm(*ints):
+            lcms.append(ints)
+            return real_lcm(*ints)
+
+        monkeypatch.setattr(partition, "_common_numerators", counted)
+        monkeypatch.setattr(math, "lcm", counted_lcm)
+        g = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
+        fields = (ExactComplex(Fraction(1, 2)), ExactComplex(Fraction(2, 3), 1),
+                  ExactComplex(3), ExactComplex(Fraction(-1, 5)))
+        params = Params(Fraction(1, 2), 3, fields)
+        pins = Pinning.of({0: PLUS})
+        assert z_brute(g, pins, params, probe=2) == (
+            z_naive(g, pins, params), z_naive(g, pins.with_pin(2, PLUS), params))
+        assert calls == [fields] and lcms.count((2, 3, 1, 5)) == 1
 
     def test_infeasible_pinning(self):
         with pytest.raises(PinningError):
@@ -549,7 +577,10 @@ def test_tied_edge_activity_term_drops_only_a_table_of_ones():
         for mp in range(m + 1):
             for mm in range(m + 1 - mp):
                 for k in range(g.n + 1):
-                    assert term(mp, mm, k) == (mp + mm, _gmul(pow_one[mm], pow_l[k]))
+                    # a table of the one key folds to its value at its index
+                    vec = [(0, 0)] * (m + 1)
+                    vec[mp + mm] = _gmul(pow_one[mm], pow_l[k])
+                    assert partition._fold_counts({(mp, mm, k): 1}, term, m + 1) == vec
 
 
 PATH25 = Graph(25, tuple((i, i + 1) for i in range(24)))
@@ -564,6 +595,11 @@ PATH25 = Graph(25, tuple((i, i + 1) for i in range(24)))
 def test_every_enumeration_is_capped(enumerate_):
     with pytest.raises(CapExceededError):
         enumerate_(PATH25)
+
+
+def numerators(weights):
+    """The walk's weight numerators: None, or weights over their lcm."""
+    return None if weights is None else _common_numerators(weights)[0]
 
 
 class TestGrayWalk:
@@ -584,7 +620,7 @@ class TestGrayWalk:
             free = [v for v in range(n) if v not in pins]
             for probe in (None, rng.choice(free)) if free else (None,):
                 for w in (None, weights):
-                    assert (_monomial_counts(g, pins, w, probe)
+                    assert (_monomial_counts(g, pins, numerators(w), probe)
                             == monomial_counts_reference(g, pins, w, probe)), (g, pins, probe)
 
     def test_step_tables_stay_bounded(self):
@@ -593,6 +629,56 @@ class TestGrayWalk:
             _monomial_counts(g, Pinning(), probe=probe)
         assert max(partition._RULERS) == partition.STEP_BLOCK
         assert all(len(steps) < 2 ** partition.STEP_BLOCK for steps in partition._RULERS.values())
+
+
+def fold_terms(g: Graph, rng: random.Random):
+    """The _term arguments of each mode on g, with their vectors' size, at
+    complex activities; gamma == beta for the Ising one."""
+    beta, gamma, lam = (scalar(rng, nonzero=True, complex_prob=0.5) for _ in range(3))
+    m = len(g.edges)
+    return [((beta, beta, None), g.n + 1), ((beta, gamma, None), g.n + 1),
+            ((None, None, lam), m + 1), ((None, gamma, lam), m + 1)]
+
+
+class TestFoldModes:
+    """Each term mode's loop against the closure fold it replaced, on count
+    and weighted tables, with and without a probe."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_closure_fold(self, seed):
+        rng = random.Random(900 + seed)
+        modes = set()
+        for _ in range(8):
+            n = rng.randint(1, 9)
+            g = random_graph(rng, n, connected=False)
+            pins = rand_feasible_pinning(rng, g, False, False, pin_prob=0.3)
+            # complex weights with distinct denominators
+            weights = [scalar(rng, nonzero=True, complex_prob=0.5) for _ in range(n)]
+            free = [v for v in range(n) if v not in pins]
+            for args, size in fold_terms(g, rng):
+                term, den = partition._term(g, *args)
+                closure, ref_den = term_reference(g, *args)
+                assert den == ref_den
+                modes.add(term[0])
+                for probe in (None, rng.choice(free)) if free else (None,):
+                    for w in (None, weights):
+                        assert (partition._fold(g, pins, numerators(w), probe, size, term)
+                                == fold_reference(g, pins, w, probe, size, closure)), (g, pins, args)
+        assert modes == {ISING_LAMBDA, LAMBDA, TIED_BETA, BETA}
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_horner_matches_the_reference(order):
+    # real positive, real negative and complex centers, on Gaussian vectors
+    rng = random.Random(950 + order)
+    for _ in range(40):
+        size = abs(rational(rng, nonzero=True))
+        centers = (ExactComplex(size), ExactComplex(-size),
+                   ExactComplex(rational(rng), rational(rng, nonzero=True)))
+        for center in centers:
+            vec = [_gaussian(rng) for _ in range(rng.randint(1, 10))]
+            assert (partition._horner(vec, center, order)
+                    == horner_reference(vec, center, order)), (vec, center)
 
 
 class TestProbePair:
@@ -638,7 +724,7 @@ class TestProbePair:
                 continue
             v = rng.choice(free)
             weights = [scalar(rng, nonzero=True) for _ in range(n)]
-            for w in (None, weights):
+            for w in map(numerators, (None, weights)):
                 assert _monomial_counts(g, pins, w, probe=v) == [
                     _monomial_counts(g, pins.with_pin(v, MINUS), w)[0],
                     _monomial_counts(g, pins.with_pin(v, PLUS), w)[0]]
